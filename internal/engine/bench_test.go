@@ -151,6 +151,22 @@ func BenchmarkRuntimeSustainedRobust(b *testing.B) {
 	}
 }
 
+// BenchmarkRuntimeSustainedTCP is the sustained harness on the
+// socket-backed single-shard shape with gossip membership — what a
+// repro.Open(WithTCP, WithSize(n)) process runs between its own nodes —
+// saturated. It gates the in-round local delivery path: zero socket
+// bytes, ≈ 0 allocs/exchange and (no busy-nacks between local
+// partners) ≥ 99.9 % completion, and reports the sustained rate.
+func BenchmarkRuntimeSustainedTCP(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		res, socketBytes := runSustainedTCP(b, 10_000, 25, 15*time.Minute)
+		assertSustainedTCP(b, res, socketBytes)
+		b.ReportMetric(res.PerSecond, "exchanges/s")
+		b.ReportMetric(res.Completion, "completion")
+		b.ReportMetric(res.AllocsPerExchange, "allocs/exchange")
+	}
+}
+
 // sustainedFloor is the completion floor matched to a run's busy-nack
 // geometry: a saturated shard keeps up to eventBudget(n/workers) nodes
 // in flight at once, a push landing on an in-flight peer is nacked, so

@@ -322,6 +322,21 @@ type rshard struct {
 	free    localFree // Fields buffer free list, guarded by mu
 	seq     uint64
 
+	// In-round local delivery (see send/drainLocal), guarded by mu.
+	// selfAddr is the endpoint's address when the endpoint is a real
+	// socket and "" otherwise, so the local path is off for fabric-backed
+	// shards, whose fabric owns the loss, latency and partition models.
+	// local queues the messages hosted nodes addressed to nodes of this
+	// same shard; each is handled before the next can be produced, which
+	// is what lets a local message's gossip digest live in the shard's
+	// digAddrs/digAges scratch instead of message-owned slices.
+	// localDelivered counts them (published via pub once per round).
+	selfAddr       string
+	local          []transport.Message
+	digAddrs       []string
+	digAges        []uint32
+	localDelivered uint64
+
 	// Adversary/robust state, guarded by mu like the nodes it applies
 	// to. robustOn caches robust.Enabled() so the per-message gate is
 	// one byte load; advGossip/advAges are the shared (read-only)
@@ -351,12 +366,13 @@ type rshard struct {
 	// received, pool traffic, free-list occupancy) as atomics for
 	// lock-free scraping. Stored once at the end of every round.
 	pub struct {
-		rounds   atomic.Uint64
-		received atomic.Uint64
-		poolGets atomic.Uint64
-		poolPuts atomic.Uint64
-		poolMiss atomic.Uint64
-		poolFree atomic.Int64
+		rounds         atomic.Uint64
+		received       atomic.Uint64
+		localDelivered atomic.Uint64
+		poolGets       atomic.Uint64
+		poolPuts       atomic.Uint64
+		poolMiss       atomic.Uint64
+		poolFree       atomic.Int64
 	}
 
 	// nextDue is the float64 bit pattern of the shard's earliest
@@ -432,6 +448,9 @@ func NewRuntime(cfg RuntimeConfig) (*Runtime, error) {
 			heap:    sim.NewEventHeap(2 * (hi - lo)),
 			free:    newLocalFree(rt.pool, hi-lo),
 			done:    make(chan struct{}),
+		}
+		if _, socket := endpoints[w].(*transport.TCPEndpoint); socket {
+			s.selfAddr = endpoints[w].Addr()
 		}
 		if cfg.TraceSample > 0 {
 			s.trace.recs = make([]TraceRecord, cfg.TraceRing)
@@ -521,7 +540,8 @@ func (rt *Runtime) registerMetrics(reg *metrics.Registry) {
 			{"repro_engine_epoch_restarts_total", "Node state reinitializations at epoch boundaries.", &s.ctr.epochSwitches},
 			{"repro_engine_send_errors_total", "Sends that failed synchronously or via batch feedback.", &s.ctr.sendErrors},
 			{"repro_engine_rounds_total", "Scheduler rounds run.", &s.pub.rounds},
-			{"repro_engine_messages_received_total", "Inbound messages handled.", &s.pub.received},
+			{"repro_engine_messages_received_total", "Inbound messages handled, local deliveries included.", &s.pub.received},
+			{"repro_engine_local_delivered_total", "Messages between two nodes of the shard handled in-round, bypassing the socket.", &s.pub.localDelivered},
 			{"repro_pool_gets_total", "Fields buffers drawn from the shard free list.", &s.pub.poolGets},
 			{"repro_pool_puts_total", "Fields buffers recycled into the shard free list.", &s.pub.poolPuts},
 			{"repro_pool_misses_total", "Buffer draws that fell through to the shared pool.", &s.pub.poolMiss},
@@ -1153,6 +1173,7 @@ func (s *rshard) run() {
 			}
 			s.mu.Lock()
 			s.handleMessage(m)
+			s.drainLocal()
 			s.mu.Unlock()
 		case <-timer.C:
 		}
@@ -1162,9 +1183,13 @@ func (s *rshard) run() {
 // roundLocked runs one scheduler round: drain queued inbound messages
 // (bounded, so observers are never locked out for a full inbox), fire
 // due events up to the event budget, and publish the shard's next
-// deadline. The caller holds s.mu. It returns how long the shard may
-// sleep before its next event (≤ 0 when it should run again
-// immediately) and ok=false when the inbox has been closed.
+// deadline. Whatever an event or inbound message sends to a node of
+// this same socket-backed shard is delivered right behind it
+// (drainLocal) and charged to the same budget, so a round never holds
+// the lock for more handled messages than it could before. The caller
+// holds s.mu. It returns how long the shard may sleep before its next
+// event (≤ 0 when it should run again immediately) and ok=false when
+// the inbox has been closed.
 func (s *rshard) roundLocked(inbox <-chan transport.Message) (sleep time.Duration, ok bool) {
 	budget := eventBudget(s.hi - s.lo)
 	drained := 0
@@ -1175,8 +1200,8 @@ drain:
 			if !mok {
 				return 0, false
 			}
-			drained++
 			s.handleMessage(m)
+			drained += 1 + s.drainLocal()
 		default:
 			break drain
 		}
@@ -1189,6 +1214,7 @@ drain:
 		}
 		s.heap.Pop()
 		s.handleEvent(ev, now)
+		fired += s.drainLocal()
 	}
 	sleep = time.Hour
 	if ev, ok := s.heap.Peek(); ok {
@@ -1197,13 +1223,14 @@ drain:
 	} else {
 		s.publishNextDue(math.Inf(1))
 	}
-	if drained == 4*budget {
+	if drained >= 4*budget {
 		sleep = 0 // inbox may still hold messages; come straight back
 	}
-	// Publish the round-granular counter mirrors: six stores per round,
+	// Publish the round-granular counter mirrors: seven stores per round,
 	// amortized over the whole event budget, keep scrapes lock-free.
 	s.pub.rounds.Add(1)
 	s.pub.received.Store(s.recv)
+	s.pub.localDelivered.Store(s.localDelivered)
 	s.pub.poolGets.Store(s.free.gets)
 	s.pub.poolPuts.Store(s.free.puts)
 	s.pub.poolMiss.Store(s.free.misses)
@@ -1371,14 +1398,15 @@ func (s *rshard) restart(n *rnode) {
 // send the push, arm the reply deadline. Caller holds s.mu and has
 // checked that no exchange is in flight. The push's Fields buffer is
 // drawn from the shard's free list; ownership passes to the transport
-// with the Send (and on a lossless fabric the same buffer eventually
-// returns via the pull reply).
+// with the send (and on a lossless fabric, or the local path, the same
+// buffer eventually returns via the pull reply).
 func (s *rshard) initiate(n *rnode, idx int, now float64) {
 	self := s.rt.addrs[idx]
 	peer, ok := n.sampler.Sample(n.rng)
 	if !ok || peer == self {
 		return
 	}
+	local := s.isLocal(peer)
 	fields := s.free.get()
 	copy(fields, n.state)
 	s.seq++
@@ -1394,12 +1422,8 @@ func (s *rshard) initiate(n *rnode, idx int, now float64) {
 		// addresses at age 0 (the shared digest is immutable, so the
 		// receiver-must-not-retain contract is moot).
 		msg.Gossip, msg.GossipAges = s.advGossip, s.advAges
-	} else if s.rt.cfg.GossipFanout > 0 && n.observes {
-		// The digest slices must be owned by the message: the batcher
-		// retains it until flush and the fabric delivers by reference, so
-		// sender-side scratch reuse is not possible here (DESIGN.md
-		// "Membership").
-		msg.Gossip, msg.GossipAges = n.sampler.AppendDigest(nil, nil, n.rng, s.rt.cfg.GossipFanout)
+	} else {
+		msg.Gossip, msg.GossipAges = s.digest(n, local)
 	}
 	n.stats.Initiated++
 	s.ctr.initiated.Add(1)
@@ -1425,10 +1449,71 @@ func (s *rshard) initiate(n *rnode, idx int, now float64) {
 			Seq:  s.seq,
 		})
 	}
-	if err := s.out.Send(peer, msg); err != nil {
+	s.send(n, peer, msg, local)
+}
+
+// isLocal reports whether to names a node hosted by this very shard
+// behind a real socket — the traffic that is delivered in-round instead
+// of being written to, and read back from, the shard's own listen
+// address. Always false on fabric-backed shards (selfAddr is empty).
+func (s *rshard) isLocal(to string) bool {
+	return s.selfAddr != "" && transport.BaseAddr(to) == s.selfAddr
+}
+
+// digest draws node n's piggybacked membership digest for one outgoing
+// message (nil when the node's sampler does not gossip). A message that
+// leaves through the batcher must own its digest slices: the batcher
+// retains it until flush and the fabric delivers by reference (DESIGN.md
+// "Membership"). A local message is consumed — Observe runs first in
+// handleMessage and retains nothing — before the shard builds its next
+// one, so its digest lives in shard-owned scratch and costs nothing.
+func (s *rshard) digest(n *rnode, local bool) ([]string, []uint32) {
+	if s.rt.cfg.GossipFanout <= 0 || !n.observes {
+		return nil, nil
+	}
+	if !local {
+		return n.sampler.AppendDigest(nil, nil, n.rng, s.rt.cfg.GossipFanout)
+	}
+	s.digAddrs, s.digAges = n.sampler.AppendDigest(s.digAddrs[:0], s.digAges[:0], n.rng, s.rt.cfg.GossipFanout)
+	return s.digAddrs, s.digAges
+}
+
+// send routes one protocol message from hosted node n; local is
+// s.isLocal(to), which the caller already needed for the digest. A
+// local message is queued for drainLocal — no codec, syscall, channel
+// or batcher — and everything else takes the batcher to the endpoint,
+// with a synchronous failure charged to the sender. Caller holds s.mu.
+func (s *rshard) send(n *rnode, to string, m transport.Message, local bool) {
+	if local {
+		m.To = to
+		s.local = append(s.local, m)
+		return
+	}
+	if err := s.out.Send(to, m); err != nil {
 		n.stats.SendErrors++
 		s.ctr.sendErrors.Add(1)
 	}
+}
+
+// drainLocal handles the queued local messages, and the ones handling
+// them queues, through the same handleMessage a socket delivery takes;
+// it returns how many it delivered so the round can charge them to its
+// budget. A handled push queues at most a reply or a nack and those
+// queue nothing, so the chain behind one event is at most two messages
+// and the queue never holds more than one undelivered — a local
+// exchange starts and completes inside one hold of the round lock,
+// atomic as Figure 1 has it, and never finds its partner busy with
+// another local exchange. Caller holds s.mu.
+func (s *rshard) drainLocal() int {
+	delivered := 0
+	for ; delivered < len(s.local); delivered++ {
+		m := s.local[delivered]
+		s.local[delivered] = transport.Message{}
+		s.handleMessage(m)
+	}
+	s.local = s.local[:0]
+	s.localDelivered += uint64(delivered)
+	return delivered
 }
 
 // handleMessage routes one inbound message to its hosted node. The
@@ -1480,16 +1565,12 @@ func (s *rshard) servePush(n *rnode, idx int, m transport.Message) {
 		n.stats.BusyDropped++
 		s.ctr.busyDropped.Add(1)
 		s.free.put(m.Fields)
-		nack := transport.Message{
+		s.send(n, m.From, transport.Message{
 			Kind:  transport.KindNack,
 			Epoch: n.tracker.Current(),
 			Seq:   m.Seq,
 			From:  s.rt.addrs[idx],
-		}
-		if err := s.out.Send(m.From, nack); err != nil {
-			n.stats.SendErrors++
-			s.ctr.sendErrors.Add(1)
-		}
+		}, s.isLocal(m.From))
 		return
 	}
 	if n.tracker.Observe(m.Epoch) {
@@ -1527,10 +1608,7 @@ func (s *rshard) servePush(n *rnode, idx int, m transport.Message) {
 		}
 		n.stats.Served++
 		s.ctr.served.Add(1)
-		if err := s.out.Send(m.From, reply); err != nil {
-			n.stats.SendErrors++
-			s.ctr.sendErrors.Add(1)
-		}
+		s.send(n, m.From, reply, s.isLocal(m.From))
 		return
 	}
 	if s.robustOn {
@@ -1545,16 +1623,12 @@ func (s *rshard) servePush(n *rnode, idx int, m transport.Message) {
 			s.ctr.robustRejected.Add(1)
 			s.free.put(m.Fields)
 			if !s.rt.cfg.PushOnly {
-				nack := transport.Message{
+				s.send(n, m.From, transport.Message{
 					Kind:  transport.KindNack,
 					Epoch: n.tracker.Current(),
 					Seq:   m.Seq,
 					From:  s.rt.addrs[idx],
-				}
-				if err := s.out.Send(m.From, nack); err != nil {
-					n.stats.SendErrors++
-					s.ctr.sendErrors.Add(1)
-				}
+				}, s.isLocal(m.From))
 			}
 			return
 		}
@@ -1574,6 +1648,7 @@ func (s *rshard) servePush(n *rnode, idx int, m transport.Message) {
 	n.stateVer++
 	n.stats.Served++
 	s.ctr.served.Add(1)
+	local := s.isLocal(m.From)
 	reply := transport.Message{
 		Kind:   transport.KindReply,
 		Epoch:  n.tracker.Current(),
@@ -1581,13 +1656,8 @@ func (s *rshard) servePush(n *rnode, idx int, m transport.Message) {
 		From:   s.rt.addrs[idx],
 		Fields: m.Fields,
 	}
-	if s.rt.cfg.GossipFanout > 0 && n.observes {
-		reply.Gossip, reply.GossipAges = n.sampler.AppendDigest(nil, nil, n.rng, s.rt.cfg.GossipFanout)
-	}
-	if err := s.out.Send(m.From, reply); err != nil {
-		n.stats.SendErrors++
-		s.ctr.sendErrors.Add(1)
-	}
+	reply.Gossip, reply.GossipAges = s.digest(n, local)
+	s.send(n, m.From, reply, local)
 }
 
 // handleReply completes (or aborts, on nack) the node's in-flight

@@ -154,10 +154,12 @@ type GossipSampler struct {
 
 	mu        sync.Mutex
 	view      *View
-	scratch   []Entry
 	insertCap int
 	round     []senderBudget // per-sender budgets, reset by Tick
 	overflow  senderBudget   // shared budget once round is full
+	// roundBuf backs round until a round hears from more inserting
+	// senders than it holds, so the usual handful costs no allocation.
+	roundBuf [8]senderBudget
 
 	// Lock-free mirrors for telemetry scrapes (see engine metrics
 	// registration): the gauge/counter readers must not contend with the
@@ -176,11 +178,13 @@ var _ Sampler = (*GossipSampler)(nil)
 // network).
 func NewGossipSampler(self string, capacity int, seeds []string) (*GossipSampler, error) {
 	v := NewView(capacity)
-	incoming := make([]Entry, 0, len(seeds))
 	for _, s := range seeds {
-		incoming = append(incoming, Entry{Addr: s, Age: 0})
+		if s != self && s != "" {
+			h := addrHash(s)
+			v.upsert(v.find(s, h), s, 0, h)
+		}
 	}
-	v.Merge(self, incoming)
+	v.settle()
 	if v.Len() == 0 {
 		return nil, ErrNoPeers
 	}
@@ -189,14 +193,14 @@ func NewGossipSampler(self string, capacity int, seeds []string) (*GossipSampler
 		insertCap = 1
 	}
 	g := &GossipSampler{self: self, view: v, insertCap: insertCap}
+	g.round = g.roundBuf[:0]
 	g.viewLen.Store(int64(v.Len()))
 	return g, nil
 }
 
-// budgetFor returns the round budget for a sender, creating it on first
-// use. Must be called with mu held.
-func (g *GossipSampler) budgetFor(from string) *senderBudget {
-	h := addrHash(from)
+// budgetFor returns the round budget for the sender whose address
+// hashes to h, creating it on first use. Must be called with mu held.
+func (g *GossipSampler) budgetFor(h uint64) *senderBudget {
 	for i := range g.round {
 		if g.round[i].hash == h {
 			return &g.round[i]
@@ -226,9 +230,14 @@ func (g *GossipSampler) Observe(from string, addrs []string, ages []uint32) {
 		return
 	}
 	g.mu.Lock()
-	inc := g.scratch[:0]
-	if from != "" {
-		inc = append(inc, Entry{Addr: from, Age: 0}) // first-hand; never budgeted
+	v := g.view
+	// Entries at or beyond known were appended by this very message: for
+	// the insertion budget they still count as unknown, exactly as when
+	// the digest was checked against the view before any of it merged.
+	known := len(v.entries)
+	fromHash := addrHash(from)
+	if from != "" && from != g.self {
+		v.upsert(v.find(from, fromHash), from, 0, fromHash) // first-hand; never budgeted
 	}
 	var budget *senderBudget
 	dropped := uint64(0)
@@ -236,12 +245,16 @@ func (g *GossipSampler) Observe(from string, addrs []string, ages []uint32) {
 		if a == "" || a == g.self {
 			continue
 		}
-		if g.view.indexOf(a) < 0 {
+		// One hash and one scan per digest entry: the position found here
+		// both answers the budget question and addresses the update.
+		h := addrHash(a)
+		at := v.find(a, h)
+		if at < 0 || at >= known {
 			// Previously unknown: charge the sender's round budget. The
 			// lookup is lazy so digests that only refresh known peers
 			// (the steady state) never touch the budget table.
 			if budget == nil {
-				budget = g.budgetFor(from)
+				budget = g.budgetFor(fromHash)
 			}
 			if budget.used >= g.insertCap {
 				dropped++
@@ -253,10 +266,9 @@ func (g *GossipSampler) Observe(from string, addrs []string, ages []uint32) {
 		if i < len(ages) && ages[i] < ^uint32(0) {
 			age = ages[i] + 1
 		}
-		inc = append(inc, Entry{Addr: a, Age: age})
+		v.upsert(at, a, age, h)
 	}
-	g.view.Merge(g.self, inc)
-	g.scratch = inc[:0]
+	v.settle()
 	g.viewLen.Store(int64(g.view.Len()))
 	g.mu.Unlock()
 	g.observed.Add(1)

@@ -22,6 +22,10 @@ type Entry struct {
 	// Age counts exchanges since the entry was created by its subject;
 	// older entries are evicted first, which is how dead peers wash out.
 	Age uint32
+	// hash caches addrHash(Addr) for entries held by a View, which sets
+	// it on insertion; it is never trusted on an entry handed in from
+	// outside.
+	hash uint64
 }
 
 // View is a fixed-capacity partial view of the network, ordered freshest
@@ -93,26 +97,39 @@ func (v *View) Merge(self string, incoming []Entry) {
 		if e.Addr == self || e.Addr == "" {
 			continue
 		}
-		if i := v.indexOf(e.Addr); i >= 0 {
-			if e.Age < v.entries[i].Age {
-				v.entries[i].Age = e.Age
-			}
-		} else {
-			// May temporarily exceed capacity; trimmed after the sort.
-			v.entries = append(v.entries, e)
-		}
+		h := addrHash(e.Addr)
+		v.upsert(v.find(e.Addr, h), e.Addr, e.Age, h)
 	}
+	v.settle()
+}
+
+// upsert applies one incoming entry whose position the caller already
+// looked up with find (i < 0: absent): a known address keeps the lower
+// age, an unknown one is appended. The view may exceed its capacity
+// until the next settle.
+func (v *View) upsert(i int, addr string, age uint32, h uint64) {
+	if i < 0 {
+		v.entries = append(v.entries, Entry{Addr: addr, Age: age, hash: h})
+	} else if age < v.entries[i].Age {
+		v.entries[i].Age = age
+	}
+}
+
+// settle restores the view's invariants after a run of upserts:
+// freshest first, at most capacity entries.
+func (v *View) settle() {
 	// Tie-break equal ages by a hash salted with a per-merge nonce: any
 	// fixed order (alphabetic, or even a fixed hash) would evict the same
 	// addresses from every view under capacity pressure, starving those
-	// nodes out of the overlay.
+	// nodes out of the overlay. The hash itself is computed once, when
+	// the address enters the view — the comparator only salts it.
 	v.nonce += 0x9e3779b97f4a7c15
 	salt := v.nonce
 	slices.SortFunc(v.entries, func(a, b Entry) int {
 		if a.Age != b.Age {
 			return cmp.Compare(a.Age, b.Age)
 		}
-		return cmp.Compare(addrHash(a.Addr)^salt, addrHash(b.Addr)^salt)
+		return cmp.Compare(a.hash^salt, b.hash^salt)
 	})
 	if len(v.entries) > v.capacity {
 		tail := v.entries[v.capacity:]
@@ -121,20 +138,22 @@ func (v *View) Merge(self string, incoming []Entry) {
 	}
 }
 
-// indexOf returns addr's position in the view, or -1. Views are small
-// (capacity is typically ≤ 32), so a linear scan beats a map — and
-// unlike a map it costs no allocation.
-func (v *View) indexOf(addr string) int {
+// find returns the position of addr (whose addrHash is h) in the view,
+// or -1. Views are small (capacity is typically ≤ 32), so a linear scan
+// beats a map — and unlike a map it costs no allocation; comparing the
+// cached hash first means the scan touches address bytes only on a hit.
+func (v *View) find(addr string, h uint64) int {
 	for i := range v.entries {
-		if v.entries[i].Addr == addr {
+		if v.entries[i].hash == h && v.entries[i].Addr == addr {
 			return i
 		}
 	}
 	return -1
 }
 
-// addrHash is FNV-1a over the address, used only for unbiased age
-// tie-breaking in Merge.
+// addrHash is FNV-1a over the address: the unbiased age tie-break of
+// settle, the fast reject of find, and the sender key of the gossip
+// sampler's insertion budgets.
 func addrHash(s string) uint64 {
 	h := uint64(1469598103934665603)
 	for i := 0; i < len(s); i++ {
@@ -236,6 +255,7 @@ func (v *View) Add(e Entry) bool {
 	if e.Addr == "" || v.Contains(e.Addr) || len(v.entries) >= v.capacity {
 		return false
 	}
+	e.hash = addrHash(e.Addr)
 	v.entries = append(v.entries, e)
 	return true
 }
@@ -246,6 +266,7 @@ func (v *View) Add(e Entry) bool {
 func (v *View) Replace(oldAddr string, e Entry) bool {
 	for i, cur := range v.entries {
 		if cur.Addr == oldAddr {
+			e.hash = addrHash(e.Addr)
 			v.entries[i] = e
 			return true
 		}

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -19,12 +20,16 @@ import (
 // tolerates by design.
 type TCPEndpoint struct {
 	listener net.Listener
+	addr     string // listener.Addr().String(), rendered once: Addr is called per hosted node and per defaulted From
 	inbox    chan Message
 
 	mu      sync.Mutex
 	conns   map[string]*tcpConn // outbound, keyed by destination
 	inbound map[net.Conn]struct{}
-	closed  bool
+	// closed is only ever set under mu, which keeps it consistent with
+	// conns and inbound for everyone deciding under mu; it is atomic so
+	// the reader goroutines can poll it once per frame without the lock.
+	closed atomic.Bool
 
 	wg sync.WaitGroup
 
@@ -52,11 +57,13 @@ type TCPEndpoint struct {
 // endpoint. enc is the connection's reusable encode buffer (guarded by
 // wmu): each frame is assembled in it — length header included, so one
 // kernel write ships the whole packet — and its capacity persists
-// across sends, making steady-state encoding allocation-free.
+// across sends, making steady-state encoding allocation-free. armed is
+// when the connection's write deadline was last set (guarded by wmu).
 type tcpConn struct {
 	net.Conn
-	wmu sync.Mutex
-	enc []byte
+	wmu   sync.Mutex
+	enc   []byte
+	armed time.Time
 }
 
 var (
@@ -73,6 +80,7 @@ func NewTCPEndpoint(listen string) (*TCPEndpoint, error) {
 	}
 	e := &TCPEndpoint{
 		listener:     ln,
+		addr:         ln.Addr().String(),
 		inbox:        make(chan Message, 1024),
 		conns:        make(map[string]*tcpConn),
 		inbound:      make(map[net.Conn]struct{}),
@@ -86,7 +94,7 @@ func NewTCPEndpoint(listen string) (*TCPEndpoint, error) {
 
 // Addr implements Endpoint; it returns the bound listen address, which is
 // what peers must dial.
-func (e *TCPEndpoint) Addr() string { return e.listener.Addr().String() }
+func (e *TCPEndpoint) Addr() string { return e.addr }
 
 // Inbox implements Endpoint.
 func (e *TCPEndpoint) Inbox() <-chan Message { return e.inbox }
@@ -159,7 +167,15 @@ func (e *TCPEndpoint) writeFramed(to string, conn *tcpConn, buf []byte, encErr e
 		return encErr
 	}
 	binary.BigEndian.PutUint32(buf[:4], uint32(payload))
-	err := conn.SetWriteDeadline(time.Now().Add(e.writeTimeout))
+	// Re-arming the deadline costs a runtime timer update per call, so a
+	// busy connection re-arms only once the armed deadline has aged by
+	// half the timeout: every write is still bounded, by somewhere
+	// between writeTimeout/2 and writeTimeout.
+	var err error
+	if now := time.Now(); now.Sub(conn.armed) > e.writeTimeout/2 {
+		err = conn.SetWriteDeadline(now.Add(e.writeTimeout))
+		conn.armed = now
+	}
 	if err == nil {
 		var n int
 		n, err = conn.Write(buf)
@@ -179,7 +195,7 @@ func (e *TCPEndpoint) writeFramed(to string, conn *tcpConn, buf []byte, encErr e
 func (e *TCPEndpoint) conn(addr string) (*tcpConn, error) {
 	to := BaseAddr(addr)
 	e.mu.Lock()
-	if e.closed {
+	if e.closed.Load() {
 		e.mu.Unlock()
 		return nil, ErrClosed
 	}
@@ -196,7 +212,7 @@ func (e *TCPEndpoint) conn(addr string) (*tcpConn, error) {
 	e.dials.Add(1)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed {
+	if e.closed.Load() {
 		_ = c.Close()
 		return nil, ErrClosed
 	}
@@ -229,7 +245,7 @@ func (e *TCPEndpoint) acceptLoop() {
 			return // listener closed
 		}
 		e.mu.Lock()
-		if e.closed {
+		if e.closed.Load() {
 			e.mu.Unlock()
 			_ = conn.Close()
 			return
@@ -250,11 +266,15 @@ func (e *TCPEndpoint) readLoop(conn net.Conn) {
 		delete(e.inbound, conn)
 		e.mu.Unlock()
 	}()
+	// Buffered so a frame's header and body — and any frames queued
+	// behind it — arrive with one read syscall instead of two per frame;
+	// a body larger than the buffer is still read straight into rbuf.
+	br := bufio.NewReaderSize(conn, 16<<10)
 	var hdr [4]byte
 	var rbuf []byte            // reusable frame read buffer (strings/fields are copied out by the decoder)
 	var scratch, one []Message // reusable decode targets
 	for {
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			return
 		}
 		size := int(binary.BigEndian.Uint32(hdr[:]))
@@ -265,7 +285,7 @@ func (e *TCPEndpoint) readLoop(conn net.Conn) {
 			rbuf = make([]byte, size)
 		}
 		frame := rbuf[:size]
-		if _, err := io.ReadFull(conn, frame); err != nil {
+		if _, err := io.ReadFull(br, frame); err != nil {
 			return
 		}
 		e.bytesRecv.Add(uint64(size + 4))
@@ -286,10 +306,7 @@ func (e *TCPEndpoint) readLoop(conn net.Conn) {
 			}
 			ms = one[:1]
 		}
-		e.mu.Lock()
-		closed := e.closed
-		e.mu.Unlock()
-		if closed {
+		if e.closed.Load() {
 			return
 		}
 		for i := range ms {
@@ -325,11 +342,11 @@ func (e *TCPEndpoint) InboxDropped() uint64 { return e.inboxDrop.Load() }
 // idempotent.
 func (e *TCPEndpoint) Close() error {
 	e.mu.Lock()
-	if e.closed {
+	if e.closed.Load() {
 		e.mu.Unlock()
 		return nil
 	}
-	e.closed = true
+	e.closed.Store(true)
 	conns := make([]net.Conn, 0, len(e.conns)+len(e.inbound))
 	for _, c := range e.conns {
 		conns = append(conns, c)

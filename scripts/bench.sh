@@ -27,6 +27,11 @@
 #                                       adversaries with clamp + trimmed merge
 #                                       installed (asserts the same ≈0
 #                                       allocs/exchange with the robust gate hot)
+#   BenchmarkRuntimeSustainedTCP      — sustained harness on one socket-backed
+#                                       shard with gossip membership: the
+#                                       in-round local delivery path (asserts
+#                                       zero socket bytes, ≈0 allocs/exchange
+#                                       and ≥ 99.9% completion)
 #   BenchmarkRuntimeSustainedScaling  — parallel shard workers 1→GOMAXPROCS
 #                                       (asserts near-linear speedup when the
 #                                       host has the cores; multi-core mode)
@@ -52,6 +57,7 @@ if [ "${BENCH_MULTICORE:-0}" = "1" ]; then
 	EXCHANGE=''
 	SUSTAINED=''
 	ROBUST=''
+	TCPLOCAL=''
 	SCALING='BenchmarkRuntimeSustainedScaling'
 	OVERHEAD=''
 	REDUCE_TIME=''
@@ -61,6 +67,7 @@ elif [ "${BENCH_QUICK:-0}" = "1" ]; then
 	EXCHANGE='BenchmarkRuntimeExchange/mode=heap/n=10000$'
 	SUSTAINED='BenchmarkRuntimeSustained/n=10000$'
 	ROBUST='BenchmarkRuntimeSustainedRobust$'
+	TCPLOCAL='BenchmarkRuntimeSustainedTCP$'
 	SCALING=''
 	OVERHEAD='BenchmarkRuntimeMetricsOverhead'
 	REDUCE_TIME='10x'
@@ -70,6 +77,7 @@ else
 	EXCHANGE='BenchmarkRuntimeExchange'
 	SUSTAINED='BenchmarkRuntimeSustained$'
 	ROBUST='BenchmarkRuntimeSustainedRobust$'
+	TCPLOCAL='BenchmarkRuntimeSustainedTCP$'
 	SCALING='BenchmarkRuntimeSustainedScaling'
 	OVERHEAD='BenchmarkRuntimeMetricsOverhead'
 	REDUCE_TIME='100x'
@@ -99,6 +107,9 @@ if [ -n "$SUSTAINED" ]; then
 fi
 if [ -n "$ROBUST" ]; then
 	bench go test -run '^$' -bench "$ROBUST" -benchtime 1x -benchmem -timeout 30m ./internal/engine
+fi
+if [ -n "$TCPLOCAL" ]; then
+	bench go test -run '^$' -bench "$TCPLOCAL" -benchtime 1x -benchmem -timeout 30m ./internal/engine
 fi
 if [ -n "$SCALING" ]; then
 	bench go test -run '^$' -bench "$SCALING" -benchtime 1x -benchmem -timeout 60m ./internal/engine
