@@ -800,8 +800,8 @@ func TestLateReplyAbsorptionConservesMass(t *testing.T) {
 }
 
 func TestLateReplyAbsorptionHeapRuntime(t *testing.T) {
-	// Same scenario on the sharded event-heap runtime: the reaper
-	// (evTimeout) arms absorption and handleReply's mismatch path must
+	// Same scenario on the sharded heap-mode runtime: the reaper
+	// (handleDeadline) arms absorption and handleReply's mismatch path must
 	// complete the merge when the reply finally lands.
 	fabric := transport.NewFabric(transport.WithLatency(20*time.Millisecond, 0), transport.WithSeed(12))
 	c, err := NewCluster(ClusterConfig{

@@ -35,14 +35,16 @@ const (
 	ModeGoroutine RuntimeMode = iota
 	// ModeHeap multiplexes every local node onto a small worker pool:
 	// each worker owns a contiguous shard of nodes, drives their
-	// exchange timers from a per-shard event min-heap (the kernel's
-	// scheduling model, sim.EventHeap) and coalesces same-destination
-	// messages through a transport.Batcher. One endpoint per worker —
-	// nodes are addressed with "endpoint#index" sub-addresses — so a
-	// single process sustains 10⁵–10⁶ nodes, and the workers run
-	// genuinely in parallel: one goroutine per shard, a round-granular
-	// lock per shard, and work stealing between shards (see DESIGN.md,
-	// "Concurrency model & shard ownership").
+	// exchange wakes from a per-shard calendar queue and their reply
+	// deadlines from a per-shard FIFO ring (the kernel's event-driven
+	// scheduling model, at O(1) per timer — see sched.go) and
+	// coalesces same-destination messages through a transport.Batcher.
+	// One endpoint per worker — nodes are addressed with
+	// "endpoint#index" sub-addresses — so a single process sustains
+	// 10⁵–10⁶ nodes, and the workers run genuinely in parallel: one
+	// goroutine per shard, a round-granular lock per shard, and work
+	// stealing between shards (see DESIGN.md, "Concurrency model &
+	// shard ownership").
 	ModeHeap
 )
 
@@ -57,12 +59,6 @@ func (m RuntimeMode) String() string {
 		return fmt.Sprintf("mode(%d)", uint8(m))
 	}
 }
-
-// Event kinds scheduled on a shard's heap.
-const (
-	evWake    uint8 = iota // a node's next exchange initiation
-	evTimeout              // the reply deadline of an in-flight exchange
-)
 
 // eventBudget returns how many due events one scheduler round of a
 // shard with n nodes may fire before serving the inbox again. When a
@@ -196,11 +192,7 @@ func (c RuntimeConfig) withDefaults() (RuntimeConfig, error) {
 		// Round the sampling interval up to a power of two: the gate
 		// runs twice per exchange, and a mask is ~an order of magnitude
 		// cheaper than a 64-bit division on common hardware.
-		p := 1
-		for p < c.TraceSample {
-			p <<= 1
-		}
-		c.TraceSample = p
+		c.TraceSample = nextPow2(c.TraceSample)
 		if c.TraceRing <= 0 {
 			c.TraceRing = 256
 		}
@@ -209,7 +201,7 @@ func (c RuntimeConfig) withDefaults() (RuntimeConfig, error) {
 }
 
 // Runtime is the heap-mode live runtime: a worker pool multiplexing all
-// hosted nodes, per-shard event heaps for exchange timers and reply
+// hosted nodes, per-shard schedules of exchange wakes and reply
 // deadlines, and batched transports. Construct with NewRuntime, then
 // Start; Stop tears down the workers and endpoints.
 type Runtime struct {
@@ -301,7 +293,8 @@ type shardCounters struct {
 }
 
 // rshard is one worker's slice of the runtime: a contiguous node range,
-// an endpoint, a batcher and an event heap.
+// an endpoint, a batcher and a schedule (a wake calendar and a deadline
+// ring).
 //
 // Everything under mu is owned by whichever goroutine holds the round
 // lock — normally the shard's own worker, occasionally a sibling
@@ -315,12 +308,13 @@ type rshard struct {
 	ep     transport.Endpoint
 	out    *transport.Batcher
 
-	mu      sync.Mutex
-	nodes   []rnode
-	backing []float64
-	heap    *sim.EventHeap
-	free    localFree // Fields buffer free list, guarded by mu
-	seq     uint64
+	mu        sync.Mutex
+	nodes     []rnode
+	backing   []float64
+	wakes     calendar
+	deadlines deadlineRing
+	free      localFree // Fields buffer free list, guarded by mu
+	seq       uint64
 
 	// In-round local delivery (see send/drainLocal), guarded by mu.
 	// selfAddr is the endpoint's address when the endpoint is a real
@@ -376,7 +370,7 @@ type rshard struct {
 	}
 
 	// nextDue is the float64 bit pattern of the shard's earliest
-	// scheduled event time (+Inf when the heap is empty), published at
+	// scheduled timer (+Inf when none is), published at
 	// the end of every round so idle siblings can spot a shard that has
 	// fallen behind schedule without touching its lock.
 	nextDue atomic.Uint64
@@ -393,6 +387,10 @@ func (s *rshard) publishNextDue(at float64) { s.nextDue.Store(math.Float64bits(a
 
 // loadNextDue returns the shard's last published earliest event time.
 func (s *rshard) loadNextDue() float64 { return math.Float64frombits(s.nextDue.Load()) }
+
+// earliest returns the time of the shard's next timer, wake or reply
+// deadline (+Inf when none is scheduled). Caller holds s.mu.
+func (s *rshard) earliest() float64 { return min(s.wakes.next(), s.deadlines.next()) }
 
 // NewRuntime builds (but does not start) a heap-mode runtime.
 func NewRuntime(cfg RuntimeConfig) (*Runtime, error) {
@@ -438,16 +436,17 @@ func NewRuntime(cfg RuntimeConfig) (*Runtime, error) {
 			hi++
 		}
 		s := &rshard{
-			rt:      rt,
-			id:      w,
-			lo:      lo,
-			hi:      hi,
-			ep:      endpoints[w],
-			nodes:   make([]rnode, hi-lo),
-			backing: make([]float64, (hi-lo)*fieldN),
-			heap:    sim.NewEventHeap(2 * (hi - lo)),
-			free:    newLocalFree(rt.pool, hi-lo),
-			done:    make(chan struct{}),
+			rt:        rt,
+			id:        w,
+			lo:        lo,
+			hi:        hi,
+			ep:        endpoints[w],
+			nodes:     make([]rnode, hi-lo),
+			backing:   make([]float64, (hi-lo)*fieldN),
+			wakes:     newCalendar(hi-lo, cfg.CycleLength.Seconds()),
+			deadlines: newDeadlineRing(hi - lo),
+			free:      newLocalFree(rt.pool, hi-lo),
+			done:      make(chan struct{}),
 		}
 		if _, socket := endpoints[w].(*transport.TCPEndpoint); socket {
 			s.selfAddr = endpoints[w].Addr()
@@ -678,13 +677,9 @@ func (rt *Runtime) Start(ctx context.Context) {
 				// avoid lockstep collisions (§1.1 autonomy), exactly as
 				// the goroutine runtime does.
 				phase := s.nodes[i-s.lo].rng.Float64() * cycle
-				s.heap.Push(sim.Event{At: phase, Node: int32(i), Kind: evWake})
+				s.wakes.push(wake{at: phase, node: int32(i)})
 			}
-			if ev, ok := s.heap.Peek(); ok {
-				s.publishNextDue(ev.At)
-			} else {
-				s.publishNextDue(math.Inf(1))
-			}
+			s.publishNextDue(s.earliest())
 			s.mu.Unlock()
 			go s.run()
 		}
@@ -884,7 +879,7 @@ func (rt *Runtime) FailNode(i int) bool {
 		return false
 	}
 	n.failed = true
-	// Retire any in-flight exchange: its evTimeout and reply become
+	// Retire any in-flight exchange: its deadline and reply become
 	// no-ops, and no late absorption may fire into a dead node.
 	n.pendingSeq = 0
 	n.lateSeq = 0
@@ -1182,8 +1177,9 @@ func (s *rshard) run() {
 
 // roundLocked runs one scheduler round: drain queued inbound messages
 // (bounded, so observers are never locked out for a full inbox), fire
-// due events up to the event budget, and publish the shard's next
-// deadline. Whatever an event or inbound message sends to a node of
+// due timers up to the event budget — wakes and reply deadlines merged
+// in time order, a deadline first on a tie — and publish the shard's
+// next due time. Whatever an event or inbound message sends to a node of
 // this same socket-backed shard is delivered right behind it
 // (drainLocal) and charged to the same budget, so a round never holds
 // the lock for more handled messages than it could before. The caller
@@ -1208,20 +1204,20 @@ drain:
 	}
 	now := s.rt.now()
 	for fired := 0; fired < budget; fired++ {
-		ev, ok := s.heap.Peek()
-		if !ok || ev.At > now {
+		if d := s.deadlines.next(); d <= now && d <= s.wakes.next() {
+			s.handleDeadline(s.deadlines.pop(), now)
+		} else if s.wakes.next() <= now {
+			s.handleWake(s.wakes.pop(), now)
+		} else {
 			break
 		}
-		s.heap.Pop()
-		s.handleEvent(ev, now)
 		fired += s.drainLocal()
 	}
+	next := s.earliest()
+	s.publishNextDue(next)
 	sleep = time.Hour
-	if ev, ok := s.heap.Peek(); ok {
-		s.publishNextDue(ev.At)
-		sleep = time.Duration((ev.At - s.rt.now()) * float64(time.Second))
-	} else {
-		s.publishNextDue(math.Inf(1))
+	if !math.IsInf(next, 1) {
+		sleep = time.Duration((next - s.rt.now()) * float64(time.Second))
 	}
 	if drained >= 4*budget {
 		sleep = 0 // inbox may still hold messages; come straight back
@@ -1296,74 +1292,78 @@ func (s *rshard) stealRound() bool {
 // than the shard's owner (work stealing under skewed load).
 func (rt *Runtime) Steals() uint64 { return rt.steals.Load() }
 
-// handleEvent processes one due event. Caller holds s.mu.
-func (s *rshard) handleEvent(ev sim.Event, now float64) {
-	idx := int(ev.Node)
+// handleDeadline reaps the exchange whose reply deadline d fell due —
+// unless it already resolved, which leaves d a dead entry that costs one
+// pop. Caller holds s.mu.
+func (s *rshard) handleDeadline(d deadline, now float64) {
+	idx := int(d.node)
 	n := &s.nodes[idx-s.lo]
-	switch ev.Kind {
-	case evTimeout:
-		if n.pendingSeq == ev.Seq {
-			n.pendingSeq = 0
-			n.stats.Timeouts++
-			s.ctr.timeouts.Add(1)
-			if n.observes && n.pendingPeer != "" {
-				// Failure detection from traffic: a missed deadline drops
-				// the peer from the view. A live-but-slow peer re-enters
-				// the moment its next message is observed.
-				n.sampler.Forget(n.pendingPeer)
-			}
-			// The peer may have committed its half of the merge; arm
-			// absorption so a merely-late reply still conserves mass
-			// (see absorbLate).
-			n.lateSeq, n.lateVer = ev.Seq, n.stateVer
-			if s.traceSampled(ev.Seq) {
-				s.recordTrace(n, idx, ev.Seq, TraceTimedOut, now)
-			}
-		}
-	case evWake:
-		if n.failed {
-			// A crashed node keeps its wake cadence ticking (so a revive
-			// resumes seamlessly) but is otherwise silent: no epoch
-			// observation, no view aging, no initiation.
-			wait := s.waitSeconds(n)
-			at := ev.At + wait
-			if at <= now {
-				at += math.Floor((now-at)/wait+1) * wait
-			}
-			s.heap.Push(sim.Event{At: at, Node: ev.Node, Kind: evWake})
-			return
-		}
-		s.checkClock(n)
-		if n.observes {
-			// One gossip round per wake: view entries age per cycle, not
-			// per message, so lifetimes are independent of traffic rate.
-			n.sampler.Tick()
-		}
+	if n.pendingSeq != d.seq {
+		return
+	}
+	n.pendingSeq = 0
+	n.stats.Timeouts++
+	s.ctr.timeouts.Add(1)
+	if n.observes && n.pendingPeer != "" {
+		// Failure detection from traffic: a missed deadline drops the
+		// peer from the view. A live-but-slow peer re-enters the moment
+		// its next message is observed.
+		n.sampler.Forget(n.pendingPeer)
+	}
+	// The peer may have committed its half of the merge; arm absorption
+	// so a merely-late reply still conserves mass (see absorbLate).
+	n.lateSeq, n.lateVer = d.seq, n.stateVer
+	if s.traceSampled(d.seq) {
+		s.recordTrace(n, idx, d.seq, TraceTimedOut, now)
+	}
+}
+
+// handleWake runs node w.node's scheduled exchange initiation and
+// re-arms its next wake. Caller holds s.mu.
+func (s *rshard) handleWake(w wake, now float64) {
+	idx := int(w.node)
+	n := &s.nodes[idx-s.lo]
+	if n.failed {
+		// A crashed node keeps its wake cadence ticking (so a revive
+		// resumes seamlessly) but is otherwise silent: no epoch
+		// observation, no view aging, no initiation.
 		wait := s.waitSeconds(n)
-		at := ev.At + wait
-		if n.pendingSeq == 0 {
-			s.initiate(n, idx, now)
-		} else if at <= now {
-			// A wake that finds an exchange still in flight initiates
-			// nothing: the goroutine runtime blocks its active loop until
-			// reply-or-timeout, and reaping the exchange here instead
-			// would drop a reply whose passive side already merged — an
-			// asymmetric merge that leaks aggregate mass. The evTimeout
-			// event is the only reaper. A backlogged no-op wake skips
-			// ahead to its first slot past real time: when the shard runs
-			// L behind schedule, re-pushing at ev.At+Δt would be a
-			// treadmill — N·L/Δt no-op wakes ground through in stale
-			// virtual time before the due timeouts behind them ever
-			// surface, wedging every node in pending. The skip must
-			// preserve the node's phase (whole multiples of its wait, not
-			// a clamp to now): clamping re-pins every backlogged node to
-			// the same instant, and a constant-wait shard whose phases
-			// collapse livelocks — every node initiates in the same round
-			// and busy-nacks every push forever after.
+		at := w.at + wait
+		if at <= now {
 			at += math.Floor((now-at)/wait+1) * wait
 		}
-		s.heap.Push(sim.Event{At: at, Node: ev.Node, Kind: evWake})
+		s.wakes.push(wake{at: at, node: w.node})
+		return
 	}
+	s.checkClock(n)
+	if n.observes {
+		// One gossip round per wake: view entries age per cycle, not per
+		// message, so lifetimes are independent of traffic rate.
+		n.sampler.Tick()
+	}
+	wait := s.waitSeconds(n)
+	at := w.at + wait
+	if n.pendingSeq == 0 {
+		s.initiate(n, idx, now)
+	} else if at <= now {
+		// A wake that finds an exchange still in flight initiates
+		// nothing: the goroutine runtime blocks its active loop until
+		// reply-or-timeout, and reaping the exchange here instead would
+		// drop a reply whose passive side already merged — an asymmetric
+		// merge that leaks aggregate mass. The reply deadline is the only
+		// reaper. A backlogged no-op wake skips ahead to its first slot
+		// past real time: when the shard runs L behind schedule,
+		// re-pushing at w.at+Δt would be a treadmill — N·L/Δt no-op wakes
+		// ground through in stale virtual time before the due deadlines
+		// behind them ever surface, wedging every node in pending. The
+		// skip must preserve the node's phase (whole multiples of its
+		// wait, not a clamp to now): clamping re-pins every backlogged
+		// node to the same instant, and a constant-wait shard whose
+		// phases collapse livelocks — every node initiates in the same
+		// round and busy-nacks every push forever after.
+		at += math.Floor((now-at)/wait+1) * wait
+	}
+	s.wakes.push(wake{at: at, node: w.node})
 }
 
 // waitSeconds draws one inter-exchange waiting time in seconds.
@@ -1442,11 +1442,12 @@ func (s *rshard) initiate(n *rnode, idx int, now float64) {
 				n.pendingDst = int32(di)
 			}
 		}
-		s.heap.Push(sim.Event{
-			At:   now + s.rt.cfg.ReplyTimeout.Seconds(),
-			Node: int32(idx),
-			Kind: evTimeout,
-			Seq:  s.seq,
+		// now is the round's reading of the monotonic runtime clock, so
+		// deadlines are armed in the order they fall due.
+		s.deadlines.push(deadline{
+			at:   now + s.rt.cfg.ReplyTimeout.Seconds(),
+			seq:  s.seq,
+			node: int32(idx),
 		})
 	}
 	s.send(n, peer, msg, local)

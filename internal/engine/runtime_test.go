@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/epoch"
 	"repro/internal/membership"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/transport"
 	"repro/internal/xrand"
@@ -378,7 +377,7 @@ func TestHeapRuntimesBootstrapAcrossProcesses(t *testing.T) {
 
 // TestTryStealRunsBehindShard pins the work-stealing mechanics without
 // relying on scheduler timing: a runtime is built but not started, one
-// shard's heap is stocked with events that are a full second overdue,
+// shard's calendar is stocked with wakes that are a full second overdue,
 // and a sibling's trySteal must find it behind, take its round lock,
 // fire those events and advance its published deadline. A shard that
 // is on schedule must not be stolen from.
@@ -408,7 +407,7 @@ func TestTryStealRunsBehindShard(t *testing.T) {
 	rt.epochStart = time.Now().Add(-time.Second)
 	victim.mu.Lock()
 	for i := victim.lo; i < victim.hi; i++ {
-		victim.heap.Push(sim.Event{At: 0, Node: int32(i), Kind: evWake})
+		victim.wakes.push(wake{at: 0, node: int32(i)})
 	}
 	victim.publishNextDue(0)
 	victim.mu.Unlock()
@@ -649,12 +648,7 @@ func measureSustained(tb testing.TB, rt *Runtime, warmCycles, cycles int, deadli
 // scheduler noise, two orders of magnitude below the pre-pool cost of
 // several allocations per exchange.
 //
-// minCompletion is size-dependent: a saturated shard keeps up to
-// eventBudget(n) nodes in flight at once, and a push landing on an
-// in-flight peer is busy-nacked, so the nack rate tracks the in-flight
-// fraction — ≈ 1024/n for large shards. At n ≥ 10⁵ that is ≤ 1% and
-// the historical 98.9% bar applies; smaller smoke runs use a floor
-// matching their geometry.
+// minCompletion is geometry-dependent: see oneShardFloor.
 func assertSustained(tb testing.TB, res sustainedResult, minCompletion float64) {
 	tb.Helper()
 	if res.Variance > 0.25/100 {
@@ -671,21 +665,32 @@ func assertSustained(tb testing.TB, res sustainedResult, minCompletion float64) 
 	}
 }
 
+// oneShardFloor is the completion floor of a saturated one-shard run of
+// n nodes. The shard keeps up to eventBudget(n) nodes in flight at once
+// and a push landing on an in-flight peer is busy-nacked, so the nack
+// rate tracks the in-flight fraction; 1.25× that fraction leaves room
+// for noise: 0.987 at n = 10⁵, 0.844 at n = 4 096. With k shards the
+// in-flight fraction is k times larger, which is why the tests that
+// assert it pin one worker rather than take the host's GOMAXPROCS.
+func oneShardFloor(n int) float64 {
+	return 1 - 1.25*float64(eventBudget(n))/float64(n)
+}
+
 // TestHeapRuntimeSustains100k is the scale acceptance test: one process
 // hosts N = 10⁵ live nodes on the in-memory fabric and completes a full
 // 20-cycle average run (every node initiates ≥ 20 exchanges) while
-// driving the variance down two orders of magnitude, completing ≥
-// 98.9% of exchanges with an allocation-free steady state. The
-// goroutine runtime cannot even construct at this size in comparable
-// memory; the heap runtime runs it with a handful of workers. The
-// 10⁶-node variant of the same harness runs in -bench mode
-// (BenchmarkRuntimeSustained).
+// driving the variance down two orders of magnitude, completing all but
+// the busy-nack share of exchanges (oneShardFloor) with an
+// allocation-free steady state. The goroutine runtime cannot even
+// construct at this size in comparable memory; the heap runtime runs it
+// on one worker. The 10⁶-node variant of the same harness runs in
+// -bench mode (BenchmarkRuntimeSustained).
 func TestHeapRuntimeSustains100k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10⁵-node scale run; skipped in -short mode")
 	}
-	res := runSustained(t, 100_000, 20, 0, 3*time.Minute)
-	assertSustained(t, res, 0.989)
+	res := runSustained(t, 100_000, 20, 1, 3*time.Minute)
+	assertSustained(t, res, oneShardFloor(100_000))
 	t.Logf("100k-node run: %.0f exchanges/s, completion %.4f, %.4f allocs/exchange, stats %+v",
 		res.PerSecond, res.Completion, res.AllocsPerExchange, res.Stats)
 }
@@ -701,14 +706,48 @@ func TestHeapRuntimeSteadyStateAllocs(t *testing.T) {
 		t.Skip("multi-second saturated run; skipped in -short mode")
 	}
 	// eventBudget(4096) = 512 keeps 12.5% of the shard in flight, so
-	// busy-nacks cap completion well below the large-N bar; 0.75 guards
-	// against collapse without over-fitting the geometry. 100 cycles ≈
+	// busy-nacks cap completion well below the large-N bar. 100 cycles ≈
 	// half a second of saturated running — enough wall time for a
 	// meaningful steady-state window at this size.
-	res := runSustained(t, 4096, 100, 0, time.Minute)
-	assertSustained(t, res, 0.75)
+	res := runSustained(t, 4096, 100, 1, time.Minute)
+	assertSustained(t, res, oneShardFloor(4096))
 	t.Logf("4096-node run: %.0f exchanges/s, completion %.4f, %.4f allocs/exchange",
 		res.PerSecond, res.Completion, res.AllocsPerExchange)
+}
+
+// TestHeapRuntimeSteadyStateAllocsTwoWorkers is the same run on two
+// parallel shards. Completion there depends on how the host schedules
+// two workers, so only what holds on any host is asserted: the mean is
+// conserved, the variance falls 100×, the path stays allocation-free,
+// and, once the workers have stopped, every initiated exchange is
+// accounted for exactly — replied, nacked, timed out or still in flight.
+func TestHeapRuntimeSteadyStateAllocsTwoWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second saturated run; skipped in -short mode")
+	}
+	var c *Cluster
+	res := runSustainedWith(t, 4096, 100, 2, time.Minute, func(cl *Cluster) { c = cl })
+	assertSustained(t, res, 0)
+	// The harness has stopped the cluster: the counters are final and an
+	// exchange still in flight is frozen in its node's pendingSeq.
+	rt := c.Runtime()
+	st := rt.Stats()
+	var inFlight uint64
+	for _, s := range rt.shards {
+		s.mu.Lock()
+		for i := range s.nodes {
+			if s.nodes[i].pendingSeq != 0 {
+				inFlight++
+			}
+		}
+		s.mu.Unlock()
+	}
+	if got := st.Replies + st.PeerBusy + st.Timeouts + inFlight; got != st.Initiated {
+		t.Fatalf("%d initiated, but %d replied + %d nacked + %d timed out + %d in flight = %d (stats %+v)",
+			st.Initiated, st.Replies, st.PeerBusy, st.Timeouts, inFlight, got, st)
+	}
+	t.Logf("4096-node run on 2 workers: %.0f exchanges/s, completion %.4f, %.4f allocs/exchange, %d in flight at stop",
+		res.PerSecond, res.Completion, res.AllocsPerExchange, inFlight)
 }
 
 // runSustainedTCP is the sustained harness for the socket-backed shape

@@ -1,23 +1,17 @@
 package sim
 
 // Event is one scheduled wake-up in an event-driven execution: a node
-// and the time it fires, in whatever unit the owner uses (the kernel's
-// RunEvents counts in Δt units, the live heap runtime in seconds).
-// Kind and Seq are opaque to the heap; the live runtime uses them to
-// distinguish exchange wake-ups from reply timeouts and to match a
-// timeout to the exchange that armed it.
+// and the time it fires, in whatever unit the owner uses (RunEvents
+// counts in Δt units).
 type Event struct {
 	At   float64
 	Node int32
-	Kind uint8
-	Seq  uint64
 }
 
-// EventHeap is a binary min-heap on Event.At — the scheduling core
-// shared by the kernel's event-based executor (RunEvents) and the live
-// heap runtime in internal/engine. Hand-rolled rather than
+// EventHeap is a binary min-heap on Event.At — the schedule of the
+// kernel's event-based executor (RunEvents). Hand-rolled rather than
 // container/heap to keep hot loops free of interface allocations. Not
-// safe for concurrent use; each shard owns its own heap.
+// safe for concurrent use.
 type EventHeap struct {
 	items []Event
 }
@@ -65,15 +59,6 @@ func (h *EventHeap) Pop() Event {
 		i = smallest
 	}
 	return top
-}
-
-// Peek returns the earliest event without removing it; ok is false on
-// an empty heap.
-func (h *EventHeap) Peek() (Event, bool) {
-	if len(h.items) == 0 {
-		return Event{}, false
-	}
-	return h.items[0], true
 }
 
 // Len reports the number of scheduled events.
