@@ -48,9 +48,11 @@ type ClusterConfig struct {
 	Clock *epoch.Clock
 	// Samplers, when non-nil, builds node i's membership sampler (self
 	// is the node's address, local the cluster's full address table).
-	// Nil keeps the default: a shared full-membership Directory. This is
-	// how a cluster runs on live gossip membership instead of static
-	// configuration — it is honored by both runtimes.
+	// Nil keeps the default: the complete overlay — a shared
+	// full-membership Directory in goroutine mode, the same draw made
+	// implicitly on node indices in heap mode. This is how a cluster runs
+	// on live gossip membership instead of static configuration — it is
+	// honored by both runtimes.
 	Samplers func(i int, self string, local []string) (membership.Sampler, error)
 	// GossipFanout is how many membership addresses to piggyback per
 	// message when a sampler observes traffic (default 3; negative
@@ -91,9 +93,9 @@ type Cluster struct {
 }
 
 // NewCluster builds (but does not start) a local cluster. By default
-// every node samples peers from a shared full-membership directory,
-// matching the paper's complete-overlay assumption in O(N) total
-// memory; set Samplers to run on live gossip membership instead.
+// every node samples peers uniformly from the whole cluster, matching
+// the paper's complete-overlay assumption in O(N) total memory; set
+// Samplers to run on live gossip membership instead.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Size < 2 {
 		return nil, fmt.Errorf("engine: cluster needs ≥ 2 nodes, got %d", cfg.Size)

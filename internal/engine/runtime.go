@@ -37,12 +37,15 @@ const (
 	// each worker owns a contiguous shard of nodes, drives their
 	// exchange wakes from a per-shard calendar queue and their reply
 	// deadlines from a per-shard FIFO ring (the kernel's event-driven
-	// scheduling model, at O(1) per timer — see sched.go) and
-	// coalesces same-destination messages through a transport.Batcher.
-	// One endpoint per worker — nodes are addressed with
-	// "endpoint#index" sub-addresses — so a single process sustains
-	// 10⁵–10⁶ nodes, and the workers run genuinely in parallel: one
-	// goroutine per shard, a round-granular lock per shard, and work
+	// scheduling model, at O(1) per timer — see sched.go). Inside the
+	// process a node is an integer index: a message between two hosted
+	// nodes is handled in-round when both live in one shard and posted
+	// to the sibling shard's mailbox otherwise. Only traffic that leaves
+	// the process (or crosses an impaired fabric) is addressed with
+	// "endpoint#index" sub-addresses and coalesced through a
+	// transport.Batcher onto one endpoint per worker. A single process
+	// sustains 10⁵–10⁶ nodes, and the workers run genuinely in parallel:
+	// one goroutine per shard, a round-granular lock per shard, and work
 	// stealing between shards (see DESIGN.md, "Concurrency model &
 	// shard ownership").
 	ModeHeap
@@ -103,9 +106,10 @@ type RuntimeConfig struct {
 	Clock *epoch.Clock
 	// Samplers, when non-nil, builds node i's membership sampler; self
 	// is the node's sub-address and local the full table of hosted-node
-	// sub-addresses (shared, read-only) for bootstrapping. Nil uses a
-	// shared directory over all hosted nodes — the complete local
-	// overlay in O(N) total memory.
+	// sub-addresses (shared, read-only) for bootstrapping. Nil runs the
+	// complete overlay over the hosted nodes implicitly: a node draws
+	// its partner as one uniform index other than its own — the same
+	// draw membership.Directory makes, with no per-node sampler at all.
 	Samplers func(i int, self string, local []string) (membership.Sampler, error)
 	// GossipFanout is how many membership addresses to piggyback per
 	// message (default 3; negative disables; moot for the directory).
@@ -210,8 +214,13 @@ type Runtime struct {
 	fabric *transport.Fabric // nil when explicit endpoints were supplied
 	pool   *fieldsPool       // shared tier of the Fields buffer recycler
 	shards []*rshard
-	addrs  []string // node i's sub-address, shared by every directory
+	addrs  []string // node i's sub-address, spelled out only at the transport
 	nodes  []*Node  // facade handles, one per hosted node
+
+	// sockets is set when every worker endpoint is a TCP listener: the
+	// network is real, so traffic between hosted nodes always stays in
+	// the process (see inProcess).
+	sockets bool
 
 	epochStart time.Time // reference point for the runtime clock
 	stop       chan struct{}
@@ -236,14 +245,14 @@ type rnode struct {
 	state      []float64 // view into the shard's backing column
 	value      float64
 	tracker    epoch.Tracker
-	rng        *xrand.Rand
-	sampler    membership.Sampler
-	observes   bool // sampler wants Observe/Forget feedback (non-directory)
+	rng        xrand.Rand         // by value: drawn on every exchange, so it shares the node's cache lines
+	sampler    membership.Sampler // nil: the implicit complete overlay
+	observes   bool               // sampler wants Observe/Forget feedback (non-directory)
 	initState  func(epochID uint64, value float64) core.State
 	failed     bool    // scenario-injected crash: silent until revived
 	pendingSeq uint64  // nonzero while an exchange is in flight (the busy flag)
 	pendingAt  float64 // when the in-flight exchange's push was sent
-	pendingDst int32   // traced peer index (-1 remote); only set while tracing
+	pendingDst int32   // traced peer index (-1 not hosted); only set while tracing
 	// pendingPeer is the in-flight exchange's destination, kept so a
 	// missed reply deadline can Forget it (failure detection from
 	// traffic); only maintained when the sampler observes.
@@ -262,6 +271,63 @@ type rnode struct {
 	// shard's robust policy has Trim set (see Runtime.SetRobust).
 	trim  robust.TrimState
 	stats Stats
+}
+
+// letter is one in-process message: the protocol message with its
+// sender and destination as global node indices. Its From and To
+// strings stay empty; send spells them out from Runtime.addrs only if
+// the message leaves through the batcher instead.
+type letter struct {
+	m        transport.Message
+	from, to int32
+}
+
+// mailbox is one shard's inbound queue for in-process messages from its
+// sibling shards: a mutex-guarded slice that a sender appends a whole
+// round's worth of letters to under one lock, and the owner swaps out
+// once per round. notify (one slot) is signalled only when the slice
+// goes from empty to non-empty, so a busy receiver is woken at most
+// once per drain, not once per message. The slice is capped at the
+// receiving endpoint's inbox capacity; overflow is dropped and counted,
+// exactly the UDP semantics of a full fabric inbox.
+type mailbox struct {
+	mu      sync.Mutex
+	msgs    []letter
+	limit   int
+	depth   atomic.Int64 // len(msgs), for lock-free scrapes and the empty check
+	dropped atomic.Uint64
+	notify  chan struct{}
+}
+
+// post appends ls (up to the cap) and wakes the owner if the mailbox
+// was empty. It does not retain ls.
+func (mb *mailbox) post(ls []letter) {
+	mb.mu.Lock()
+	wasEmpty := len(mb.msgs) == 0
+	n := min(len(ls), mb.limit-len(mb.msgs))
+	mb.msgs = append(mb.msgs, ls[:n]...)
+	mb.depth.Store(int64(len(mb.msgs)))
+	mb.mu.Unlock()
+	if n < len(ls) {
+		mb.dropped.Add(uint64(len(ls) - n))
+	}
+	if wasEmpty && n > 0 {
+		select {
+		case mb.notify <- struct{}{}:
+		default: // a wake is already pending
+		}
+	}
+}
+
+// take swaps the queued letters out against spare (which must be
+// empty) and returns them.
+func (mb *mailbox) take(spare []letter) []letter {
+	mb.mu.Lock()
+	got := mb.msgs
+	mb.msgs = spare
+	mb.depth.Store(0)
+	mb.mu.Unlock()
+	return got
 }
 
 // failure records one undeliverable batch destination for a sender.
@@ -293,8 +359,9 @@ type shardCounters struct {
 }
 
 // rshard is one worker's slice of the runtime: a contiguous node range,
-// an endpoint, a batcher and a schedule (a wake calendar and a deadline
-// ring).
+// a schedule (a wake calendar and a deadline ring), a mailbox for
+// in-process messages from sibling shards, and an endpoint with its
+// batcher for everything that travels the transport.
 //
 // Everything under mu is owned by whichever goroutine holds the round
 // lock — normally the shard's own worker, occasionally a sibling
@@ -316,20 +383,27 @@ type rshard struct {
 	free      localFree // Fields buffer free list, guarded by mu
 	seq       uint64
 
-	// In-round local delivery (see send/drainLocal), guarded by mu.
-	// selfAddr is the endpoint's address when the endpoint is a real
-	// socket and "" otherwise, so the local path is off for fabric-backed
-	// shards, whose fabric owns the loss, latency and partition models.
-	// local queues the messages hosted nodes addressed to nodes of this
-	// same shard; each is handled before the next can be produced, which
-	// is what lets a local message's gossip digest live in the shard's
-	// digAddrs/digAges scratch instead of message-owned slices.
-	// localDelivered counts them (published via pub once per round).
-	selfAddr       string
-	local          []transport.Message
+	// In-process delivery (see send), guarded by mu. local queues the
+	// messages hosted nodes addressed to nodes of this same shard; each
+	// is handled before the next can be produced (drainLocal), which is
+	// what lets a local message's gossip digest live in the shard's
+	// digAddrs/digAges scratch instead of message-owned slices. outbox
+	// stages, per destination shard, the messages addressed to sibling
+	// shards during a round; postLocked hands each non-empty one to its
+	// shard's mailbox under one lock at the end of the round. inmail is
+	// the spare slice swapped against the own mailbox's contents.
+	// localDelivered counts every in-process delivery, same-shard and
+	// mailbox alike (published via pub once per round).
+	local          []letter
+	outbox         [][]letter
+	inmail         []letter
 	digAddrs       []string
 	digAges        []uint32
 	localDelivered uint64
+
+	// mail receives the in-process messages sibling shards address to
+	// this shard's nodes. It has its own lock, so senders never touch mu.
+	mail mailbox
 
 	// Adversary/robust state, guarded by mu like the nodes it applies
 	// to. robustOn caches robust.Enabled() so the per-message gate is
@@ -417,6 +491,13 @@ func NewRuntime(cfg RuntimeConfig) (*Runtime, error) {
 		for w := range endpoints {
 			endpoints[w] = rt.fabric.NewEndpoint()
 		}
+	} else {
+		rt.sockets = true
+		for _, ep := range endpoints {
+			if _, socket := ep.(*transport.TCPEndpoint); !socket {
+				rt.sockets = false
+			}
+		}
 	}
 
 	// Contiguous equal split: the first rem shards get one extra node.
@@ -446,11 +527,11 @@ func NewRuntime(cfg RuntimeConfig) (*Runtime, error) {
 			wakes:     newCalendar(hi-lo, cfg.CycleLength.Seconds()),
 			deadlines: newDeadlineRing(hi - lo),
 			free:      newLocalFree(rt.pool, hi-lo),
+			outbox:    make([][]letter, cfg.Workers),
 			done:      make(chan struct{}),
 		}
-		if _, socket := endpoints[w].(*transport.TCPEndpoint); socket {
-			s.selfAddr = endpoints[w].Addr()
-		}
+		s.mail.limit = cap(endpoints[w].Inbox())
+		s.mail.notify = make(chan struct{}, 1)
 		if cfg.TraceSample > 0 {
 			s.trace.recs = make([]TraceRecord, cfg.TraceRing)
 			s.traceEvery = uint64(cfg.TraceSample)
@@ -471,7 +552,7 @@ func NewRuntime(cfg RuntimeConfig) (*Runtime, error) {
 		for i := s.lo; i < s.hi; i++ {
 			n := &s.nodes[i-s.lo]
 			n.value = cfg.Value(i)
-			n.rng = xrand.New(cfg.Seed + uint64(i)*0x9e3779b97f4a7c15)
+			n.rng = *xrand.New(cfg.Seed + uint64(i)*0x9e3779b97f4a7c15)
 			n.tracker = epoch.NewTracker(startEpoch)
 			if cfg.InitState != nil {
 				n.initState = cfg.InitState(i)
@@ -484,12 +565,6 @@ func NewRuntime(cfg RuntimeConfig) (*Runtime, error) {
 				n.sampler = sampler
 				_, isDir := sampler.(*membership.Directory)
 				n.observes = !isDir
-			} else {
-				sampler, err := membership.NewDirectory(rt.addrs, i)
-				if err != nil {
-					return nil, fmt.Errorf("engine: directory for node %d: %w", i, err)
-				}
-				n.sampler = sampler
 			}
 			n.state = s.backing[(i-s.lo)*fieldN : (i-s.lo+1)*fieldN]
 			copy(n.state, rt.initStateFor(n, startEpoch))
@@ -540,7 +615,7 @@ func (rt *Runtime) registerMetrics(reg *metrics.Registry) {
 			{"repro_engine_send_errors_total", "Sends that failed synchronously or via batch feedback.", &s.ctr.sendErrors},
 			{"repro_engine_rounds_total", "Scheduler rounds run.", &s.pub.rounds},
 			{"repro_engine_messages_received_total", "Inbound messages handled, local deliveries included.", &s.pub.received},
-			{"repro_engine_local_delivered_total", "Messages between two nodes of the shard handled in-round, bypassing the socket.", &s.pub.localDelivered},
+			{"repro_engine_local_delivered_total", "Messages between two hosted nodes delivered in-process (same shard in-round, sibling shard by mailbox), bypassing the transport.", &s.pub.localDelivered},
 			{"repro_pool_gets_total", "Fields buffers drawn from the shard free list.", &s.pub.poolGets},
 			{"repro_pool_puts_total", "Fields buffers recycled into the shard free list.", &s.pub.poolPuts},
 			{"repro_pool_misses_total", "Buffer draws that fell through to the shared pool.", &s.pub.poolMiss},
@@ -549,8 +624,8 @@ func (rt *Runtime) registerMetrics(reg *metrics.Registry) {
 		}
 		reg.GaugeFunc("repro_pool_local_free", "Buffers resident in the shard free list.",
 			func() float64 { return float64(s.pub.poolFree.Load()) }, lbl)
-		reg.GaugeFunc("repro_engine_inbox_depth", "Messages queued in the shard endpoint inbox.",
-			func() float64 { return float64(len(s.ep.Inbox())) }, lbl)
+		reg.GaugeFunc("repro_engine_inbox_depth", "Messages queued for the shard: endpoint inbox plus in-process mailbox.",
+			func() float64 { return float64(len(s.ep.Inbox())) + float64(s.mail.depth.Load()) }, lbl)
 		reg.GaugeFunc("repro_engine_shard_lag_seconds",
 			"How far the shard's earliest pending event lies behind the runtime clock (0 when ahead or idle).",
 			func() float64 {
@@ -620,14 +695,21 @@ func (rt *Runtime) registerMetrics(reg *metrics.Registry) {
 			reg.CounterFunc("repro_transport_tcp_dials_total", "Outbound TCP connections established.", tcp.Dials, lbl)
 			reg.CounterFunc("repro_transport_tcp_bytes_sent_total", "Bytes written to TCP peers.", tcp.BytesSent, lbl)
 			reg.CounterFunc("repro_transport_tcp_bytes_received_total", "Bytes read from TCP peers.", tcp.BytesReceived, lbl)
-			reg.CounterFunc("repro_transport_tcp_inbox_dropped_total", "Inbound frames dropped on a full inbox.", tcp.InboxDropped, lbl)
+			reg.CounterFunc("repro_transport_tcp_inbox_dropped_total", "Inbound messages dropped on a full inbox or mailbox.",
+				func() uint64 { return tcp.InboxDropped() + s.mail.dropped.Load() }, lbl)
 		}
 	}
 	if rt.fabric != nil {
 		reg.CounterFunc("repro_transport_fabric_loss_dropped_total",
 			"Messages dropped by the fabric loss model or a partition filter.", rt.fabric.LossDropped)
 		reg.CounterFunc("repro_transport_fabric_inbox_dropped_total",
-			"Messages dropped on a full in-memory inbox.", rt.fabric.InboxDropped)
+			"Messages dropped on a full in-memory inbox or mailbox.", func() uint64 {
+				t := rt.fabric.InboxDropped()
+				for _, s := range rt.shards {
+					t += s.mail.dropped.Load()
+				}
+				return t
+			})
 	}
 }
 
@@ -1118,6 +1200,17 @@ func (s *rshard) applyFailuresLocked() {
 	}
 }
 
+// sleepFloorDivisor sets the shortest sleep a worker takes:
+// CycleLength/sleepFloorDivisor. Without a floor a shard whose next
+// wake is microseconds away wakes for it alone, and a paced run spends
+// its CPU on timer resets and channel selects for rounds of three or
+// four exchanges. With it, a round collects every event that falls due
+// within the floor — a thousandth of a cycle, far below the protocol's
+// own timescale. A message (a mailbox notify or an endpoint delivery)
+// still wakes the worker at once; a shard behind schedule does not
+// sleep at all.
+const sleepFloorDivisor = 1000
+
 // run is the worker loop: run one scheduler round (drain inbound
 // messages, fire due events — one lock acquisition for the whole
 // round), flush coalesced sends, then sleep until the next deadline or
@@ -1128,6 +1221,7 @@ func (s *rshard) run() {
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
 	inbox := s.ep.Inbox()
+	floor := s.rt.cfg.CycleLength / sleepFloorDivisor
 	for {
 		s.mu.Lock()
 		s.applyFailuresLocked()
@@ -1158,7 +1252,7 @@ func (s *rshard) run() {
 		if s.rt.trySteal(s.id) {
 			continue
 		}
-		timer.Reset(sleep)
+		timer.Reset(max(sleep, floor))
 		select {
 		case <-s.rt.stop:
 			return
@@ -1167,28 +1261,42 @@ func (s *rshard) run() {
 				return
 			}
 			s.mu.Lock()
-			s.handleMessage(m)
+			s.handleWire(m)
 			s.drainLocal()
+			s.postLocked()
 			s.mu.Unlock()
+		case <-s.mail.notify:
 		case <-timer.C:
 		}
 	}
 }
 
-// roundLocked runs one scheduler round: drain queued inbound messages
-// (bounded, so observers are never locked out for a full inbox), fire
-// due timers up to the event budget — wakes and reply deadlines merged
-// in time order, a deadline first on a tie — and publish the shard's
-// next due time. Whatever an event or inbound message sends to a node of
-// this same socket-backed shard is delivered right behind it
-// (drainLocal) and charged to the same budget, so a round never holds
-// the lock for more handled messages than it could before. The caller
-// holds s.mu. It returns how long the shard may sleep before its next
-// event (≤ 0 when it should run again immediately) and ok=false when
-// the inbox has been closed.
+// roundLocked runs one scheduler round: take the mailbox's letters in
+// one swap, drain queued inbound messages (bounded, so observers are
+// never locked out for a full inbox), fire due timers up to the event
+// budget — wakes and reply deadlines merged in time order, a deadline
+// first on a tie — hand the round's letters for sibling shards to their
+// mailboxes, and publish the shard's next due time. Whatever an event
+// or inbound message sends to a node of this same shard is delivered
+// right behind it (drainLocal) and charged to the same budget, so a
+// round never holds the lock for more handled messages than it could
+// before. The caller holds s.mu. It returns how long the shard may
+// sleep before its next event (≤ 0 when it should run again
+// immediately) and ok=false when the inbox has been closed.
 func (s *rshard) roundLocked(inbox <-chan transport.Message) (sleep time.Duration, ok bool) {
 	budget := eventBudget(s.hi - s.lo)
 	drained := 0
+	if s.mail.depth.Load() > 0 {
+		got := s.mail.take(s.inmail)
+		for i := range got {
+			l := got[i]
+			got[i] = letter{}
+			s.handleMessage(&l.m, l.from, l.to)
+			drained += 1 + s.drainLocal()
+		}
+		s.localDelivered += uint64(len(got))
+		s.inmail = got[:0]
+	}
 drain:
 	for drained < 4*budget {
 		select {
@@ -1196,7 +1304,7 @@ drain:
 			if !mok {
 				return 0, false
 			}
-			s.handleMessage(m)
+			s.handleWire(m)
 			drained += 1 + s.drainLocal()
 		default:
 			break drain
@@ -1213,6 +1321,7 @@ drain:
 		}
 		fired += s.drainLocal()
 	}
+	s.postLocked()
 	next := s.earliest()
 	s.publishNextDue(next)
 	sleep = time.Hour
@@ -1397,16 +1506,27 @@ func (s *rshard) restart(n *rnode) {
 // initiate performs the active half of one exchange: sample a peer,
 // send the push, arm the reply deadline. Caller holds s.mu and has
 // checked that no exchange is in flight. The push's Fields buffer is
-// drawn from the shard's free list; ownership passes to the transport
-// with the send (and on a lossless fabric, or the local path, the same
-// buffer eventually returns via the pull reply).
+// drawn from the shard's free list; ownership passes with the send (and
+// on every in-process path, or a lossless fabric, the same buffer
+// eventually returns via the pull reply).
 func (s *rshard) initiate(n *rnode, idx int, now float64) {
-	self := s.rt.addrs[idx]
-	peer, ok := n.sampler.Sample(n.rng)
-	if !ok || peer == self {
-		return
+	// to is the peer's index when it is hosted here (-1 otherwise); addr
+	// is the sampler's address for it, "" under the implicit overlay.
+	var to int32
+	var addr string
+	if n.sampler == nil {
+		to = int32(completePeer(&n.rng, len(s.rt.addrs), idx))
+	} else {
+		peer, ok := n.sampler.Sample(&n.rng)
+		if !ok {
+			return
+		}
+		to, addr = s.rt.hostedIndex(peer), peer
+		if to == int32(idx) {
+			return
+		}
 	}
-	local := s.isLocal(peer)
+	r := s.routeTo(to)
 	fields := s.free.get()
 	copy(fields, n.state)
 	s.seq++
@@ -1414,7 +1534,6 @@ func (s *rshard) initiate(n *rnode, idx int, now float64) {
 		Kind:   transport.KindPush,
 		Epoch:  n.tracker.Current(),
 		Seq:    s.seq,
-		From:   self,
 		Fields: fields,
 	}
 	if n.adv == 1+uint8(sim.AdvEclipse) {
@@ -1423,7 +1542,7 @@ func (s *rshard) initiate(n *rnode, idx int, now float64) {
 		// receiver-must-not-retain contract is moot).
 		msg.Gossip, msg.GossipAges = s.advGossip, s.advAges
 	} else {
-		msg.Gossip, msg.GossipAges = s.digest(n, local)
+		msg.Gossip, msg.GossipAges = s.digest(n, r == viaLocal)
 	}
 	n.stats.Initiated++
 	s.ctr.initiated.Add(1)
@@ -1432,15 +1551,10 @@ func (s *rshard) initiate(n *rnode, idx int, now float64) {
 		n.pendingAt = now
 		n.lateSeq = 0 // a new exchange supersedes any absorbable late reply
 		if n.observes {
-			n.pendingPeer = peer
+			n.pendingPeer = addr
 		}
 		if s.traceSampled(s.seq) {
-			// The peer index is parsed only on the sampling lattice; with
-			// tracing off initiate does no extra work beyond two stores.
-			n.pendingDst = -1
-			if di, ok := nodeIndex(peer); ok {
-				n.pendingDst = int32(di)
-			}
+			n.pendingDst = to
 		}
 		// now is the round's reading of the monotonic runtime clock, so
 		// deadlines are armed in the order they fall due.
@@ -1450,55 +1564,130 @@ func (s *rshard) initiate(n *rnode, idx int, now float64) {
 			node: int32(idx),
 		})
 	}
-	s.send(n, peer, msg, local)
+	s.send(n, idx, to, addr, r, msg)
 }
 
-// isLocal reports whether to names a node hosted by this very shard
-// behind a real socket — the traffic that is delivered in-round instead
-// of being written to, and read back from, the shard's own listen
-// address. Always false on fabric-backed shards (selfAddr is empty).
-func (s *rshard) isLocal(to string) bool {
-	return s.selfAddr != "" && transport.BaseAddr(to) == s.selfAddr
+// completePeer is GETPAIR on the complete overlay of n nodes: one
+// uniform draw over the n−1 nodes other than self — the draw
+// membership.Directory.Sample makes on the same stream, so a node's
+// partner sequence is the same with or without a directory.
+func completePeer(rng *xrand.Rand, n, self int) int {
+	j := rng.Intn(n - 1)
+	if j >= self {
+		j++
+	}
+	return j
+}
+
+// route is where send takes a message.
+type route uint8
+
+const (
+	viaWire  route = iota // the batcher and the endpoint
+	viaLocal              // this shard's local queue, handled in-round
+	viaMail               // a sibling shard's mailbox
+)
+
+// inProcess reports whether messages between hosted nodes may bypass
+// the transport right now: always behind real sockets, and on the
+// in-memory fabric while no filter, loss or latency is in force — an
+// impaired fabric must see every message so its models apply.
+func (rt *Runtime) inProcess() bool {
+	if rt.fabric != nil {
+		return !rt.fabric.Impaired()
+	}
+	return rt.sockets
+}
+
+// hostedIndex returns the index of the hosted node whose sub-address is
+// addr, or -1 when addr names no node of this runtime (a remote peer, a
+// bare endpoint address).
+func (rt *Runtime) hostedIndex(addr string) int32 {
+	i, ok := nodeIndex(addr)
+	if !ok || i >= len(rt.addrs) || rt.addrs[i] != addr {
+		return -1
+	}
+	return int32(i)
+}
+
+// routeTo picks the path for a message to node to (-1: not hosted).
+func (s *rshard) routeTo(to int32) route {
+	switch {
+	case to < 0 || !s.rt.inProcess():
+		return viaWire
+	case int(to) >= s.lo && int(to) < s.hi:
+		return viaLocal
+	default:
+		return viaMail
+	}
 }
 
 // digest draws node n's piggybacked membership digest for one outgoing
 // message (nil when the node's sampler does not gossip). A message that
-// leaves through the batcher must own its digest slices: the batcher
-// retains it until flush and the fabric delivers by reference (DESIGN.md
-// "Membership"). A local message is consumed — Observe runs first in
-// handleMessage and retains nothing — before the shard builds its next
-// one, so its digest lives in shard-owned scratch and costs nothing.
+// leaves the round — through the batcher or a sibling's mailbox — must
+// own its digest slices: the batcher retains it until flush, and the
+// fabric and the mailbox deliver by reference (DESIGN.md "Membership").
+// A local message is consumed — Observe runs first in handleMessage and
+// retains nothing — before the shard builds its next one, so its digest
+// lives in shard-owned scratch and costs nothing.
 func (s *rshard) digest(n *rnode, local bool) ([]string, []uint32) {
 	if s.rt.cfg.GossipFanout <= 0 || !n.observes {
 		return nil, nil
 	}
 	if !local {
-		return n.sampler.AppendDigest(nil, nil, n.rng, s.rt.cfg.GossipFanout)
+		return n.sampler.AppendDigest(nil, nil, &n.rng, s.rt.cfg.GossipFanout)
 	}
-	s.digAddrs, s.digAges = n.sampler.AppendDigest(s.digAddrs[:0], s.digAges[:0], n.rng, s.rt.cfg.GossipFanout)
+	s.digAddrs, s.digAges = n.sampler.AppendDigest(s.digAddrs[:0], s.digAges[:0], &n.rng, s.rt.cfg.GossipFanout)
 	return s.digAddrs, s.digAges
 }
 
-// send routes one protocol message from hosted node n; local is
-// s.isLocal(to), which the caller already needed for the digest. A
-// local message is queued for drainLocal — no codec, syscall, channel
-// or batcher — and everything else takes the batcher to the endpoint,
-// with a synchronous failure charged to the sender. Caller holds s.mu.
-func (s *rshard) send(n *rnode, to string, m transport.Message, local bool) {
-	if local {
-		m.To = to
-		s.local = append(s.local, m)
+// send routes one protocol message from hosted node n (index from) to
+// node to along r = s.routeTo(to), which the caller already needed for
+// the digest. addr is the destination's address when the caller has
+// one (a sampled peer, a wire sender), "" for a hosted node known only
+// by index; with neither, the batcher reports the send as failed, as
+// for any unreachable peer. A local message is queued for drainLocal and a sibling
+// shard's is staged for its mailbox — no strings, codec, channel or
+// batcher on either path. Everything else takes the batcher to the
+// endpoint with its addresses spelled out, a synchronous failure
+// charged to the sender. Caller holds s.mu.
+func (s *rshard) send(n *rnode, from int, to int32, addr string, r route, m transport.Message) {
+	switch r {
+	case viaLocal:
+		s.local = append(s.local, letter{m: m, from: int32(from), to: to})
+		return
+	case viaMail:
+		w := s.rt.shardOf(int(to)).id
+		s.outbox[w] = append(s.outbox[w], letter{m: m, from: int32(from), to: to})
 		return
 	}
-	if err := s.out.Send(to, m); err != nil {
+	if addr == "" && to >= 0 {
+		addr = s.rt.addrs[to]
+	}
+	m.From = s.rt.addrs[from]
+	if err := s.out.Send(addr, m); err != nil {
 		n.stats.SendErrors++
 		s.ctr.sendErrors.Add(1)
 	}
 }
 
+// postLocked hands the letters this shard staged for each sibling shard
+// to that shard's mailbox — one lock per destination per round, however
+// many letters. Caller holds s.mu.
+func (s *rshard) postLocked() {
+	for w, ls := range s.outbox {
+		if len(ls) == 0 {
+			continue
+		}
+		s.rt.shards[w].mail.post(ls)
+		clear(ls)
+		s.outbox[w] = ls[:0]
+	}
+}
+
 // drainLocal handles the queued local messages, and the ones handling
-// them queues, through the same handleMessage a socket delivery takes;
-// it returns how many it delivered so the round can charge them to its
+// them queues, through the same handleMessage every delivery takes; it
+// returns how many it delivered so the round can charge them to its
 // budget. A handled push queues at most a reply or a nack and those
 // queue nothing, so the chain behind one event is at most two messages
 // and the queue never holds more than one undelivered — a local
@@ -1508,32 +1697,51 @@ func (s *rshard) send(n *rnode, to string, m transport.Message, local bool) {
 func (s *rshard) drainLocal() int {
 	delivered := 0
 	for ; delivered < len(s.local); delivered++ {
-		m := s.local[delivered]
-		s.local[delivered] = transport.Message{}
-		s.handleMessage(m)
+		l := s.local[delivered]
+		s.local[delivered] = letter{}
+		s.handleMessage(&l.m, l.from, l.to)
 	}
 	s.local = s.local[:0]
 	s.localDelivered += uint64(delivered)
 	return delivered
 }
 
-// handleMessage routes one inbound message to its hosted node. The
-// caller holds s.mu (messages are handled in round-sized batches under
-// one lock acquisition, not one acquisition per message). A message
-// addressed to the endpoint's bare base address (no '#' sub-address)
-// is first-contact traffic from a peer that only knows this process's
-// listen address (aggnode -peers host:port); the shard's first node
-// serves it, and the reply's From carries that node's full
+// handleWire demultiplexes one message that arrived through the
+// endpoint. A message addressed to the endpoint's bare base address (no
+// '#' sub-address) is first-contact traffic from a peer that only knows
+// this process's listen address (aggnode -peers host:port); the shard's
+// first node serves it, and the reply's From carries that node's full
 // sub-address, which bootstraps the remote sampler onto proper
-// sub-addresses.
-func (s *rshard) handleMessage(m transport.Message) {
+// sub-addresses. A sender hosted by this runtime (traffic that crossed
+// the fabric while it was impaired) is resolved to its index, so the
+// answer can take the in-process path once the fabric is healthy again.
+// Caller holds s.mu.
+func (s *rshard) handleWire(m transport.Message) {
+	to := int32(s.lo)
+	if idx, ok := nodeIndex(m.To); ok {
+		to = -1 // misrouted unless the index is in range
+		if idx < s.hi {
+			to = int32(idx)
+		}
+	}
+	from := int32(-1)
+	if s.rt.inProcess() {
+		from = s.rt.hostedIndex(m.From)
+	}
+	s.handleMessage(&m, from, to)
+}
+
+// handleMessage hands one inbound message to hosted node to. from is the
+// sender's index when it is hosted here (-1 otherwise); m.From is empty
+// for an in-process letter and the sender's address for a wire message.
+// The caller holds s.mu (messages are handled in round-sized batches
+// under one lock acquisition, not one acquisition per message).
+func (s *rshard) handleMessage(m *transport.Message, from, to int32) {
 	s.recv++
-	idx, ok := nodeIndex(m.To)
-	if !ok {
-		idx = s.lo
-	} else if idx < s.lo || idx >= s.hi {
+	if int(to) < s.lo || int(to) >= s.hi {
 		return // misrouted sub-address; drop
 	}
+	idx := int(to)
 	n := &s.nodes[idx-s.lo]
 	if n.failed {
 		// A crashed node neither serves nor absorbs: peers see pure
@@ -1542,23 +1750,30 @@ func (s *rshard) handleMessage(m transport.Message) {
 		s.free.put(m.Fields)
 		return
 	}
-	if n.observes && m.From != "" {
-		n.sampler.Observe(m.From, m.Gossip, m.GossipAges)
+	if n.observes {
+		sender := m.From
+		if sender == "" && from >= 0 {
+			sender = s.rt.addrs[from]
+		}
+		if sender != "" {
+			n.sampler.Observe(sender, m.Gossip, m.GossipAges)
+		}
 	}
 	switch m.Kind {
 	case transport.KindPush:
-		s.servePush(n, idx, m)
+		s.servePush(n, idx, from, m)
 	case transport.KindReply, transport.KindNack:
 		s.handleReply(n, idx, m)
 	}
 }
 
 // servePush implements the passive half (Figure 1, bottom): reply with
-// the pre-merge state, then adopt the merge. Caller holds s.mu and owns
-// m.Fields (receiver-owns rule); the happy path rewrites that buffer in
-// place into the reply payload (MergeExchange), every other path
-// recycles it.
-func (s *rshard) servePush(n *rnode, idx int, m transport.Message) {
+// the pre-merge state, then adopt the merge. The answer goes back to
+// the push's sender: node from when it is hosted here, m.From
+// otherwise. Caller holds s.mu and owns m.Fields (receiver-owns rule);
+// the happy path rewrites that buffer in place into the reply payload
+// (MergeExchange), every other path recycles it.
+func (s *rshard) servePush(n *rnode, idx int, from int32, m *transport.Message) {
 	if !s.rt.cfg.PushOnly && n.pendingSeq != 0 {
 		// An own exchange is in flight; merging now would break the
 		// atomicity of the elementary step. Decline with a nack, as the
@@ -1566,12 +1781,11 @@ func (s *rshard) servePush(n *rnode, idx int, m transport.Message) {
 		n.stats.BusyDropped++
 		s.ctr.busyDropped.Add(1)
 		s.free.put(m.Fields)
-		s.send(n, m.From, transport.Message{
+		s.send(n, idx, from, m.From, s.routeTo(from), transport.Message{
 			Kind:  transport.KindNack,
 			Epoch: n.tracker.Current(),
 			Seq:   m.Seq,
-			From:  s.rt.addrs[idx],
-		}, s.isLocal(m.From))
+		})
 		return
 	}
 	if n.tracker.Observe(m.Epoch) {
@@ -1601,7 +1815,6 @@ func (s *rshard) servePush(n *rnode, idx int, m transport.Message) {
 			Kind:   transport.KindReply,
 			Epoch:  n.tracker.Current(),
 			Seq:    m.Seq,
-			From:   s.rt.addrs[idx],
 			Fields: m.Fields,
 		}
 		if n.adv == 1+uint8(sim.AdvEclipse) {
@@ -1609,7 +1822,7 @@ func (s *rshard) servePush(n *rnode, idx int, m transport.Message) {
 		}
 		n.stats.Served++
 		s.ctr.served.Add(1)
-		s.send(n, m.From, reply, s.isLocal(m.From))
+		s.send(n, idx, from, m.From, s.routeTo(from), reply)
 		return
 	}
 	if s.robustOn {
@@ -1624,12 +1837,11 @@ func (s *rshard) servePush(n *rnode, idx int, m transport.Message) {
 			s.ctr.robustRejected.Add(1)
 			s.free.put(m.Fields)
 			if !s.rt.cfg.PushOnly {
-				s.send(n, m.From, transport.Message{
+				s.send(n, idx, from, m.From, s.routeTo(from), transport.Message{
 					Kind:  transport.KindNack,
 					Epoch: n.tracker.Current(),
 					Seq:   m.Seq,
-					From:  s.rt.addrs[idx],
-				}, s.isLocal(m.From))
+				})
 			}
 			return
 		}
@@ -1649,22 +1861,21 @@ func (s *rshard) servePush(n *rnode, idx int, m transport.Message) {
 	n.stateVer++
 	n.stats.Served++
 	s.ctr.served.Add(1)
-	local := s.isLocal(m.From)
+	r := s.routeTo(from)
 	reply := transport.Message{
 		Kind:   transport.KindReply,
 		Epoch:  n.tracker.Current(),
 		Seq:    m.Seq,
-		From:   s.rt.addrs[idx],
 		Fields: m.Fields,
 	}
-	reply.Gossip, reply.GossipAges = s.digest(n, local)
-	s.send(n, m.From, reply, local)
+	reply.Gossip, reply.GossipAges = s.digest(n, r == viaLocal)
+	s.send(n, idx, from, m.From, r, reply)
 }
 
 // handleReply completes (or aborts, on nack) the node's in-flight
 // exchange. Caller holds s.mu and owns m.Fields, which is recycled on
 // every path once the merge (if any) is done.
-func (s *rshard) handleReply(n *rnode, idx int, m transport.Message) {
+func (s *rshard) handleReply(n *rnode, idx int, m *transport.Message) {
 	defer s.free.put(m.Fields)
 	if n.pendingSeq == 0 || m.Seq != n.pendingSeq {
 		// The exchange already timed out; the reply may still be
@@ -1727,7 +1938,7 @@ func (s *rshard) handleReply(n *rnode, idx int, m transport.Message) {
 // untouched since the deadline armed it (stateVer == lateVer) and no
 // new exchange may be in flight (pendingSeq 0, lateSeq not
 // superseded). Caller holds s.mu; m.Fields is recycled by the caller.
-func (s *rshard) absorbLate(n *rnode, m transport.Message) {
+func (s *rshard) absorbLate(n *rnode, m *transport.Message) {
 	if m.Kind != transport.KindReply || m.Seq == 0 ||
 		m.Seq != n.lateSeq || n.stateVer != n.lateVer || n.pendingSeq != 0 {
 		return

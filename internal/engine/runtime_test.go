@@ -716,11 +716,13 @@ func TestHeapRuntimeSteadyStateAllocs(t *testing.T) {
 }
 
 // TestHeapRuntimeSteadyStateAllocsTwoWorkers is the same run on two
-// parallel shards. Completion there depends on how the host schedules
+// parallel shards, half of whose traffic crosses between them through
+// the mailboxes. Completion there depends on how the host schedules
 // two workers, so only what holds on any host is asserted: the mean is
-// conserved, the variance falls 100×, the path stays allocation-free,
-// and, once the workers have stopped, every initiated exchange is
-// accounted for exactly — replied, nacked, timed out or still in flight.
+// conserved, the variance falls 100×, the path stays allocation-free
+// and in-process, and, once the workers have stopped, every initiated
+// exchange is accounted for exactly — replied, nacked, timed out or
+// still in flight.
 func TestHeapRuntimeSteadyStateAllocsTwoWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second saturated run; skipped in -short mode")
@@ -745,6 +747,15 @@ func TestHeapRuntimeSteadyStateAllocsTwoWorkers(t *testing.T) {
 	if got := st.Replies + st.PeerBusy + st.Timeouts + inFlight; got != st.Initiated {
 		t.Fatalf("%d initiated, but %d replied + %d nacked + %d timed out + %d in flight = %d (stats %+v)",
 			st.Initiated, st.Replies, st.PeerBusy, st.Timeouts, inFlight, got, st)
+	}
+	// The allocation bound above covers the mailbox path: on the
+	// lossless fabric every sibling-shard message went through it.
+	var frames uint64
+	for _, s := range rt.shards {
+		frames += s.out.FramesSent()
+	}
+	if frames != 0 || localDelivered(rt) == 0 {
+		t.Fatalf("%d batch frames and %d in-process deliveries on a lossless fabric, want none and some", frames, localDelivered(rt))
 	}
 	t.Logf("4096-node run on 2 workers: %.0f exchanges/s, completion %.4f, %.4f allocs/exchange, %d in flight at stop",
 		res.PerSecond, res.Completion, res.AllocsPerExchange, inFlight)

@@ -41,7 +41,7 @@ type TraceRecord struct {
 	Src   int32
 	Shard int32
 	// Dst is the sampled peer's global index, or -1 when the peer is
-	// not a local sub-address (e.g. a remote process's base address).
+	// not hosted by this runtime (e.g. a remote process's node).
 	Dst int32
 	// Outcome says how the exchange ended.
 	Outcome TraceOutcome

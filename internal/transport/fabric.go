@@ -59,6 +59,11 @@ type Fabric struct {
 	// atomic add per drop costs nothing on the healthy path.
 	lossDropped  atomic.Uint64
 	inboxDropped atomic.Uint64
+
+	// impaired mirrors "a filter, loss or latency is in force" for
+	// lock-free readers (see Impaired); written under mu whenever one of
+	// those models changes.
+	impaired atomic.Bool
 }
 
 // NewFabric returns an empty in-memory network.
@@ -71,8 +76,23 @@ func NewFabric(opts ...FabricOption) *Fabric {
 	for _, opt := range opts {
 		opt(f)
 	}
+	f.updateImpaired()
 	return f
 }
+
+// updateImpaired refreshes the impaired mirror. The caller holds f.mu
+// (or owns f exclusively, during construction).
+func (f *Fabric) updateImpaired() {
+	f.impaired.Store(f.filter != nil || f.dropProb > 0 || f.latBase > 0 || f.latJitter > 0)
+}
+
+// Impaired reports, without locking, whether a partition filter, a loss
+// probability or a latency is in force. While it is false the fabric
+// delivers every message to an attached endpoint at once and intact, so
+// a runtime that owns both ends may hand its messages over in-process
+// instead; once it turns true every send must go through the fabric's
+// models again.
+func (f *Fabric) Impaired() bool { return f.impaired.Load() }
 
 // SetFilter installs a reachability predicate evaluated on every send;
 // a false return drops the message. Pass nil to clear. Partition tests
@@ -81,6 +101,7 @@ func (f *Fabric) SetFilter(filter func(from, to string) bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.filter = filter
+	f.updateImpaired()
 }
 
 // SetDropProbability changes the loss model on a live fabric — the
@@ -90,6 +111,7 @@ func (f *Fabric) SetDropProbability(p float64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.dropProb = p
+	f.updateImpaired()
 }
 
 // DropProbability returns the loss probability currently in force.

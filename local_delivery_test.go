@@ -194,29 +194,55 @@ func TestOpenTCPSetValueRacesLocalExchanges(t *testing.T) {
 	}
 }
 
-// TestOpenTCPCrossShardStaysOnSocket pins the scope of local delivery:
-// with two workers each shard has its own listener, a send to the
-// sibling shard is not local (delivering it in-round would need the
-// sibling's lock) and must still travel the socket, while same-shard
-// sends are delivered in-round — and mass is conserved across the mix.
-func TestOpenTCPCrossShardStaysOnSocket(t *testing.T) {
+// TestOpenTCPCrossShardStaysInProcess pins the scope of in-process
+// delivery: with two workers each shard has its own listener, yet a
+// send to the sibling shard is as much in-process as a same-shard one —
+// it goes to the sibling's mailbox, not through the socket. Both shards
+// complete exchanges with the other's nodes, neither socket dials or
+// writes a byte, and mass is conserved across the mix.
+func TestOpenTCPCrossShardStaysInProcess(t *testing.T) {
 	const n = 64
-	sys := tcpSystem(t, n, WithWorkers(2))
+	sys := tcpSystem(t, n, WithWorkers(2), WithTraceSampling(1))
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	series := func(name string, shard int) float64 {
 		return scrapeMust(t, sys, name+`{shard="`+strconv.Itoa(shard)+`"}`)
 	}
+	// crossed reports, per initiating shard, whether a traced exchange
+	// with a node of the other shard has completed (shard 0 hosts the
+	// first n/2 nodes).
+	crossed := func() (bool, bool) {
+		var c0, c1 bool
+		for _, rec := range sys.Trace(0) {
+			if rec.Outcome.String() != "completed" {
+				continue
+			}
+			c0 = c0 || rec.Shard == 0 && rec.Dst >= n/2
+			c1 = c1 || rec.Shard == 1 && rec.Dst >= 0 && rec.Dst < n/2
+		}
+		return c0, c1
+	}
 	for {
-		crossed := series("repro_transport_tcp_bytes_sent_total", 0) > 0 && series("repro_transport_tcp_bytes_sent_total", 1) > 0
+		c0, c1 := crossed()
 		local := series("repro_engine_local_delivered_total", 0) > 0 && series("repro_engine_local_delivered_total", 1) > 0
-		if crossed && local {
+		if c0 && c1 && local {
 			break
 		}
 		if ctx.Err() != nil {
-			t.Fatalf("want socket bytes and local deliveries on both shards: crossed=%v local=%v", crossed, local)
+			t.Fatalf("want in-process deliveries on both shards and cross-shard exchanges both ways: local=%v crossed=%v,%v", local, c0, c1)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+	for shard := 0; shard < 2; shard++ {
+		for _, name := range []string{
+			"repro_transport_tcp_bytes_sent_total",
+			"repro_transport_tcp_dials_total",
+			"repro_transport_batch_frames_total",
+		} {
+			if v := series(name, shard); v != 0 {
+				t.Errorf("%s{shard=%d} = %g, want 0: sibling-shard traffic went through the socket", name, shard, v)
+			}
+		}
 	}
 	// A cross-shard exchange caught between its halves is a transient;
 	// a leak persists (see TestOpenTCPMeshStillCrossesHosts).

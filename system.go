@@ -242,12 +242,12 @@ func WithPushOnly() Option {
 }
 
 // WithGossipMembership runs an in-memory system on live gossip
-// membership instead of the default shared full directory: each node
+// membership instead of the default complete overlay: each node
 // starts knowing only its ring successor and learns the rest of the
 // population from digests piggybacked on protocol traffic, exactly as
-// TCP systems always do. Costs O(view) memory per node instead of the
-// directory's shared O(N), and exercises join/leave/failure dynamics
-// the directory can't. No effect on TCP systems (already gossip).
+// TCP systems always do. Costs O(view) memory per node, and exercises
+// join/leave/failure dynamics the complete overlay can't. No effect on
+// TCP systems (already gossip).
 func WithGossipMembership() Option {
 	return func(c *sysConfig) error {
 		c.gossip = true
@@ -657,7 +657,6 @@ func Open(opts ...Option) (*System, error) {
 		sys.nodes = []*Node{node}
 		sys.gsampler = sampler
 		tcpEP = ep
-		node.Start()
 	case cfg.tcp:
 		rt, err := openTCPRuntime(cfg, clock)
 		if err != nil {
@@ -665,7 +664,6 @@ func Open(opts ...Option) (*System, error) {
 		}
 		sys.rt = rt
 		sys.nodes = rt.Nodes()
-		rt.Start(cfg.ctx)
 	default:
 		clusterCfg := engine.ClusterConfig{
 			Size:         cfg.size,
@@ -697,12 +695,13 @@ func Open(opts ...Option) (*System, error) {
 		}
 		sys.cluster = cluster
 		sys.nodes = cluster.Nodes()
-		cluster.Start(cfg.ctx)
 	}
 	sys.registerSystemMetrics(tcpEP)
-	// Adversaries before robust countermeasures: the trim gate seeds its
-	// acceptance band from the honest population, which is only known
-	// once the adversaries are marked.
+	// Adversaries before robust countermeasures, and both before the
+	// engine starts: the trim gate seeds its acceptance band from the
+	// honest population's spread, which is only known once the
+	// adversaries are marked, and is only honest while no exchange has
+	// yet spread their poison.
 	if cfg.advSet {
 		if err := sys.SetAdversaries(cfg.advBehavior, cfg.advFraction, cfg.advMagnitude, cfg.advTarget); err != nil {
 			sys.Close()
@@ -714,6 +713,14 @@ func Open(opts ...Option) (*System, error) {
 			sys.Close()
 			return nil, err
 		}
+	}
+	switch {
+	case sys.cluster != nil:
+		sys.cluster.Start(cfg.ctx)
+	case sys.rt != nil:
+		sys.rt.Start(cfg.ctx)
+	default:
+		sys.node.Start()
 	}
 	if cfg.ops != "" {
 		if err := sys.startOps(cfg.ops); err != nil {
