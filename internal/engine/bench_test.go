@@ -118,8 +118,8 @@ func BenchmarkRuntimeSustained(b *testing.B) {
 // rejections. The assertion is the same as the baseline harness: the
 // honest population (reduces skip adversaries) still converges on 0.5
 // at ≈ 0 allocs/exchange, because the countermeasures are pure
-// arithmetic on the pooled hot path (the trim state lives inline in the
-// node record). The completion floor is looser than the honest
+// arithmetic on the pooled hot path (the trim state lives in the node's
+// cold record). The completion floor is looser than the honest
 // harness's: every adversary-initiated push is trim-nacked by its
 // honest responder, which is the countermeasure working, not collapse.
 func BenchmarkRuntimeSustainedRobust(b *testing.B) {
@@ -337,4 +337,38 @@ func clusterStats(c *Cluster) Stats {
 		agg.Served += s.Served
 	}
 	return agg
+}
+
+// reduceSink keeps BenchmarkRuntimeReduceField's fold observable.
+var reduceSink float64
+
+// BenchmarkRuntimeReduceField times one ReduceField over 10⁵ hosted
+// nodes on 2 workers: the observation scan that holds each shard's round
+// lock for a full pass over its nodes, stalling that shard's worker. The
+// runtime is built but not started, so the number is the scan alone;
+// ns/node divides it by the node count.
+func BenchmarkRuntimeReduceField(b *testing.B) {
+	const n = 100_000
+	rt, err := NewRuntime(RuntimeConfig{
+		Size:        n,
+		Schema:      core.AverageSchema(),
+		Value:       func(i int) float64 { return float64(i % 2) },
+		CycleLength: 200 * time.Millisecond,
+		Workers:     2,
+		Seed:        1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer rt.Stop()
+	var sum float64
+	fold := func(v float64) { sum += v }
+	for b.Loop() {
+		sum = 0
+		if err := rt.ReduceField("avg", fold); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reduceSink = sum
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/node")
 }

@@ -459,7 +459,7 @@ func (n *Node) Value() float64 {
 		s := n.hrt.shardOf(n.hidx)
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		return s.nodes[n.hidx-s.lo].value
+		return s.cold[n.hidx-s.lo].value
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()

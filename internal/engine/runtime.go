@@ -240,37 +240,62 @@ type Runtime struct {
 	advNodes atomic.Int64
 }
 
-// rnode is one hosted node's protocol state, guarded by its shard's mu.
+// rnode is one hosted node's hot line, guarded by its shard's mu: the
+// fields the exchange fast path — a wake's initiation, a served push, a
+// completed reply, a reaped deadline — reads or writes, packed into
+// exactly one 64 B cache line (TestNodeRecordIsOneCacheLine). The rule
+// for a new field: it goes here only if that fast path touches it;
+// everything else goes in rcold, the parallel array at the same local
+// index. The node's state vector is its row of the shard's backing
+// column, and its randomness is the shard's stream.
 type rnode struct {
-	state      []float64 // view into the shard's backing column
-	value      float64
-	tracker    epoch.Tracker
-	rng        xrand.Rand         // by value: drawn on every exchange, so it shares the node's cache lines
-	sampler    membership.Sampler // nil: the implicit complete overlay
-	observes   bool               // sampler wants Observe/Forget feedback (non-directory)
-	initState  func(epochID uint64, value float64) core.State
-	failed     bool    // scenario-injected crash: silent until revived
-	pendingSeq uint64  // nonzero while an exchange is in flight (the busy flag)
-	pendingAt  float64 // when the in-flight exchange's push was sent
-	pendingDst int32   // traced peer index (-1 not hosted); only set while tracing
-	// pendingPeer is the in-flight exchange's destination, kept so a
-	// missed reply deadline can Forget it (failure detection from
-	// traffic); only maintained when the sampler observes.
-	pendingPeer string
-	// Late-reply absorption state (see rshard.absorbLate): stateVer
-	// counts state mutations; lateSeq/lateVer arm the merge of a reply
-	// that outlived its deadline.
+	pendingSeq uint64 // nonzero while an exchange is in flight (the busy flag)
+	// stateVer counts state mutations, so a reply that outlived its
+	// deadline merges only while it still commutes (see absorbLate).
 	stateVer uint64
-	lateSeq  uint64
-	lateVer  uint64
+	tracker  epoch.Tracker
+	// The three counters every exchange bumps; the seven rare ones
+	// live in rcold, and NodeStats assembles both.
+	initiated, served, replies uint64
+	failed                     bool // scenario-injected crash: silent until revived
+	observes                   bool // sampler wants Tick/Observe/Forget/digest work (non-directory)
+	sampled                    bool // has a membership sampler; false: the implicit complete overlay
 	// adv is 0 for an honest node, else 1 + the sim.AdversaryBehavior:
 	// the node answers exchanges with its (pinned) state but never
 	// adopts a merge. Set by SetAdversaries under the shard's mu.
 	adv uint8
+	// late is set while a timed-out exchange's reply may still be
+	// absorbed (rcold.lateSeq/lateVer say which); a new exchange clears it.
+	late bool
+	_    [11]byte // pad to one line, so no record straddles two
+}
+
+// rcold is the rest of a hosted node's state, in the shard array
+// parallel to the hot lines. Only the off-fast-path work touches it:
+// timeouts, late replies, nacks, restarts, sampler and robust work,
+// trace-sampled exchanges and the Node facade.
+type rcold struct {
+	value     float64
+	sampler   membership.Sampler // nil: the implicit complete overlay
+	initState func(epochID uint64, value float64) core.State
 	// trim is the node's robust-merge acceptance band, live while the
 	// shard's robust policy has Trim set (see Runtime.SetRobust).
-	trim  robust.TrimState
-	stats Stats
+	trim robust.TrimState
+	// pendingPeer is the in-flight exchange's destination, kept so a
+	// missed reply deadline can Forget it (failure detection from
+	// traffic); only maintained when the sampler observes.
+	pendingPeer string
+	// lateSeq/lateVer arm the merge of a reply that outlived its
+	// deadline (see rshard.absorbLate); live while rnode.late is set.
+	lateSeq, lateVer uint64
+	// pendingAt (when the push was sent) and pendingDst (peer index, -1
+	// not hosted) are written only for trace-sampled exchanges, the only
+	// ones recordTrace reads.
+	pendingAt  float64
+	pendingDst int32
+	// The rare per-node counters (see rnode for the three per-exchange ones).
+	timeouts, lateReplies, epochSwitches, staleDropped uint64
+	sendErrors, busyDropped, peerBusy                  uint64
 }
 
 // letter is one in-process message: the protocol message with its
@@ -375,9 +400,17 @@ type rshard struct {
 	ep     transport.Endpoint
 	out    *transport.Batcher
 
-	mu        sync.Mutex
-	nodes     []rnode
-	backing   []float64
+	mu sync.Mutex
+	// nodes and cold are the parallel per-node arrays, indexed by local
+	// index i − lo; backing is the state column, width values per node
+	// (see state).
+	nodes   []rnode
+	cold    []rcold
+	backing []float64
+	width   int
+	// rng is the shard's one random stream: initial phases, waits,
+	// partner draws and the samplers' Sample and AppendDigest.
+	rng       xrand.Rand
 	wakes     calendar
 	deadlines deadlineRing
 	free      localFree // Fields buffer free list, guarded by mu
@@ -466,6 +499,12 @@ func (s *rshard) loadNextDue() float64 { return math.Float64frombits(s.nextDue.L
 // deadline (+Inf when none is scheduled). Caller holds s.mu.
 func (s *rshard) earliest() float64 { return min(s.wakes.next(), s.deadlines.next()) }
 
+// state returns local node li's state vector: its row of the backing
+// column. Caller holds s.mu.
+func (s *rshard) state(li int) []float64 {
+	return s.backing[li*s.width : (li+1)*s.width : (li+1)*s.width]
+}
+
 // NewRuntime builds (but does not start) a heap-mode runtime.
 func NewRuntime(cfg RuntimeConfig) (*Runtime, error) {
 	cfg, err := cfg.withDefaults()
@@ -510,6 +549,9 @@ func NewRuntime(cfg RuntimeConfig) (*Runtime, error) {
 	if cfg.Clock != nil {
 		startEpoch = cfg.Clock.Current(time.Now())
 	}
+	// One stream per shard, split from a master in shard order — the
+	// kernel's derivation (DESIGN.md "Determinism contract").
+	master := xrand.New(cfg.Seed)
 	lo := 0
 	for w := range cfg.Workers {
 		hi := lo + base
@@ -523,7 +565,10 @@ func NewRuntime(cfg RuntimeConfig) (*Runtime, error) {
 			hi:        hi,
 			ep:        endpoints[w],
 			nodes:     make([]rnode, hi-lo),
+			cold:      make([]rcold, hi-lo),
 			backing:   make([]float64, (hi-lo)*fieldN),
+			width:     fieldN,
+			rng:       *master.Split(),
 			wakes:     newCalendar(hi-lo, cfg.CycleLength.Seconds()),
 			deadlines: newDeadlineRing(hi - lo),
 			free:      newLocalFree(rt.pool, hi-lo),
@@ -549,25 +594,25 @@ func NewRuntime(cfg RuntimeConfig) (*Runtime, error) {
 	}
 
 	for _, s := range rt.shards {
-		for i := s.lo; i < s.hi; i++ {
-			n := &s.nodes[i-s.lo]
-			n.value = cfg.Value(i)
-			n.rng = *xrand.New(cfg.Seed + uint64(i)*0x9e3779b97f4a7c15)
+		for li := range s.nodes {
+			i := s.lo + li
+			n, c := &s.nodes[li], &s.cold[li]
+			c.value = cfg.Value(i)
 			n.tracker = epoch.NewTracker(startEpoch)
 			if cfg.InitState != nil {
-				n.initState = cfg.InitState(i)
+				c.initState = cfg.InitState(i)
 			}
 			if cfg.Samplers != nil {
 				sampler, err := cfg.Samplers(i, rt.addrs[i], rt.addrs)
 				if err != nil {
 					return nil, fmt.Errorf("engine: sampler for node %d: %w", i, err)
 				}
-				n.sampler = sampler
+				c.sampler = sampler
+				n.sampled = true
 				_, isDir := sampler.(*membership.Directory)
 				n.observes = !isDir
 			}
-			n.state = s.backing[(i-s.lo)*fieldN : (i-s.lo+1)*fieldN]
-			copy(n.state, rt.initStateFor(n, startEpoch))
+			copy(s.state(li), rt.initStateFor(c, startEpoch))
 			rt.nodes[i] = &Node{hrt: rt, hidx: i}
 		}
 	}
@@ -645,8 +690,8 @@ func (rt *Runtime) registerMetrics(reg *metrics.Registry) {
 		reg.CounterFunc("repro_transport_send_failures_total", "Messages whose batch delivery failed.",
 			s.out.SendFailures, lbl)
 		var gossips []*membership.GossipSampler
-		for i := range s.nodes {
-			if g, ok := s.nodes[i].sampler.(*membership.GossipSampler); ok {
+		for i := range s.cold {
+			if g, ok := s.cold[i].sampler.(*membership.GossipSampler); ok {
 				gossips = append(gossips, g)
 			}
 		}
@@ -714,11 +759,11 @@ func (rt *Runtime) registerMetrics(reg *metrics.Registry) {
 }
 
 // initStateFor builds a node's state vector for an epoch.
-func (rt *Runtime) initStateFor(n *rnode, epochID uint64) core.State {
-	if n.initState != nil {
-		return n.initState(epochID, n.value)
+func (rt *Runtime) initStateFor(c *rcold, epochID uint64) core.State {
+	if c.initState != nil {
+		return c.initState(epochID, c.value)
 	}
-	return rt.schema.InitState(n.value)
+	return rt.schema.InitState(c.value)
 }
 
 // Size returns the number of hosted nodes.
@@ -758,7 +803,7 @@ func (rt *Runtime) Start(ctx context.Context) {
 				// Random initial phase in [0, Δt): desynchronized ticks
 				// avoid lockstep collisions (§1.1 autonomy), exactly as
 				// the goroutine runtime does.
-				phase := s.nodes[i-s.lo].rng.Float64() * cycle
+				phase := s.rng.Float64() * cycle
 				s.wakes.push(wake{at: phase, node: int32(i)})
 			}
 			s.publishNextDue(s.earliest())
@@ -817,8 +862,8 @@ func (rt *Runtime) Snapshot(field string) ([]float64, error) {
 	out := make([]float64, len(rt.addrs))
 	for _, s := range rt.shards {
 		s.mu.Lock()
-		for i := s.lo; i < s.hi; i++ {
-			out[i] = s.nodes[i-s.lo].state[idx]
+		for li := range s.nodes {
+			out[s.lo+li] = s.backing[li*s.width+idx]
 		}
 		s.mu.Unlock()
 	}
@@ -837,15 +882,15 @@ func (rt *Runtime) ReduceField(field string, fn func(v float64)) error {
 	}
 	for _, s := range rt.shards {
 		s.mu.Lock()
-		for i := range s.nodes {
-			if s.nodes[i].failed || s.nodes[i].adv != 0 {
+		for li := range s.nodes {
+			if n := &s.nodes[li]; n.failed || n.adv != 0 {
 				// Crashed nodes are not part of the live population, and
 				// adversaries' pinned columns are exactly the poison the
 				// observation layer measures the influence of — folding
 				// them in would hide the corruption.
 				continue
 			}
-			fn(s.nodes[i].state[idx])
+			fn(s.backing[li*s.width+idx])
 		}
 		s.mu.Unlock()
 	}
@@ -860,11 +905,11 @@ func (rt *Runtime) ReduceField(field string, fn func(v float64)) error {
 func (rt *Runtime) ReduceValues(fn func(v float64)) {
 	for _, s := range rt.shards {
 		s.mu.Lock()
-		for i := range s.nodes {
-			if s.nodes[i].failed || s.nodes[i].adv != 0 {
+		for li := range s.nodes {
+			if n := &s.nodes[li]; n.failed || n.adv != 0 {
 				continue
 			}
-			fn(s.nodes[i].value)
+			fn(s.cold[li].value)
 		}
 		s.mu.Unlock()
 	}
@@ -875,8 +920,8 @@ func (rt *Runtime) NodeState(i int) core.State {
 	s := rt.shardOf(i)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(core.State, len(s.nodes[i-s.lo].state))
-	copy(out, s.nodes[i-s.lo].state)
+	out := make(core.State, s.width)
+	copy(out, s.state(i-s.lo))
 	return out
 }
 
@@ -888,12 +933,25 @@ func (rt *Runtime) NodeEpoch(i int) uint64 {
 	return s.nodes[i-s.lo].tracker.Current()
 }
 
-// NodeStats returns a snapshot of node i's counters.
+// NodeStats returns a snapshot of node i's counters, assembled from its
+// hot line and its cold record.
 func (rt *Runtime) NodeStats(i int) Stats {
 	s := rt.shardOf(i)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.nodes[i-s.lo].stats
+	n, c := &s.nodes[i-s.lo], &s.cold[i-s.lo]
+	return Stats{
+		Initiated:     n.initiated,
+		Replies:       n.replies,
+		Timeouts:      c.timeouts,
+		LateReplies:   c.lateReplies,
+		Served:        n.served,
+		EpochSwitches: c.epochSwitches,
+		StaleDropped:  c.staleDropped,
+		SendErrors:    c.sendErrors,
+		BusyDropped:   c.busyDropped,
+		PeerBusy:      c.peerBusy,
+	}
 }
 
 // SetValue updates node i's local attribute (visible at the next epoch
@@ -901,7 +959,7 @@ func (rt *Runtime) NodeStats(i int) Stats {
 func (rt *Runtime) SetValue(i int, v float64) {
 	s := rt.shardOf(i)
 	s.mu.Lock()
-	s.nodes[i-s.lo].value = v
+	s.cold[i-s.lo].value = v
 	s.mu.Unlock()
 }
 
@@ -930,12 +988,12 @@ func (rt *Runtime) InjectValue(i, idx int, v float64) {
 	deadline := time.Now().Add(injectWait)
 	for {
 		s.mu.Lock()
-		n := &s.nodes[i-s.lo]
+		n, c := &s.nodes[i-s.lo], &s.cold[i-s.lo]
 		if n.pendingSeq == 0 || n.failed || !time.Now().Before(deadline) {
-			delta := v - n.value
-			n.value = v
+			delta := v - c.value
+			c.value = v
 			if !n.failed {
-				n.state[idx] += delta
+				s.state(i - s.lo)[idx] += delta
 				n.stateVer++
 			}
 			s.mu.Unlock()
@@ -964,7 +1022,7 @@ func (rt *Runtime) FailNode(i int) bool {
 	// Retire any in-flight exchange: its deadline and reply become
 	// no-ops, and no late absorption may fire into a dead node.
 	n.pendingSeq = 0
-	n.lateSeq = 0
+	n.late = false
 	rt.failedNodes.Add(1)
 	return true
 }
@@ -982,7 +1040,7 @@ func (rt *Runtime) ReviveNode(i int) bool {
 		return false
 	}
 	n.failed = false
-	copy(n.state, rt.initStateFor(n, n.tracker.Current()))
+	copy(s.state(i-s.lo), rt.initStateFor(&s.cold[i-s.lo], n.tracker.Current()))
 	n.stateVer++
 	rt.failedNodes.Add(-1)
 	return true
@@ -1032,21 +1090,21 @@ func (rt *Runtime) SetAdversaries(behavior sim.AdversaryBehavior, nodes []int, m
 	for _, s := range rt.shards {
 		s.mu.Lock()
 		s.advGossip, s.advAges = gossip, ages
-		for i := s.lo; i < s.hi; i++ {
-			n := &s.nodes[i-s.lo]
+		for li := range s.nodes {
+			n, c := &s.nodes[li], &s.cold[li]
 			n.adv = 0
-			if !mark[i] {
+			if !mark[s.lo+li] {
 				continue
 			}
 			n.adv = 1 + uint8(behavior)
 			switch behavior {
 			case sim.AdvExtreme:
-				n.value = magnitude
+				c.value = magnitude
 			case sim.AdvColluding, sim.AdvEclipse:
-				n.value = target
+				c.value = target
 			}
 			if behavior != sim.AdvSelectiveDrop {
-				copy(n.state, rt.initStateFor(n, n.tracker.Current()))
+				copy(s.state(li), rt.initStateFor(c, n.tracker.Current()))
 				n.stateVer++
 			}
 		}
@@ -1074,10 +1132,9 @@ func (rt *Runtime) SetRobust(p robust.Policy) {
 		var run stats.Running
 		for _, s := range rt.shards {
 			s.mu.Lock()
-			for i := range s.nodes {
-				n := &s.nodes[i]
-				if n.adv == 0 && !n.failed {
-					run.Add(n.state[0])
+			for li := range s.nodes {
+				if n := &s.nodes[li]; n.adv == 0 && !n.failed {
+					run.Add(s.backing[li*s.width])
 				}
 			}
 			s.mu.Unlock()
@@ -1095,8 +1152,8 @@ func (rt *Runtime) SetRobust(p robust.Policy) {
 		} else {
 			s.robust, s.robustOn = robust.Policy{}, false
 		}
-		for i := range s.nodes {
-			s.nodes[i].trim = seed
+		for i := range s.cold {
+			s.cold[i].trim = seed
 		}
 		s.mu.Unlock()
 	}
@@ -1189,11 +1246,11 @@ func (s *rshard) applyFailuresLocked() {
 		if !ok || idx < s.lo || idx >= s.hi {
 			continue
 		}
-		n := &s.nodes[idx-s.lo]
-		n.stats.SendErrors++
+		c := &s.cold[idx-s.lo]
+		c.sendErrors++
 		s.ctr.sendErrors.Add(1)
-		if n.observes {
-			n.sampler.Forget(f.to)
+		if s.nodes[idx-s.lo].observes {
+			c.sampler.Forget(f.to)
 		}
 		// If the failed message was the in-flight exchange's push, the
 		// reply timeout reaps it; nothing more to do here.
@@ -1405,38 +1462,40 @@ func (rt *Runtime) Steals() uint64 { return rt.steals.Load() }
 // unless it already resolved, which leaves d a dead entry that costs one
 // pop. Caller holds s.mu.
 func (s *rshard) handleDeadline(d deadline, now float64) {
-	idx := int(d.node)
-	n := &s.nodes[idx-s.lo]
+	li := int(d.node) - s.lo
+	n := &s.nodes[li]
 	if n.pendingSeq != d.seq {
 		return
 	}
 	n.pendingSeq = 0
-	n.stats.Timeouts++
+	c := &s.cold[li]
+	c.timeouts++
 	s.ctr.timeouts.Add(1)
-	if n.observes && n.pendingPeer != "" {
+	if n.observes && c.pendingPeer != "" {
 		// Failure detection from traffic: a missed deadline drops the
 		// peer from the view. A live-but-slow peer re-enters the moment
 		// its next message is observed.
-		n.sampler.Forget(n.pendingPeer)
+		c.sampler.Forget(c.pendingPeer)
 	}
 	// The peer may have committed its half of the merge; arm absorption
 	// so a merely-late reply still conserves mass (see absorbLate).
-	n.lateSeq, n.lateVer = d.seq, n.stateVer
+	n.late = true
+	c.lateSeq, c.lateVer = d.seq, n.stateVer
 	if s.traceSampled(d.seq) {
-		s.recordTrace(n, idx, d.seq, TraceTimedOut, now)
+		s.recordTrace(li, d.seq, TraceTimedOut, now)
 	}
 }
 
 // handleWake runs node w.node's scheduled exchange initiation and
 // re-arms its next wake. Caller holds s.mu.
 func (s *rshard) handleWake(w wake, now float64) {
-	idx := int(w.node)
-	n := &s.nodes[idx-s.lo]
+	li := int(w.node) - s.lo
+	n := &s.nodes[li]
 	if n.failed {
 		// A crashed node keeps its wake cadence ticking (so a revive
 		// resumes seamlessly) but is otherwise silent: no epoch
 		// observation, no view aging, no initiation.
-		wait := s.waitSeconds(n)
+		wait := s.waitSeconds()
 		at := w.at + wait
 		if at <= now {
 			at += math.Floor((now-at)/wait+1) * wait
@@ -1444,16 +1503,16 @@ func (s *rshard) handleWake(w wake, now float64) {
 		s.wakes.push(wake{at: at, node: w.node})
 		return
 	}
-	s.checkClock(n)
+	s.checkClock(li)
 	if n.observes {
 		// One gossip round per wake: view entries age per cycle, not per
 		// message, so lifetimes are independent of traffic rate.
-		n.sampler.Tick()
+		s.cold[li].sampler.Tick()
 	}
-	wait := s.waitSeconds(n)
+	wait := s.waitSeconds()
 	at := w.at + wait
 	if n.pendingSeq == 0 {
-		s.initiate(n, idx, now)
+		s.initiate(li, now)
 	} else if at <= now {
 		// A wake that finds an exchange still in flight initiates
 		// nothing: the goroutine runtime blocks its active loop until
@@ -1476,48 +1535,51 @@ func (s *rshard) handleWake(w wake, now float64) {
 }
 
 // waitSeconds draws one inter-exchange waiting time in seconds.
-func (s *rshard) waitSeconds(n *rnode) float64 {
+func (s *rshard) waitSeconds() float64 {
 	cycle := s.rt.cfg.CycleLength.Seconds()
 	if s.rt.cfg.Wait == ExponentialWait {
-		return n.rng.ExpFloat64() * cycle
+		return s.rng.ExpFloat64() * cycle
 	}
 	return cycle
 }
 
-// checkClock performs the node's own scheduled epoch restart.
-func (s *rshard) checkClock(n *rnode) {
+// checkClock performs local node li's own scheduled epoch restart.
+func (s *rshard) checkClock(li int) {
 	if s.rt.cfg.Clock == nil {
 		return
 	}
-	if n.tracker.Observe(s.rt.cfg.Clock.Current(time.Now())) {
-		s.restart(n)
+	if s.nodes[li].tracker.Observe(s.rt.cfg.Clock.Current(time.Now())) {
+		s.restart(li)
 	}
 }
 
-// restart reinitializes a node's state for its (already advanced)
-// current epoch. Caller holds s.mu.
-func (s *rshard) restart(n *rnode) {
-	copy(n.state, s.rt.initStateFor(n, n.tracker.Current()))
+// restart reinitializes local node li's state for its (already
+// advanced) current epoch. Caller holds s.mu.
+func (s *rshard) restart(li int) {
+	n, c := &s.nodes[li], &s.cold[li]
+	copy(s.state(li), s.rt.initStateFor(c, n.tracker.Current()))
 	n.stateVer++
-	n.stats.EpochSwitches++
+	c.epochSwitches++
 	s.ctr.epochSwitches.Add(1)
 }
 
-// initiate performs the active half of one exchange: sample a peer,
-// send the push, arm the reply deadline. Caller holds s.mu and has
-// checked that no exchange is in flight. The push's Fields buffer is
-// drawn from the shard's free list; ownership passes with the send (and
-// on every in-process path, or a lossless fabric, the same buffer
-// eventually returns via the pull reply).
-func (s *rshard) initiate(n *rnode, idx int, now float64) {
+// initiate performs the active half of one exchange for local node li:
+// sample a peer, send the push, arm the reply deadline. Caller holds
+// s.mu and has checked that no exchange is in flight. The push's Fields
+// buffer is drawn from the shard's free list; ownership passes with the
+// send (and on every in-process path, or a lossless fabric, the same
+// buffer eventually returns via the pull reply).
+func (s *rshard) initiate(li int, now float64) {
+	n := &s.nodes[li]
+	idx := s.lo + li
 	// to is the peer's index when it is hosted here (-1 otherwise); addr
 	// is the sampler's address for it, "" under the implicit overlay.
 	var to int32
 	var addr string
-	if n.sampler == nil {
-		to = int32(completePeer(&n.rng, len(s.rt.addrs), idx))
+	if !n.sampled {
+		to = int32(completePeer(&s.rng, len(s.rt.addrs), idx))
 	} else {
-		peer, ok := n.sampler.Sample(&n.rng)
+		peer, ok := s.cold[li].sampler.Sample(&s.rng)
 		if !ok {
 			return
 		}
@@ -1528,7 +1590,7 @@ func (s *rshard) initiate(n *rnode, idx int, now float64) {
 	}
 	r := s.routeTo(to)
 	fields := s.free.get()
-	copy(fields, n.state)
+	copy(fields, s.state(li))
 	s.seq++
 	msg := transport.Message{
 		Kind:   transport.KindPush,
@@ -1542,19 +1604,19 @@ func (s *rshard) initiate(n *rnode, idx int, now float64) {
 		// receiver-must-not-retain contract is moot).
 		msg.Gossip, msg.GossipAges = s.advGossip, s.advAges
 	} else {
-		msg.Gossip, msg.GossipAges = s.digest(n, r == viaLocal)
+		msg.Gossip, msg.GossipAges = s.digest(li, r == viaLocal)
 	}
-	n.stats.Initiated++
+	n.initiated++
 	s.ctr.initiated.Add(1)
 	if !s.rt.cfg.PushOnly {
 		n.pendingSeq = s.seq
-		n.pendingAt = now
-		n.lateSeq = 0 // a new exchange supersedes any absorbable late reply
+		n.late = false // a new exchange supersedes any absorbable late reply
 		if n.observes {
-			n.pendingPeer = addr
+			s.cold[li].pendingPeer = addr
 		}
 		if s.traceSampled(s.seq) {
-			n.pendingDst = to
+			c := &s.cold[li]
+			c.pendingAt, c.pendingDst = now, to
 		}
 		// now is the round's reading of the monotonic runtime clock, so
 		// deadlines are armed in the order they fall due.
@@ -1564,13 +1626,12 @@ func (s *rshard) initiate(n *rnode, idx int, now float64) {
 			node: int32(idx),
 		})
 	}
-	s.send(n, idx, to, addr, r, msg)
+	s.send(li, to, addr, r, msg)
 }
 
 // completePeer is GETPAIR on the complete overlay of n nodes: one
 // uniform draw over the n−1 nodes other than self — the draw
-// membership.Directory.Sample makes on the same stream, so a node's
-// partner sequence is the same with or without a directory.
+// membership.Directory.Sample makes on the same stream.
 func completePeer(rng *xrand.Rand, n, self int) int {
 	j := rng.Intn(n - 1)
 	if j >= self {
@@ -1622,28 +1683,29 @@ func (s *rshard) routeTo(to int32) route {
 	}
 }
 
-// digest draws node n's piggybacked membership digest for one outgoing
-// message (nil when the node's sampler does not gossip). A message that
-// leaves the round — through the batcher or a sibling's mailbox — must
-// own its digest slices: the batcher retains it until flush, and the
-// fabric and the mailbox deliver by reference (DESIGN.md "Membership").
-// A local message is consumed — Observe runs first in handleMessage and
-// retains nothing — before the shard builds its next one, so its digest
-// lives in shard-owned scratch and costs nothing.
-func (s *rshard) digest(n *rnode, local bool) ([]string, []uint32) {
-	if s.rt.cfg.GossipFanout <= 0 || !n.observes {
+// digest draws local node li's piggybacked membership digest for one
+// outgoing message (nil when the node's sampler does not gossip). A
+// message that leaves the round — through the batcher or a sibling's
+// mailbox — must own its digest slices: the batcher retains it until
+// flush, and the fabric and the mailbox deliver by reference (DESIGN.md
+// "Membership"). A local message is consumed — Observe runs first in
+// handleMessage and retains nothing — before the shard builds its next
+// one, so its digest lives in shard-owned scratch and costs nothing.
+func (s *rshard) digest(li int, local bool) ([]string, []uint32) {
+	if s.rt.cfg.GossipFanout <= 0 || !s.nodes[li].observes {
 		return nil, nil
 	}
+	sampler := s.cold[li].sampler
 	if !local {
-		return n.sampler.AppendDigest(nil, nil, &n.rng, s.rt.cfg.GossipFanout)
+		return sampler.AppendDigest(nil, nil, &s.rng, s.rt.cfg.GossipFanout)
 	}
-	s.digAddrs, s.digAges = n.sampler.AppendDigest(s.digAddrs[:0], s.digAges[:0], &n.rng, s.rt.cfg.GossipFanout)
+	s.digAddrs, s.digAges = sampler.AppendDigest(s.digAddrs[:0], s.digAges[:0], &s.rng, s.rt.cfg.GossipFanout)
 	return s.digAddrs, s.digAges
 }
 
-// send routes one protocol message from hosted node n (index from) to
-// node to along r = s.routeTo(to), which the caller already needed for
-// the digest. addr is the destination's address when the caller has
+// send routes one protocol message from local node li to node to (a
+// global index) along r = s.routeTo(to), which the caller already
+// needed for the digest. addr is the destination's address when the caller has
 // one (a sampled peer, a wire sender), "" for a hosted node known only
 // by index; with neither, the batcher reports the send as failed, as
 // for any unreachable peer. A local message is queued for drainLocal and a sibling
@@ -1651,7 +1713,8 @@ func (s *rshard) digest(n *rnode, local bool) ([]string, []uint32) {
 // batcher on either path. Everything else takes the batcher to the
 // endpoint with its addresses spelled out, a synchronous failure
 // charged to the sender. Caller holds s.mu.
-func (s *rshard) send(n *rnode, from int, to int32, addr string, r route, m transport.Message) {
+func (s *rshard) send(li int, to int32, addr string, r route, m transport.Message) {
+	from := s.lo + li
 	switch r {
 	case viaLocal:
 		s.local = append(s.local, letter{m: m, from: int32(from), to: to})
@@ -1666,7 +1729,7 @@ func (s *rshard) send(n *rnode, from int, to int32, addr string, r route, m tran
 	}
 	m.From = s.rt.addrs[from]
 	if err := s.out.Send(addr, m); err != nil {
-		n.stats.SendErrors++
+		s.cold[li].sendErrors++
 		s.ctr.sendErrors.Add(1)
 	}
 }
@@ -1741,8 +1804,8 @@ func (s *rshard) handleMessage(m *transport.Message, from, to int32) {
 	if int(to) < s.lo || int(to) >= s.hi {
 		return // misrouted sub-address; drop
 	}
-	idx := int(to)
-	n := &s.nodes[idx-s.lo]
+	li := int(to) - s.lo
+	n := &s.nodes[li]
 	if n.failed {
 		// A crashed node neither serves nor absorbs: peers see pure
 		// silence (their exchanges time out), exactly like a process
@@ -1756,32 +1819,33 @@ func (s *rshard) handleMessage(m *transport.Message, from, to int32) {
 			sender = s.rt.addrs[from]
 		}
 		if sender != "" {
-			n.sampler.Observe(sender, m.Gossip, m.GossipAges)
+			s.cold[li].sampler.Observe(sender, m.Gossip, m.GossipAges)
 		}
 	}
 	switch m.Kind {
 	case transport.KindPush:
-		s.servePush(n, idx, from, m)
+		s.servePush(li, from, m)
 	case transport.KindReply, transport.KindNack:
-		s.handleReply(n, idx, m)
+		s.handleReply(li, m)
 	}
 }
 
-// servePush implements the passive half (Figure 1, bottom): reply with
-// the pre-merge state, then adopt the merge. The answer goes back to
-// the push's sender: node from when it is hosted here, m.From
-// otherwise. Caller holds s.mu and owns m.Fields (receiver-owns rule);
-// the happy path rewrites that buffer in place into the reply payload
-// (MergeExchange), every other path recycles it.
-func (s *rshard) servePush(n *rnode, idx int, from int32, m *transport.Message) {
+// servePush implements the passive half (Figure 1, bottom) for local
+// node li: reply with the pre-merge state, then adopt the merge. The
+// answer goes back to the push's sender: node from when it is hosted
+// here, m.From otherwise. Caller holds s.mu and owns m.Fields
+// (receiver-owns rule); the happy path rewrites that buffer in place
+// into the reply payload (MergeExchange), every other path recycles it.
+func (s *rshard) servePush(li int, from int32, m *transport.Message) {
+	n := &s.nodes[li]
 	if !s.rt.cfg.PushOnly && n.pendingSeq != 0 {
 		// An own exchange is in flight; merging now would break the
 		// atomicity of the elementary step. Decline with a nack, as the
 		// goroutine runtime does.
-		n.stats.BusyDropped++
+		s.cold[li].busyDropped++
 		s.ctr.busyDropped.Add(1)
 		s.free.put(m.Fields)
-		s.send(n, idx, from, m.From, s.routeTo(from), transport.Message{
+		s.send(li, from, m.From, s.routeTo(from), transport.Message{
 			Kind:  transport.KindNack,
 			Epoch: n.tracker.Current(),
 			Seq:   m.Seq,
@@ -1789,14 +1853,15 @@ func (s *rshard) servePush(n *rnode, idx int, from int32, m *transport.Message) 
 		return
 	}
 	if n.tracker.Observe(m.Epoch) {
-		s.restart(n)
+		s.restart(li)
 	} else if !n.tracker.InSync(m.Epoch) {
-		n.stats.StaleDropped++
+		s.cold[li].staleDropped++
 		s.ctr.staleDropped.Add(1)
 		s.free.put(m.Fields)
 		return
 	}
-	if len(m.Fields) != len(n.state) {
+	state := s.state(li)
+	if len(m.Fields) != len(state) {
 		s.free.put(m.Fields) // wrong length: put drops it, GC reclaims
 		return               // schema mismatch; drop defensively
 	}
@@ -1810,7 +1875,7 @@ func (s *rshard) servePush(n *rnode, idx int, from int32, m *transport.Message) 
 			s.free.put(m.Fields)
 			return
 		}
-		copy(m.Fields, n.state)
+		copy(m.Fields, state)
 		reply := transport.Message{
 			Kind:   transport.KindReply,
 			Epoch:  n.tracker.Current(),
@@ -1820,9 +1885,9 @@ func (s *rshard) servePush(n *rnode, idx int, from int32, m *transport.Message) 
 		if n.adv == 1+uint8(sim.AdvEclipse) {
 			reply.Gossip, reply.GossipAges = s.advGossip, s.advAges
 		}
-		n.stats.Served++
+		n.served++
 		s.ctr.served.Add(1)
-		s.send(n, idx, from, m.From, s.routeTo(from), reply)
+		s.send(li, from, m.From, s.routeTo(from), reply)
 		return
 	}
 	if s.robustOn {
@@ -1833,11 +1898,11 @@ func (s *rshard) servePush(n *rnode, idx int, from int32, m *transport.Message) 
 		// passive-side semantics.
 		rep := s.robust.ClampValue(m.Fields[0])
 		m.Fields[0] = rep
-		if s.robust.Trim && !n.trim.Admit(rep-n.state[0], s.robust.TrimK) {
+		if s.robust.Trim && !s.cold[li].trim.Admit(rep-state[0], s.robust.TrimK) {
 			s.ctr.robustRejected.Add(1)
 			s.free.put(m.Fields)
 			if !s.rt.cfg.PushOnly {
-				s.send(n, idx, from, m.From, s.routeTo(from), transport.Message{
+				s.send(li, from, m.From, s.routeTo(from), transport.Message{
 					Kind:  transport.KindNack,
 					Epoch: n.tracker.Current(),
 					Seq:   m.Seq,
@@ -1848,18 +1913,18 @@ func (s *rshard) servePush(n *rnode, idx int, from int32, m *transport.Message) 
 	}
 	if s.rt.cfg.PushOnly {
 		// No reply to build: merge in place and retire the buffer.
-		s.rt.schema.MergeInto(core.State(n.state), core.State(m.Fields))
+		s.rt.schema.MergeInto(core.State(state), core.State(m.Fields))
 		n.stateVer++
-		n.stats.Served++
+		n.served++
 		s.ctr.served.Add(1)
 		s.free.put(m.Fields)
 		return
 	}
 	// One pass, zero copies: the state adopts the merge and the inbound
 	// push buffer becomes the pre-merge reply payload.
-	s.rt.schema.MergeExchange(core.State(n.state), core.State(m.Fields))
+	s.rt.schema.MergeExchange(core.State(state), core.State(m.Fields))
 	n.stateVer++
-	n.stats.Served++
+	n.served++
 	s.ctr.served.Add(1)
 	r := s.routeTo(from)
 	reply := transport.Message{
@@ -1868,55 +1933,57 @@ func (s *rshard) servePush(n *rnode, idx int, from int32, m *transport.Message) 
 		Seq:    m.Seq,
 		Fields: m.Fields,
 	}
-	reply.Gossip, reply.GossipAges = s.digest(n, r == viaLocal)
-	s.send(n, idx, from, m.From, r, reply)
+	reply.Gossip, reply.GossipAges = s.digest(li, r == viaLocal)
+	s.send(li, from, m.From, r, reply)
 }
 
-// handleReply completes (or aborts, on nack) the node's in-flight
+// handleReply completes (or aborts, on nack) local node li's in-flight
 // exchange. Caller holds s.mu and owns m.Fields, which is recycled on
 // every path once the merge (if any) is done.
-func (s *rshard) handleReply(n *rnode, idx int, m *transport.Message) {
+func (s *rshard) handleReply(li int, m *transport.Message) {
 	defer s.free.put(m.Fields)
+	n := &s.nodes[li]
 	if n.pendingSeq == 0 || m.Seq != n.pendingSeq {
 		// The exchange already timed out; the reply may still be
 		// absorbable (mass conservation — see absorbLate).
-		s.absorbLate(n, m)
+		s.absorbLate(li, m)
 		return
 	}
 	n.pendingSeq = 0
 	if m.Kind == transport.KindNack {
-		n.stats.PeerBusy++
+		s.cold[li].peerBusy++
 		s.ctr.peerBusy.Add(1)
 		if s.traceSampled(m.Seq) {
-			s.recordTrace(n, idx, m.Seq, TraceNacked, s.rt.now())
+			s.recordTrace(li, m.Seq, TraceNacked, s.rt.now())
 		}
 		return
 	}
 	if s.traceSampled(m.Seq) {
-		s.recordTrace(n, idx, m.Seq, TraceCompleted, s.rt.now())
+		s.recordTrace(li, m.Seq, TraceCompleted, s.rt.now())
 	}
 	if n.tracker.Observe(m.Epoch) {
-		s.restart(n)
+		s.restart(li)
 		// The reply belongs to the new epoch we just joined; merge it.
 	} else if !n.tracker.InSync(m.Epoch) {
-		n.stats.StaleDropped++
+		s.cold[li].staleDropped++
 		s.ctr.staleDropped.Add(1)
 		return
 	}
-	if len(m.Fields) != len(n.state) {
+	state := s.state(li)
+	if len(m.Fields) != len(state) {
 		return
 	}
 	if n.adv != 0 {
 		// Byzantine initiator: the exchange completed, but the merge is
 		// silently discarded — the node's report stays pinned.
-		n.stats.Replies++
+		n.replies++
 		s.ctr.replies.Add(1)
 		return
 	}
 	if s.robustOn {
 		rep := s.robust.ClampValue(m.Fields[0])
 		m.Fields[0] = rep
-		if s.robust.Trim && !n.trim.Admit(rep-n.state[0], s.robust.TrimK) {
+		if s.robust.Trim && !s.cold[li].trim.Admit(rep-state[0], s.robust.TrimK) {
 			// Active-side reject: the responder already committed its
 			// half when it served the push, so only this node's half is
 			// dropped — the kernel's initiator-reject semantics.
@@ -1924,9 +1991,9 @@ func (s *rshard) handleReply(n *rnode, idx int, m *transport.Message) {
 			return
 		}
 	}
-	s.rt.schema.MergeInto(core.State(n.state), core.State(m.Fields))
+	s.rt.schema.MergeInto(core.State(state), core.State(m.Fields))
 	n.stateVer++
-	n.stats.Replies++
+	n.replies++
 	s.ctr.replies.Add(1)
 }
 
@@ -1936,23 +2003,26 @@ func (s *rshard) handleReply(n *rnode, idx int, m *transport.Message) {
 // total aggregate mass (§3.2). The merge is only admissible while it
 // still commutes with the abandoned exchange: the node's state must be
 // untouched since the deadline armed it (stateVer == lateVer) and no
-// new exchange may be in flight (pendingSeq 0, lateSeq not
-// superseded). Caller holds s.mu; m.Fields is recycled by the caller.
-func (s *rshard) absorbLate(n *rnode, m *transport.Message) {
-	if m.Kind != transport.KindReply || m.Seq == 0 ||
-		m.Seq != n.lateSeq || n.stateVer != n.lateVer || n.pendingSeq != 0 {
+// new exchange may be in flight (pendingSeq 0, late not cleared by a
+// newer initiation). Caller holds s.mu; m.Fields is recycled by the
+// caller.
+func (s *rshard) absorbLate(li int, m *transport.Message) {
+	n, c := &s.nodes[li], &s.cold[li]
+	if m.Kind != transport.KindReply || m.Seq == 0 || !n.late ||
+		m.Seq != c.lateSeq || n.stateVer != c.lateVer || n.pendingSeq != 0 {
 		return
 	}
-	n.lateSeq = 0
+	n.late = false
 	if n.tracker.Observe(m.Epoch) {
-		s.restart(n)
+		s.restart(li)
 		// The reply belongs to the new epoch we just joined; merge it.
 	} else if !n.tracker.InSync(m.Epoch) {
-		n.stats.StaleDropped++
+		c.staleDropped++
 		s.ctr.staleDropped.Add(1)
 		return
 	}
-	if len(m.Fields) != len(n.state) {
+	state := s.state(li)
+	if len(m.Fields) != len(state) {
 		return
 	}
 	if n.adv != 0 {
@@ -1961,13 +2031,13 @@ func (s *rshard) absorbLate(n *rnode, m *transport.Message) {
 	if s.robustOn {
 		rep := s.robust.ClampValue(m.Fields[0])
 		m.Fields[0] = rep
-		if s.robust.Trim && !n.trim.Admit(rep-n.state[0], s.robust.TrimK) {
+		if s.robust.Trim && !c.trim.Admit(rep-state[0], s.robust.TrimK) {
 			s.ctr.robustRejected.Add(1)
 			return
 		}
 	}
-	s.rt.schema.MergeInto(core.State(n.state), core.State(m.Fields))
+	s.rt.schema.MergeInto(core.State(state), core.State(m.Fields))
 	n.stateVer++
-	n.stats.LateReplies++
+	c.lateReplies++
 	s.ctr.lateReplies.Add(1)
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/epoch"
@@ -817,4 +818,88 @@ func TestTCPRuntimeLocalSteadyStateAllocs(t *testing.T) {
 	assertSustainedTCP(t, res, socketBytes)
 	t.Logf("4096-node TCP shard: %.0f exchanges/s, completion %.4f, %.4f allocs/exchange, %d socket bytes",
 		res.PerSecond, res.Completion, res.AllocsPerExchange, socketBytes)
+}
+
+// TestNodeRecordIsOneCacheLine pins the heap runtime's node layout: the
+// hot record an exchange touches is exactly one 64 B cache line. A field
+// added to rnode that the exchange fast path does not need belongs in
+// rcold instead (see the rnode doc comment).
+func TestNodeRecordIsOneCacheLine(t *testing.T) {
+	if got := unsafe.Sizeof(rnode{}); got != 64 {
+		t.Fatalf("unsafe.Sizeof(rnode{}) = %d B, want 64 (one cache line)", got)
+	}
+}
+
+// TestNodeStatsSumToRuntimeStats pins the split of the per-node counters
+// between the hot line and the cold record: under loss, latency jitter,
+// a reply timeout shorter than the worst round trip and epoch restarts,
+// every counter moves, and the per-node Stats summed over all nodes
+// equal the shard-level Runtime.Stats field by field. A counter bumped
+// in the wrong array, or in neither, breaks the identity.
+func TestNodeStatsSumToRuntimeStats(t *testing.T) {
+	clock, err := epoch.NewClock(time.Now(), 40*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const size = 64
+	rt, err := NewRuntime(RuntimeConfig{
+		Size:   size,
+		Schema: core.AverageSchema(),
+		Value:  func(i int) float64 { return float64(i) },
+		Fabric: transport.NewFabric(
+			transport.WithSeed(43),
+			transport.WithDropProbability(0.2),
+			transport.WithLatency(time.Millisecond, time.Millisecond),
+		),
+		CycleLength:  2 * time.Millisecond,
+		ReplyTimeout: 2500 * time.Microsecond,
+		Clock:        clock,
+		Workers:      2,
+		Seed:         43,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Start(context.Background())
+	time.Sleep(400 * time.Millisecond)
+	rt.Stop()
+
+	var sum Stats
+	for i := range size {
+		st := rt.NodeStats(i)
+		sum.Initiated += st.Initiated
+		sum.Replies += st.Replies
+		sum.Timeouts += st.Timeouts
+		sum.LateReplies += st.LateReplies
+		sum.Served += st.Served
+		sum.EpochSwitches += st.EpochSwitches
+		sum.StaleDropped += st.StaleDropped
+		sum.SendErrors += st.SendErrors
+		sum.BusyDropped += st.BusyDropped
+		sum.PeerBusy += st.PeerBusy
+	}
+	want := rt.Stats()
+	for _, f := range []struct {
+		name      string
+		got, want uint64
+		mustMove  bool
+	}{
+		{"Initiated", sum.Initiated, want.Initiated, true},
+		{"Replies", sum.Replies, want.Replies, true},
+		{"Timeouts", sum.Timeouts, want.Timeouts, true},
+		{"LateReplies", sum.LateReplies, want.LateReplies, true},
+		{"Served", sum.Served, want.Served, true},
+		{"EpochSwitches", sum.EpochSwitches, want.EpochSwitches, true},
+		{"StaleDropped", sum.StaleDropped, want.StaleDropped, true},
+		{"SendErrors", sum.SendErrors, want.SendErrors, false},
+		{"BusyDropped", sum.BusyDropped, want.BusyDropped, true},
+		{"PeerBusy", sum.PeerBusy, want.PeerBusy, true},
+	} {
+		if f.got != f.want {
+			t.Errorf("%s: per-node sum %d, runtime %d", f.name, f.got, f.want)
+		}
+		if f.mustMove && f.want == 0 {
+			t.Errorf("%s never moved; the run no longer exercises it", f.name)
+		}
+	}
 }

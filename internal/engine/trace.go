@@ -99,18 +99,19 @@ func (r *traceRing) snapshotInto(out []TraceRecord) []TraceRecord {
 // recordTrace stores one resolved exchange in the shard's ring and
 // feeds the latency histogram. Caller holds s.mu and has already
 // checked the sampling gate.
-func (s *rshard) recordTrace(n *rnode, idx int, seq uint64, outcome TraceOutcome, end float64) {
+func (s *rshard) recordTrace(li int, seq uint64, outcome TraceOutcome, end float64) {
+	c := &s.cold[li]
 	s.trace.record(TraceRecord{
 		Seq:     seq,
-		Src:     int32(idx),
+		Src:     int32(s.lo + li),
 		Shard:   int32(s.id),
-		Dst:     n.pendingDst,
+		Dst:     c.pendingDst,
 		Outcome: outcome,
-		Start:   n.pendingAt,
+		Start:   c.pendingAt,
 		End:     end,
 	})
 	if s.latency != nil {
-		s.latency.Observe(end - n.pendingAt)
+		s.latency.Observe(end - c.pendingAt)
 	}
 }
 

@@ -7,7 +7,7 @@
 #	BENCH_MULTICORE=1 ./scripts/bench.sh   # multi-core scaling gate only
 #	BENCH_OUT=custom.json ./scripts/bench.sh
 #
-# The output (default BENCH_PR10.json) is a JSON array with one object
+# The output (default BENCH_engine.json) is a JSON array with one object
 # per benchmark result: name, n (parsed from the n=… sub-benchmark
 # label, null when absent) and every reported metric — ns/op,
 # allocs/op, exchanges/s, exchanges/s/worker, ns/exchange,
@@ -45,7 +45,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-OUT="${BENCH_OUT:-BENCH_PR10.json}"
+OUT="${BENCH_OUT:-BENCH_engine.json}"
 TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT
 
