@@ -426,13 +426,16 @@ type rshard struct {
 	// shard's mailbox under one lock at the end of the round. inmail is
 	// the spare slice swapped against the own mailbox's contents.
 	// localDelivered counts every in-process delivery, same-shard and
-	// mailbox alike (published via pub once per round).
+	// mailbox alike (published via pub once per round). fused counts the
+	// deliveries fused exchanges stood in for since the last drainLocal,
+	// which charges them like the letters they replace.
 	local          []letter
 	outbox         [][]letter
 	inmail         []letter
 	digAddrs       []string
 	digAges        []uint32
 	localDelivered uint64
+	fused          int
 
 	// mail receives the in-process messages sibling shards address to
 	// this shard's nodes. It has its own lock, so senders never touch mu.
@@ -1564,11 +1567,13 @@ func (s *rshard) restart(li int) {
 }
 
 // initiate performs the active half of one exchange for local node li:
-// sample a peer, send the push, arm the reply deadline. Caller holds
-// s.mu and has checked that no exchange is in flight. The push's Fields
-// buffer is drawn from the shard's free list; ownership passes with the
-// send (and on every in-process path, or a lossless fabric, the same
-// buffer eventually returns via the pull reply).
+// sample a peer, then either run the whole exchange in place when the
+// peer lives in this shard and fuse accepts it, or send the push and arm
+// the reply deadline. Caller holds s.mu and has checked that no exchange
+// is in flight. The push's Fields buffer is drawn from the shard's free
+// list; ownership passes with the send (and on every in-process path,
+// or a lossless fabric, the same buffer eventually returns via the pull
+// reply).
 func (s *rshard) initiate(li int, now float64) {
 	n := &s.nodes[li]
 	idx := s.lo + li
@@ -1589,6 +1594,9 @@ func (s *rshard) initiate(li int, now float64) {
 		}
 	}
 	r := s.routeTo(to)
+	if r == viaLocal && s.fuse(li, int(to)-s.lo) {
+		return
+	}
 	fields := s.free.get()
 	copy(fields, s.state(li))
 	s.seq++
@@ -1627,6 +1635,49 @@ func (s *rshard) initiate(li int, now float64) {
 		})
 	}
 	s.send(li, to, addr, r, msg)
+}
+
+// fuse runs a same-shard exchange from local node li to local node pi
+// as one in-place step: the letter path would deliver the push and its
+// answer inside this same hold of the round lock (drainLocal), so the
+// merge of the two state rows needs no letter, no Fields buffer and no
+// reply deadline. It bumps exactly the counters the letters would — a
+// busy partner (its own exchange out to another shard) counts a nack on
+// both sides and changes no state — and charges the two deliveries to
+// the round like two letters. It declines, touching nothing, whenever
+// the letters would do more than merge and count: push-only runs, a live
+// robust gate, a failed partner, sampler gossip to observe, an
+// adversary on either side, an epoch mismatch, or a trace-sampled seq.
+// Caller holds s.mu.
+func (s *rshard) fuse(li, pi int) bool {
+	// The initiator's own line and the shard's settings first: a
+	// gossiping shard declines before touching the partner's line.
+	n, p := &s.nodes[li], &s.nodes[pi]
+	if s.rt.cfg.PushOnly || s.robustOn || n.observes || n.adv != 0 || s.traceSampled(s.seq+1) ||
+		p.failed || p.observes || p.adv != 0 || n.tracker.Current() != p.tracker.Current() {
+		return false
+	}
+	s.seq++
+	n.initiated++
+	s.ctr.initiated.Add(1)
+	n.late = false // a new exchange supersedes any absorbable late reply
+	s.recv += 2
+	s.fused += 2
+	if p.pendingSeq != 0 {
+		s.cold[pi].busyDropped++
+		s.ctr.busyDropped.Add(1)
+		s.cold[li].peerBusy++
+		s.ctr.peerBusy.Add(1)
+		return true
+	}
+	s.rt.schema.MergeInto(core.State(s.state(li)), core.State(s.state(pi)))
+	n.stateVer++
+	p.stateVer++
+	p.served++
+	s.ctr.served.Add(1)
+	n.replies++
+	s.ctr.replies.Add(1)
+	return true
 }
 
 // completePeer is GETPAIR on the complete overlay of n nodes: one
@@ -1750,13 +1801,15 @@ func (s *rshard) postLocked() {
 
 // drainLocal handles the queued local messages, and the ones handling
 // them queues, through the same handleMessage every delivery takes; it
-// returns how many it delivered so the round can charge them to its
-// budget. A handled push queues at most a reply or a nack and those
-// queue nothing, so the chain behind one event is at most two messages
-// and the queue never holds more than one undelivered — a local
-// exchange starts and completes inside one hold of the round lock,
-// atomic as Figure 1 has it, and never finds its partner busy with
-// another local exchange. Caller holds s.mu.
+// returns how many it delivered, fused exchanges' two each included, so
+// the round can charge them to its budget. A handled push queues at most
+// a reply or a nack and those queue nothing, so the chain behind one
+// event is at most two messages and the queue never holds more than one
+// undelivered — a local exchange starts and completes inside one hold of
+// the round lock, atomic as Figure 1 has it, and never finds its partner
+// busy with another local exchange. Most local exchanges never get here
+// as letters: fuse runs them in place, and the queue carries only the
+// ones it declines. Caller holds s.mu.
 func (s *rshard) drainLocal() int {
 	delivered := 0
 	for ; delivered < len(s.local); delivered++ {
@@ -1765,6 +1818,8 @@ func (s *rshard) drainLocal() int {
 		s.handleMessage(&l.m, l.from, l.to)
 	}
 	s.local = s.local[:0]
+	delivered += s.fused
+	s.fused = 0
 	s.localDelivered += uint64(delivered)
 	return delivered
 }
