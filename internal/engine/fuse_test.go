@@ -83,7 +83,7 @@ func TestFusedStepMatchesLetters(t *testing.T) {
 		}
 		now := float64(k) * 1e-3
 		for _, s := range both {
-			s.initiate(li, now)
+			s.initiate(li, now, 0)
 			s.drainLocal()
 		}
 
@@ -171,7 +171,7 @@ func TestFusedStepGate(t *testing.T) {
 				tc.setup(rt)
 			}
 			s := rt.shards[0]
-			s.initiate(0, 0)
+			s.initiate(0, 0, 0)
 			want := 0
 			if tc.letters {
 				want = 1

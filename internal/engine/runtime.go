@@ -416,6 +416,13 @@ type rshard struct {
 	free      localFree // Fields buffer free list, guarded by mu
 	seq       uint64
 
+	// ahead is the round look-ahead's scratch list of the nodes its due
+	// events will touch (room for a budget of deadlines and a budget of
+	// wakes with their partners, so it never grows); touched sums the
+	// words the look-ahead loads, so the compiler keeps the loads.
+	ahead   []int32
+	touched uint64
+
 	// In-process delivery (see send), guarded by mu. local queues the
 	// messages hosted nodes addressed to nodes of this same shard; each
 	// is handled before the next can be produced (drainLocal), which is
@@ -575,6 +582,7 @@ func NewRuntime(cfg RuntimeConfig) (*Runtime, error) {
 			wakes:     newCalendar(hi-lo, cfg.CycleLength.Seconds()),
 			deadlines: newDeadlineRing(hi - lo),
 			free:      newLocalFree(rt.pool, hi-lo),
+			ahead:     make([]int32, 0, 3*eventBudget(hi-lo)),
 			outbox:    make([][]letter, cfg.Workers),
 			done:      make(chan struct{}),
 		}
@@ -806,8 +814,7 @@ func (rt *Runtime) Start(ctx context.Context) {
 				// Random initial phase in [0, Δt): desynchronized ticks
 				// avoid lockstep collisions (§1.1 autonomy), exactly as
 				// the goroutine runtime does.
-				phase := s.rng.Float64() * cycle
-				s.wakes.push(wake{at: phase, node: int32(i)})
+				s.arm(i-s.lo, s.rng.Float64()*cycle)
 			}
 			s.publishNextDue(s.earliest())
 			s.mu.Unlock()
@@ -1340,14 +1347,23 @@ func (s *rshard) run() {
 // or inbound message sends to a node of this same shard is delivered
 // right behind it (drainLocal) and charged to the same budget, so a
 // round never holds the lock for more handled messages than it could
-// before. The caller holds s.mu. It returns how long the shard may
-// sleep before its next event (≤ 0 when it should run again
-// immediately) and ok=false when the inbox has been closed.
+// before. Before the letters are handled, and again before the timers
+// fire, a read-only look-ahead touches every node they are about to
+// reach, back to back, so the cache misses of a batch overlap instead
+// of stalling one handler after another (see touch). The caller holds
+// s.mu. It returns how long the shard may sleep before its next event
+// (≤ 0 when it should run again immediately) and ok=false when the
+// inbox has been closed.
 func (s *rshard) roundLocked(inbox <-chan transport.Message) (sleep time.Duration, ok bool) {
 	budget := eventBudget(s.hi - s.lo)
 	drained := 0
 	if s.mail.depth.Load() > 0 {
 		got := s.mail.take(s.inmail)
+		touched := s.touched
+		for i := range got {
+			touched += s.touch(got[i].to)
+		}
+		s.touched = touched
 		for i := range got {
 			l := got[i]
 			got[i] = letter{}
@@ -1371,6 +1387,7 @@ drain:
 		}
 	}
 	now := s.rt.now()
+	s.lookAhead(now, budget)
 	for fired := 0; fired < budget; fired++ {
 		if d := s.deadlines.next(); d <= now && d <= s.wakes.next() {
 			s.handleDeadline(s.deadlines.pop(), now)
@@ -1401,6 +1418,38 @@ drain:
 	s.pub.poolMiss.Store(s.free.misses)
 	s.pub.poolFree.Store(int64(len(s.free.free)))
 	return sleep, true
+}
+
+// lookAhead touches the node of every deadline and wake due by now, and
+// each wake's armed partner, up to a budget of each: the nodes the
+// round's firing loop is about to handle. It moves nothing in the
+// schedule and draws nothing. Caller holds s.mu.
+func (s *rshard) lookAhead(now float64, budget int) {
+	s.ahead = s.deadlines.appendDue(s.ahead[:0], now, budget)
+	s.ahead = s.wakes.appendDue(s.ahead, now, budget)
+	touched := s.touched
+	for _, i := range s.ahead {
+		touched += s.touch(i)
+	}
+	s.touched = touched
+}
+
+// touch loads global node i's hot line and both ends of its state row
+// when this shard hosts it, and returns the loaded words' sum (0 for a
+// node of another shard, whose lines belong to its owner's lock). A
+// handler's first touch of a node is a cache miss — a 50 k-node shard's
+// hot lines alone outgrow L2 — and the microsecond of dependent work
+// behind each one keeps two such misses from ever being in flight at
+// once; loads issued back to back with nothing depending on them
+// overlap instead, and the handlers then find the lines in cache.
+// Caller holds s.mu.
+func (s *rshard) touch(i int32) uint64 {
+	li := int(i) - s.lo
+	if li < 0 || li >= len(s.nodes) {
+		return 0
+	}
+	row := s.state(li)
+	return s.nodes[li].pendingSeq + math.Float64bits(row[0]) + math.Float64bits(row[len(row)-1])
 }
 
 // stealLagFraction is how far behind schedule (as a fraction of the
@@ -1489,15 +1538,17 @@ func (s *rshard) handleDeadline(d deadline, now float64) {
 	}
 }
 
-// handleWake runs node w.node's scheduled exchange initiation and
-// re-arms its next wake. Caller holds s.mu.
+// handleWake runs node w.node's scheduled exchange initiation, with the
+// partner armed in w when there is one, and re-arms its next wake (see
+// arm). Caller holds s.mu.
 func (s *rshard) handleWake(w wake, now float64) {
 	li := int(w.node) - s.lo
 	n := &s.nodes[li]
 	if n.failed {
 		// A crashed node keeps its wake cadence ticking (so a revive
 		// resumes seamlessly) but is otherwise silent: no epoch
-		// observation, no view aging, no initiation.
+		// observation, no view aging, no initiation — and no partner
+		// armed, so a revived node draws its first one at initiation.
 		wait := s.waitSeconds()
 		at := w.at + wait
 		if at <= now {
@@ -1515,7 +1566,7 @@ func (s *rshard) handleWake(w wake, now float64) {
 	wait := s.waitSeconds()
 	at := w.at + wait
 	if n.pendingSeq == 0 {
-		s.initiate(li, now)
+		s.initiate(li, now, w.peer)
 	} else if at <= now {
 		// A wake that finds an exchange still in flight initiates
 		// nothing: the goroutine runtime blocks its active loop until
@@ -1534,7 +1585,21 @@ func (s *rshard) handleWake(w wake, now float64) {
 		// round and busy-nacks every push forever after.
 		at += math.Floor((now-at)/wait+1) * wait
 	}
-	s.wakes.push(wake{at: at, node: w.node})
+	s.arm(li, at)
+}
+
+// arm schedules local node li's next wake at time at. On the implicit
+// complete overlay the wake carries the partner drawn now, about one
+// wait before it is used, so the round look-ahead can touch that
+// partner's lines before the wake fires; a sampled node draws at
+// initiation, since its sampler may return a remote address, which a
+// wake cannot hold. Caller holds s.mu.
+func (s *rshard) arm(li int, at float64) {
+	w := wake{at: at, node: int32(s.lo + li)}
+	if !s.nodes[li].sampled {
+		w.peer = 1 + int32(completePeer(&s.rng, len(s.rt.addrs), s.lo+li))
+	}
+	s.wakes.push(w)
 }
 
 // waitSeconds draws one inter-exchange waiting time in seconds.
@@ -1567,31 +1632,33 @@ func (s *rshard) restart(li int) {
 }
 
 // initiate performs the active half of one exchange for local node li:
-// sample a peer, then either run the whole exchange in place when the
+// take the peer armed with the wake (peer is 1 + its index, 0 for none)
+// or sample one, then either run the whole exchange in place when the
 // peer lives in this shard and fuse accepts it, or send the push and arm
 // the reply deadline. Caller holds s.mu and has checked that no exchange
 // is in flight. The push's Fields buffer is drawn from the shard's free
 // list; ownership passes with the send (and on every in-process path,
 // or a lossless fabric, the same buffer eventually returns via the pull
 // reply).
-func (s *rshard) initiate(li int, now float64) {
+func (s *rshard) initiate(li int, now float64, peer int32) {
 	n := &s.nodes[li]
 	idx := s.lo + li
 	// to is the peer's index when it is hosted here (-1 otherwise); addr
 	// is the sampler's address for it, "" under the implicit overlay.
-	var to int32
+	to := peer - 1
 	var addr string
-	if !n.sampled {
-		to = int32(completePeer(&s.rng, len(s.rt.addrs), idx))
-	} else {
-		peer, ok := s.cold[li].sampler.Sample(&s.rng)
+	switch {
+	case n.sampled:
+		sampled, ok := s.cold[li].sampler.Sample(&s.rng)
 		if !ok {
 			return
 		}
-		to, addr = s.rt.hostedIndex(peer), peer
+		to, addr = s.rt.hostedIndex(sampled), sampled
 		if to == int32(idx) {
 			return
 		}
+	case peer == 0:
+		to = int32(completePeer(&s.rng, len(s.rt.addrs), idx))
 	}
 	r := s.routeTo(to)
 	if r == viaLocal && s.fuse(li, int(to)-s.lo) {
@@ -1682,7 +1749,9 @@ func (s *rshard) fuse(li, pi int) bool {
 
 // completePeer is GETPAIR on the complete overlay of n nodes: one
 // uniform draw over the n−1 nodes other than self — the draw
-// membership.Directory.Sample makes on the same stream.
+// membership.Directory.Sample makes on the same stream. The runtime
+// makes it when it arms a node's wake (arm), about one wait before the
+// exchange, and at initiation only for a wake armed without one.
 func completePeer(rng *xrand.Rand, n, self int) int {
 	j := rng.Intn(n - 1)
 	if j >= self {

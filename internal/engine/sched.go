@@ -13,10 +13,13 @@ import "math"
 // wake plus every not-yet-due dead deadline, was the deepest structure
 // on the exchange path.
 
-// wake is a node's next exchange initiation.
+// wake is a node's next exchange initiation. peer is 1 + the partner
+// drawn when the wake was armed, 0 for none (a sampled or failed node
+// draws at initiation); it fills what was padding, so a wake stays 16 B.
 type wake struct {
 	at   float64
 	node int32
+	peer int32
 }
 
 // deadline is the reply deadline of the exchange seq that node armed.
@@ -73,6 +76,20 @@ func (r *deadlineRing) pop() deadline {
 	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
 	return d
+}
+
+// appendDue appends the node of every deadline due by now, up to limit
+// of them, to dst — a read-only look at the fronts pop would return.
+func (r *deadlineRing) appendDue(dst []int32, now float64, limit int) []int32 {
+	mask := len(r.buf) - 1
+	for k := 0; k < min(r.n, limit); k++ {
+		d := &r.buf[(r.head+k)&mask]
+		if d.at > now {
+			break
+		}
+		dst = append(dst, d.node)
+	}
+	return dst
 }
 
 // calendar is a calendar queue of wakes. Time is cut into slots of
@@ -189,6 +206,44 @@ func (c *calendar) advance() {
 		}
 		c.buckets[i] = later
 	}
+}
+
+// appendDue appends the node and armed partner (peer − 1) of up to limit
+// wakes due by now to dst, without moving the cursor, the due run or any
+// bucket: first the sorted due run, then every bucket from the slot
+// after the cursor through now's slot — at most one year of buckets,
+// which is all of them — skipping entries not yet due, among them those
+// a year or more ahead. Within a bucket the order is the bucket's, not
+// time's, so a limit cuts a set close to, not exactly, the earliest.
+func (c *calendar) appendDue(dst []int32, now float64, limit int) []int32 {
+	listed := 0
+	for i := c.head; i < len(c.due) && listed < limit; i++ {
+		if c.due[i].at > now {
+			return dst
+		}
+		dst = appendWake(dst, &c.due[i])
+		listed++
+	}
+	last := min(c.slot(now), c.cursor+int64(len(c.buckets)))
+	for k := c.cursor + 1; k <= last && listed < limit; k++ {
+		b := c.buckets[k&c.mask]
+		for i := 0; i < len(b) && listed < limit; i++ {
+			if b[i].at <= now {
+				dst = appendWake(dst, &b[i])
+				listed++
+			}
+		}
+	}
+	return dst
+}
+
+// appendWake appends w's node and, when one is armed, its partner.
+func appendWake(dst []int32, w *wake) []int32 {
+	dst = append(dst, w.node)
+	if w.peer != 0 {
+		dst = append(dst, w.peer-1)
+	}
+	return dst
 }
 
 // earliest returns the smallest time held in any bucket.
