@@ -417,9 +417,10 @@ type rshard struct {
 	seq       uint64
 
 	// ahead is the round look-ahead's scratch list of the nodes its due
-	// events will touch (room for a budget of deadlines and a budget of
-	// wakes with their partners, so it never grows); touched sums the
-	// words the look-ahead loads, so the compiler keeps the loads.
+	// events will touch (room for a third of a budget of deadlines and
+	// as many wakes with their partners, so it never grows); touched
+	// sums the words the look-ahead loads, so the compiler keeps the
+	// loads.
 	ahead   []int32
 	touched uint64
 
@@ -582,7 +583,7 @@ func NewRuntime(cfg RuntimeConfig) (*Runtime, error) {
 			wakes:     newCalendar(hi-lo, cfg.CycleLength.Seconds()),
 			deadlines: newDeadlineRing(hi - lo),
 			free:      newLocalFree(rt.pool, hi-lo),
-			ahead:     make([]int32, 0, 3*eventBudget(hi-lo)),
+			ahead:     make([]int32, 0, eventBudget(hi-lo)),
 			outbox:    make([][]letter, cfg.Workers),
 			done:      make(chan struct{}),
 		}
@@ -1387,7 +1388,10 @@ drain:
 		}
 	}
 	now := s.rt.now()
-	s.lookAhead(now, budget)
+	// A fused exchange charges its wake and two deliveries, so a full
+	// round fires about a third of a budget of wakes; touching more
+	// would only re-touch, next round, lines already in cache.
+	s.lookAhead(now, budget/3)
 	for fired := 0; fired < budget; fired++ {
 		if d := s.deadlines.next(); d <= now && d <= s.wakes.next() {
 			s.handleDeadline(s.deadlines.pop(), now)
@@ -1421,12 +1425,12 @@ drain:
 }
 
 // lookAhead touches the node of every deadline and wake due by now, and
-// each wake's armed partner, up to a budget of each: the nodes the
-// round's firing loop is about to handle. It moves nothing in the
+// each wake's armed partner, up to limit of each: the nodes the round's
+// firing loop is about to handle. It moves nothing in the
 // schedule and draws nothing. Caller holds s.mu.
-func (s *rshard) lookAhead(now float64, budget int) {
-	s.ahead = s.deadlines.appendDue(s.ahead[:0], now, budget)
-	s.ahead = s.wakes.appendDue(s.ahead, now, budget)
+func (s *rshard) lookAhead(now float64, limit int) {
+	s.ahead = s.deadlines.appendDue(s.ahead[:0], now, limit)
+	s.ahead = s.wakes.appendDue(s.ahead, now, limit)
 	touched := s.touched
 	for _, i := range s.ahead {
 		touched += s.touch(i)
