@@ -150,16 +150,34 @@ func TestSchemaMergeExchange(t *testing.T) {
 	s := SummarySchema()
 	state := s.InitState(4)   // the passive node's state
 	inbound := s.InitState(2) // the received push payload
-	pre := append(State(nil), state...)
 	merged := s.Merge(state, inbound)
 	s.MergeExchange(state, inbound)
+	// The payload is the transfer d = (4−2)/2 for each Average field
+	// (avg, avgsq, size) and the pre-merge value for min and max.
+	payload := State{1, 6, 4, 4, 0}
 	for i := range merged {
 		if state[i] != merged[i] {
 			t.Fatalf("MergeExchange state = %v, want merge %v", state, merged)
 		}
-		if inbound[i] != pre[i] {
-			t.Fatalf("MergeExchange inbound = %v, want pre-merge state %v", inbound, pre)
+		if inbound[i] != payload[i] {
+			t.Fatalf("MergeExchange inbound = %v, want transfer payload %v", inbound, payload)
 		}
+	}
+	// Applied to the state the initiator pushed, the payload lands on the
+	// merge; applied to a state that moved since (an injected +8), it
+	// lands the move on top, so the pair's Σ is conserved either way.
+	pushed := s.InitState(2)
+	s.ApplyTransfer(pushed, inbound)
+	moved := s.InitState(2)
+	moved[0] += 8
+	s.ApplyTransfer(moved, inbound)
+	for i := range merged {
+		if pushed[i] != merged[i] {
+			t.Fatalf("ApplyTransfer = %v, want merge %v", pushed, merged)
+		}
+	}
+	if moved[0] != merged[0]+8 || moved[0]+state[0] != 2+4+8 {
+		t.Fatalf("ApplyTransfer on a moved state: avg %g beside %g, want %g (Σ %g)", moved[0], state[0], merged[0]+8, 2.0+4+8)
 	}
 }
 

@@ -103,28 +103,61 @@ func (s *Schema) Merge(a, b State) State {
 	return out
 }
 
-// MergeInto writes the field-wise merge of a and b into both slices,
-// avoiding allocation on the simulation hot path.
+// MergeInto runs one whole exchange in place between a, the initiator,
+// and b, its peer: the arithmetic of MergeExchange on b followed by
+// ApplyTransfer on a, in one pass. Both end on the field-wise merge (up
+// to rounding, which Σ a+b does not suffer: an Average field moves d
+// from one side to the other).
 func (s *Schema) MergeInto(a, b State) {
 	for i, f := range s.fields {
-		m := f.Agg.Merge(a[i], b[i])
-		a[i] = m
-		b[i] = m
+		if f.Agg == Average {
+			d := (b[i] - a[i]) / 2
+			b[i] -= d
+			a[i] += d
+			continue
+		}
+		pre := b[i]
+		b[i] = f.Agg.Merge(pre, a[i])
+		a[i] = f.Agg.Merge(a[i], pre)
 	}
 }
 
 // MergeExchange performs the passive half of one push-pull exchange in
-// place: state becomes the field-wise merge of state and inbound, and
-// inbound becomes the pre-merge state — exactly the payload the pull
-// reply must carry (Figure 1, bottom). Rewriting the inbound buffer
-// instead of snapshotting the pre-merge state lets the engine turn a
-// received push's Fields buffer directly into the reply's Fields buffer
-// with zero allocation.
+// place, in transfer form: state is the passive node's b, inbound the
+// pushed a. An Average field computes the transfer d = (b − a)/2, adopts
+// b − d and leaves d in inbound; Min and Max adopt the merge and leave
+// the pre-merge b, since those merges are idempotent. inbound is then
+// exactly the pull reply's payload, and the initiator folds it into
+// whatever its state is when the reply lands (ApplyTransfer), so Σ is
+// conserved even when that state moved after the push — the additive
+// correction of push-sum (Kempe, Dobra & Gehrke 2003) and flow updating
+// (Jesus, Baquero & Almeida 2009). Rewriting the inbound buffer lets
+// the engine turn a received push's Fields buffer directly into the
+// reply's with zero allocation.
 func (s *Schema) MergeExchange(state, inbound State) {
 	for i, f := range s.fields {
 		pre := state[i]
+		if f.Agg == Average {
+			d := (pre - inbound[i]) / 2
+			state[i] = pre - d
+			inbound[i] = d
+			continue
+		}
 		state[i] = f.Agg.Merge(pre, inbound[i])
 		inbound[i] = pre
+	}
+}
+
+// ApplyTransfer performs the active half of one exchange: it folds the
+// reply payload MergeExchange left (a transfer for an Average field,
+// the peer's pre-merge value for Min and Max) into state.
+func (s *Schema) ApplyTransfer(state, payload State) {
+	for i, f := range s.fields {
+		if f.Agg == Average {
+			state[i] += payload[i]
+		} else {
+			state[i] = f.Agg.Merge(state[i], payload[i])
+		}
 	}
 }
 

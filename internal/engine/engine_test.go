@@ -620,10 +620,10 @@ func TestGossipSamplerIntegration(t *testing.T) {
 			}
 		}
 		// Exchanges conserve mass even when a reply outlives the
-		// initiator's timeout: the late reply is absorbed as long as no
-		// other merge touched the state in between (the stateVer guard
-		// in tryAbsorbLate), so the converged average no longer drifts
-		// by 0.5/size per glitch as it did before the fix. 0.05 is well
+		// initiator's timeout: the reply carries a transfer that the
+		// initiator adds to whatever its state is when it lands (absorb),
+		// so the converged average does not drift by 0.5/size per glitch
+		// as it did before late replies were applied. 0.05 is well
 		// inside "every node was reached" (an unreached node sits ≥ 0.5
 		// off) and tight enough to catch any conservation regression.
 		if worst < 0.05 {
@@ -801,8 +801,8 @@ func TestLateReplyAbsorptionConservesMass(t *testing.T) {
 
 func TestLateReplyAbsorptionHeapRuntime(t *testing.T) {
 	// Same scenario on the sharded heap-mode runtime: the reaper
-	// (handleDeadline) arms absorption and handleReply's mismatch path must
-	// complete the merge when the reply finally lands.
+	// (handleDeadline) records the seq and handleReply must still apply
+	// the transfer when the reply finally lands.
 	fabric := transport.NewFabric(transport.WithLatency(20*time.Millisecond, 0), transport.WithSeed(12))
 	c, err := NewCluster(ClusterConfig{
 		Size:         2,

@@ -281,12 +281,11 @@ func TestTCPRuntimeLocalFailAndRevive(t *testing.T) {
 }
 
 // TestTCPRuntimeLocalInjectValueConservesMass races InjectValue (the
-// System.SetValue backend) against local exchanges. The interlock
-// waits for pendingSeq to clear; a local exchange never leaves it set
-// across a lock release, so every injection lands between two whole
-// exchanges: when the writers are done the estimates must carry exactly
-// the mass of the final values (convergence is not asked for — gossip
-// views mix slowly — conservation is).
+// System.SetValue backend) against local exchanges. A local exchange
+// completes inside one lock hold, so every injection lands between two
+// whole exchanges: when the writers are done the estimates must carry
+// exactly the mass of the final values (convergence is not asked for —
+// gossip views mix slowly — conservation is).
 func TestTCPRuntimeLocalInjectValueConservesMass(t *testing.T) {
 	const n, writers, writes = 64, 4, 400
 	rt, ep := newTCPRuntime(t, n, nil, func(c *RuntimeConfig) {

@@ -169,15 +169,12 @@ type Node struct {
 
 	replyTimer *time.Timer // reply-deadline timer, reused across exchanges (active loop only)
 
-	// Late-reply absorption (all guarded by mu): when an exchange times
-	// out, the passive peer has already committed its half of the merge,
-	// so dropping the reply loses (S_A−S_B)/2 of total mass. stateVer
-	// counts state mutations; a reply arriving after its deadline is
-	// still merged iff the state is untouched since the push snapshot
-	// (stateVer == lateVer) and no new exchange is in flight.
-	stateVer uint64
-	lateSeq  uint64
-	lateVer  uint64
+	// timedOut records the exchanges whose reply deadline fired, so a
+	// late reply is still applied, once (see absorb); sent is the
+	// primary field of the last push, kept while the robust gate is on.
+	// Both guarded by mu.
+	timedOut seqRecord
+	sent     float64
 
 	initiated, replies, timeouts atomic.Uint64
 	lateReplies                  atomic.Uint64
@@ -186,10 +183,8 @@ type Node struct {
 	busyDropped, peerBusy        atomic.Uint64
 
 	// busy marks an exchange in flight on the active side. While set,
-	// incoming pushes are declined (no reply), so the node's state cannot
-	// change between sending its push and merging the pull reply — the
-	// serialization that keeps the push-pull step atomic and the total
-	// mass conserved (§3.2).
+	// incoming pushes are declined with a nack, so a node takes part in
+	// one exchange at a time, as the heap runtime's nodes do.
 	busy atomic.Bool
 
 	// failed marks a scenario-injected crash: the node stops initiating
@@ -326,35 +321,20 @@ func (n *Node) SetValue(v float64) {
 // InjectValue updates the node's local attribute to v and folds the
 // difference into its current approximation of field idx, so the new
 // value enters the aggregate immediately instead of waiting for an
-// epoch restart — the live feed behind System.SetValue.
-//
-// The delta apply is only mass-conserving while no own exchange is in
-// flight: mutating state between the push snapshot and the reply merge
-// loses δ/2 of the injected mass (§3.2). InjectValue waits (bounded)
-// for the busy flag to clear before applying; the stateVer bump also
-// invalidates any armed late-reply absorption, which no longer
-// commutes with the injection.
+// epoch restart — the live feed behind System.SetValue. An exchange in
+// flight does not disturb it: the reply's transfer is added to whatever
+// the state is when it lands, so the whole delta stays in Σ.
 func (n *Node) InjectValue(idx int, v float64) {
 	if n.hrt != nil {
 		n.hrt.InjectValue(n.hidx, idx, v)
 		return
 	}
-	deadline := time.Now().Add(injectWait)
-	for {
-		n.mu.Lock()
-		if !n.busy.Load() || n.failed.Load() || !time.Now().Before(deadline) {
-			delta := v - n.value
-			n.value = v
-			if !n.failed.Load() {
-				n.state[idx] += delta
-				n.stateVer++
-			}
-			n.mu.Unlock()
-			return
-		}
-		n.mu.Unlock()
-		time.Sleep(50 * time.Microsecond)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if !n.failed.Load() {
+		n.state[idx] += v - n.value
 	}
+	n.value = v
 }
 
 // Fail silently crashes the node until Revive: it stops initiating and
@@ -364,18 +344,13 @@ func (n *Node) Fail() bool {
 	if n.hrt != nil {
 		return n.hrt.FailNode(n.hidx)
 	}
-	if n.failed.Swap(true) {
-		return false
-	}
-	n.mu.Lock()
-	n.lateSeq = 0 // no late absorption may fire into a dead node
-	n.mu.Unlock()
-	return true
+	return !n.failed.Swap(true)
 }
 
 // Revive brings a failed node back as a fresh joiner: its state is
 // reinitialized from its current local value (stale pre-crash mass is
-// discarded). Reports whether the call changed the node's status.
+// discarded, late replies to its old exchanges included). Reports
+// whether the call changed the node's status.
 func (n *Node) Revive() bool {
 	if n.hrt != nil {
 		return n.hrt.ReviveNode(n.hidx)
@@ -386,7 +361,7 @@ func (n *Node) Revive() bool {
 		return false
 	}
 	n.state = n.initState(n.tracker.Current(), n.value)
-	n.stateVer++
+	n.timedOut = seqRecord{}
 	n.failed.Store(false)
 	return true
 }
@@ -409,7 +384,6 @@ func (n *Node) setAdversary(behavior sim.AdversaryBehavior, magnitude, target fl
 	}
 	if behavior != sim.AdvSelectiveDrop {
 		n.state = n.initState(n.tracker.Current(), n.value)
-		n.stateVer++
 	}
 	n.advGossip, n.advAges = gossip, ages
 }
@@ -583,7 +557,6 @@ func (n *Node) checkLocalEpoch() {
 	n.mu.Lock()
 	if n.tracker.Observe(now) {
 		n.state = n.initState(n.tracker.Current(), n.value)
-		n.stateVer++
 		n.epochSwitches.Add(1)
 	}
 	n.mu.Unlock()
@@ -600,11 +573,10 @@ func (n *Node) initiateExchange() {
 	}
 	if !n.cfg.PushOnly {
 		// Retire any reply a timed-out exchange left in the slot (its
-		// pendingSeq load raced the timeout's reset). Done before busy is
-		// set so a conserving late merge is still admissible.
+		// pendingSeq load raced the timeout's reset).
 		select {
 		case stale := <-n.replyCh:
-			n.tryAbsorbLate(stale)
+			n.absorb(stale, true)
 		default:
 		}
 	}
@@ -618,6 +590,9 @@ func (n *Node) initiateExchange() {
 	}
 	ep := n.tracker.Current()
 	copy(fields, n.state)
+	if n.robustOn {
+		n.sent = fields[0]
+	}
 	adv, advGossip, advAges := n.adv, n.advGossip, n.advAges
 	n.mu.Unlock()
 
@@ -642,9 +617,6 @@ func (n *Node) initiateExchange() {
 	if !n.cfg.PushOnly {
 		// Publish the new exchange's sequence number — from here on
 		// routeReply admits only this exchange's reply.
-		n.mu.Lock()
-		n.lateSeq = 0 // a new exchange supersedes any absorbable late reply
-		n.mu.Unlock()
 		n.pendingSeq.Store(msg.Seq)
 		defer n.pendingSeq.Store(0)
 	}
@@ -671,9 +643,8 @@ func (n *Node) initiateExchange() {
 			if reply.Seq != msg.Seq {
 				// A previous exchange's reply slipped past routeReply's
 				// gate (its pendingSeq load raced our re-arming) and was
-				// deposited after the drain above. Absorbing it would
-				// merge the wrong exchange; discard and keep waiting.
-				n.pool.put(reply.Fields)
+				// deposited after the drain above: a late reply.
+				n.absorb(reply, true)
 				continue
 			}
 			if reply.Kind == transport.KindNack {
@@ -681,7 +652,7 @@ func (n *Node) initiateExchange() {
 				n.pool.put(reply.Fields)
 				return // peer declined; abort this exchange cleanly
 			}
-			n.absorb(reply)
+			n.absorb(reply, false)
 			n.replies.Add(1)
 			return
 		case <-n.replyTimer.C:
@@ -692,13 +663,10 @@ func (n *Node) initiateExchange() {
 				// moment its next message is observed.
 				n.cfg.Sampler.Forget(peer)
 			}
-			// The peer may have committed its half of the merge and the
-			// reply may merely be late. Arm absorption: routeReply will
-			// still merge it as long as our state hasn't moved since the
-			// push snapshot (busy blocked all merges, so stateVer is
-			// still the snapshot's version here).
+			// The peer may have served the push already: its reply,
+			// however late, still owes this node the transfer.
 			n.mu.Lock()
-			n.lateSeq, n.lateVer = msg.Seq, n.stateVer
+			n.timedOut.add(msg.Seq)
 			n.mu.Unlock()
 			return
 		case <-n.stop:
@@ -707,20 +675,25 @@ func (n *Node) initiateExchange() {
 	}
 }
 
-// absorb merges a reply (the passive peer's pre-merge state) into the
-// node's state, honoring epoch tags, and recycles the reply's buffer.
-func (n *Node) absorb(m transport.Message) {
+// absorb folds a reply's transfer into the node's state, honoring epoch
+// tags and the robust gate, and recycles the reply's buffer. late marks
+// a reply whose exchange's deadline already fired: it applies only
+// while its seq is in the timed-out record, and strikes it out, so at
+// most once.
+func (n *Node) absorb(m transport.Message, late bool) {
 	defer n.pool.put(m.Fields)
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.adv != 0 {
 		return // adversaries never adopt merges
 	}
+	if late && (m.Kind != transport.KindReply || !n.timedOut.take(m.Seq)) {
+		return
+	}
 	if n.tracker.Observe(m.Epoch) {
 		n.state = n.initState(n.tracker.Current(), n.value)
-		n.stateVer++
 		n.epochSwitches.Add(1)
-		// The reply belongs to the new epoch we just joined; merge it.
+		// The reply belongs to the new epoch we just joined; apply it.
 	} else if !n.tracker.InSync(m.Epoch) {
 		n.staleDropped.Add(1)
 		return
@@ -729,17 +702,21 @@ func (n *Node) absorb(m transport.Message) {
 		return // schema mismatch; drop defensively
 	}
 	if n.robustOn {
-		rep := n.robustCfg.ClampValue(m.Fields[0])
-		m.Fields[0] = rep
-		if n.robustCfg.Trim && !n.trim.Admit(rep-n.state[0], n.robustCfg.TrimK) {
+		// The peer's implied report is the pushed value plus 2d: clamp
+		// it, cut the transfer to match, and trim on the implied delta.
+		rep := n.robustCfg.ClampValue(n.sent + 2*m.Fields[0])
+		m.Fields[0] = (rep - n.sent) / 2
+		if n.robustCfg.Trim && !n.trim.Admit(rep-n.sent, n.robustCfg.TrimK) {
 			// Active-side reject: the responder already committed its
 			// half, so we can only drop our own (§3.2 asymmetry).
 			n.robustRejected.Add(1)
 			return
 		}
 	}
-	n.cfg.Schema.MergeInto(n.state, core.State(m.Fields))
-	n.stateVer++
+	n.cfg.Schema.ApplyTransfer(n.state, core.State(m.Fields))
+	if late {
+		n.lateReplies.Add(1)
+	}
 }
 
 // dispatch is the protocol's passive thread: it serves pushes and routes
@@ -770,18 +747,18 @@ func (n *Node) observe(m *transport.Message) {
 	n.cfg.Sampler.Observe(m.From, m.Gossip, m.GossipAges)
 }
 
-// servePush implements the passive half (Figure 1, bottom): reply with
-// the pre-merge state, then adopt the merge. The node owns m.Fields
-// (receiver-owns rule): the happy path rewrites it in place into the
-// reply payload, every other path recycles it.
+// servePush implements the passive half (Figure 1, bottom) in transfer
+// form: adopt the merge and reply with the transfer the initiator adds
+// to its state (core's MergeExchange). The node owns m.Fields
+// (receiver-owns rule): a reply rewrites it in place into its payload,
+// every other path recycles it.
 func (n *Node) servePush(m transport.Message) {
 	n.observe(&m)
 	n.mu.Lock()
 	if n.busy.Load() {
-		// An own exchange is in flight; merging now would change the
-		// state between our push and its reply and break the atomicity
-		// of the elementary step. Decline with a nack so the initiator
-		// aborts immediately rather than burning its reply timeout.
+		// An own exchange is in flight: decline with a nack so the
+		// initiator aborts immediately rather than burning its reply
+		// timeout.
 		ep := n.tracker.Current()
 		n.mu.Unlock()
 		n.busyDropped.Add(1)
@@ -796,7 +773,6 @@ func (n *Node) servePush(m transport.Message) {
 	}
 	if n.tracker.Observe(m.Epoch) {
 		n.state = n.initState(n.tracker.Current(), n.value)
-		n.stateVer++
 		n.epochSwitches.Add(1)
 	} else if !n.tracker.InSync(m.Epoch) {
 		n.mu.Unlock()
@@ -810,16 +786,20 @@ func (n *Node) servePush(m transport.Message) {
 		return
 	}
 	if n.adv != 0 {
-		// Byzantine responder: reply with the pinned state, never adopt
-		// the merge (the ack-then-discard of a selective dropper; the
-		// other behaviors additionally pin the reported value).
+		// Byzantine responder: reply with the transfer the pinned state
+		// implies, (pinned − a)/2, never adopt the merge (the
+		// ack-then-discard of a selective dropper; the other behaviors
+		// additionally pin the reported value).
 		if n.cfg.PushOnly {
 			n.mu.Unlock()
 			n.served.Add(1)
 			n.pool.put(m.Fields)
 			return
 		}
-		copy(m.Fields, n.state)
+		pinned := n.pool.get()
+		copy(pinned, n.state)
+		n.cfg.Schema.MergeExchange(pinned, core.State(m.Fields))
+		n.pool.put(pinned)
 		ep := n.tracker.Current()
 		eclipse := n.adv == 1+uint8(sim.AdvEclipse)
 		advGossip, advAges := n.advGossip, n.advAges
@@ -860,16 +840,14 @@ func (n *Node) servePush(m transport.Message) {
 	}
 	if n.cfg.PushOnly {
 		n.cfg.Schema.MergeInto(n.state, core.State(m.Fields))
-		n.stateVer++
 		n.mu.Unlock()
 		n.served.Add(1)
 		n.pool.put(m.Fields)
 		return
 	}
 	// One pass, zero copies: the state adopts the merge and the inbound
-	// push buffer becomes the pre-merge reply payload.
+	// push buffer becomes the reply's transfer payload.
 	n.cfg.Schema.MergeExchange(n.state, core.State(m.Fields))
-	n.stateVer++
 	ep := n.tracker.Current()
 	n.mu.Unlock()
 	n.served.Add(1)
@@ -889,12 +867,12 @@ func (n *Node) servePush(m transport.Message) {
 }
 
 // routeReply hands a reply to the waiting exchange, if still current;
-// replies whose exchange already timed out go through late absorption,
-// and everything else is retired into the pool.
+// any other reply goes to absorb as late, which applies it only if its
+// exchange timed out.
 func (n *Node) routeReply(m transport.Message) {
 	n.observe(&m)
 	if m.Seq == 0 || m.Seq != n.pendingSeq.Load() {
-		n.tryAbsorbLate(m) // exchange already timed out (seq 0 is never in flight)
+		n.absorb(m, true) // seq 0 is never in flight
 		return
 	}
 	select {
@@ -902,57 +880,4 @@ func (n *Node) routeReply(m transport.Message) {
 	default:
 		n.pool.put(m.Fields)
 	}
-}
-
-// tryAbsorbLate merges a pull reply that arrived after its exchange's
-// deadline. The passive peer committed its half of the merge when it
-// served the push, so dropping the reply would lose (S_A−S_B)/2 of the
-// total mass (§3.2) — the root cause of the converged-mean glitches the
-// gossip-membership integration test used to tolerate. The merge is
-// only admissible while it still commutes with the abandoned exchange:
-// our state must be untouched since the push snapshot (stateVer ==
-// lateVer; busy blocked merges during the wait) and no new exchange may
-// be in flight (busy false, lateSeq not superseded).
-func (n *Node) tryAbsorbLate(m transport.Message) {
-	if m.Kind != transport.KindReply || m.Seq == 0 {
-		n.pool.put(m.Fields)
-		return
-	}
-	n.mu.Lock()
-	if n.adv != 0 || m.Seq != n.lateSeq || n.stateVer != n.lateVer || n.busy.Load() {
-		n.mu.Unlock()
-		n.pool.put(m.Fields)
-		return
-	}
-	n.lateSeq = 0
-	if n.tracker.Observe(m.Epoch) {
-		n.state = n.initState(n.tracker.Current(), n.value)
-		n.stateVer++
-		n.epochSwitches.Add(1)
-	} else if !n.tracker.InSync(m.Epoch) {
-		n.mu.Unlock()
-		n.staleDropped.Add(1)
-		n.pool.put(m.Fields)
-		return
-	}
-	if len(m.Fields) != len(n.state) {
-		n.mu.Unlock()
-		n.pool.put(m.Fields)
-		return
-	}
-	if n.robustOn {
-		rep := n.robustCfg.ClampValue(m.Fields[0])
-		m.Fields[0] = rep
-		if n.robustCfg.Trim && !n.trim.Admit(rep-n.state[0], n.robustCfg.TrimK) {
-			n.robustRejected.Add(1)
-			n.mu.Unlock()
-			n.pool.put(m.Fields)
-			return
-		}
-	}
-	n.cfg.Schema.MergeInto(n.state, core.State(m.Fields))
-	n.stateVer++
-	n.mu.Unlock()
-	n.lateReplies.Add(1)
-	n.pool.put(m.Fields)
 }

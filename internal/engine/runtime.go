@@ -250,10 +250,7 @@ type Runtime struct {
 // column, and its randomness is the shard's stream.
 type rnode struct {
 	pendingSeq uint64 // nonzero while an exchange is in flight (the busy flag)
-	// stateVer counts state mutations, so a reply that outlived its
-	// deadline merges only while it still commutes (see absorbLate).
-	stateVer uint64
-	tracker  epoch.Tracker
+	tracker    epoch.Tracker
 	// The three counters every exchange bumps; the seven rare ones
 	// live in rcold, and NodeStats assembles both.
 	initiated, served, replies uint64
@@ -264,10 +261,7 @@ type rnode struct {
 	// the node answers exchanges with its (pinned) state but never
 	// adopts a merge. Set by SetAdversaries under the shard's mu.
 	adv uint8
-	// late is set while a timed-out exchange's reply may still be
-	// absorbed (rcold.lateSeq/lateVer say which); a new exchange clears it.
-	late bool
-	_    [11]byte // pad to one line, so no record straddles two
+	_   [20]byte // pad to one line, so no record straddles two
 }
 
 // rcold is the rest of a hosted node's state, in the shard array
@@ -285,9 +279,12 @@ type rcold struct {
 	// missed reply deadline can Forget it (failure detection from
 	// traffic); only maintained when the sampler observes.
 	pendingPeer string
-	// lateSeq/lateVer arm the merge of a reply that outlived its
-	// deadline (see rshard.absorbLate); live while rnode.late is set.
-	lateSeq, lateVer uint64
+	// timedOut records the exchanges whose deadline fired, so a late
+	// reply is still applied, once (see handleReply).
+	timedOut seqRecord
+	// sent is the primary field of the node's last push, kept while the
+	// robust gate is on: a reply's implied report is sent + 2d.
+	sent float64
 	// pendingAt (when the push was sent) and pendingDst (peer index, -1
 	// not hosted) are written only for trace-sampled exchanges, the only
 	// ones recordTrace reads.
@@ -296,6 +293,29 @@ type rcold struct {
 	// The rare per-node counters (see rnode for the three per-exchange ones).
 	timeouts, lateReplies, epochSwitches, staleDropped uint64
 	sendErrors, busyDropped, peerBusy                  uint64
+}
+
+// seqRecord is a node's record of its timed-out exchanges whose replies
+// may still arrive: the newest four seqs, 0 in an empty slot. take
+// strikes a seq out, so each late reply applies at most once; a seq
+// pushed out by four newer timeouts is given up, and its reply dropped.
+type seqRecord [4]uint64
+
+// add records seq, giving up the oldest.
+func (r *seqRecord) add(seq uint64) {
+	copy(r[1:], r[:len(r)-1])
+	r[0] = seq
+}
+
+// take reports whether seq was recorded, and strikes it out.
+func (r *seqRecord) take(seq uint64) bool {
+	for i, v := range r {
+		if v == seq && seq != 0 {
+			r[i] = 0
+			return true
+		}
+	}
+	return false
 }
 
 // letter is one in-process message: the protocol message with its
@@ -662,7 +682,7 @@ func (rt *Runtime) registerMetrics(reg *metrics.Registry) {
 			{"repro_engine_exchanges_initiated_total", "Exchanges started by hosted nodes.", &s.ctr.initiated},
 			{"repro_engine_exchanges_completed_total", "Exchanges whose pull reply was merged.", &s.ctr.replies},
 			{"repro_engine_exchange_deadline_missed_total", "Exchanges reaped by the reply deadline.", &s.ctr.timeouts},
-			{"repro_engine_late_replies_absorbed_total", "Post-deadline replies still merged to conserve mass.", &s.ctr.lateReplies},
+			{"repro_engine_late_replies_absorbed_total", "Replies applied after their exchange's deadline fired (the transfer the peer already gave).", &s.ctr.lateReplies},
 			{"repro_engine_exchanges_nacked_total", "Exchanges declined by a busy peer.", &s.ctr.peerBusy},
 			{"repro_engine_pushes_served_total", "Inbound pushes merged and replied to.", &s.ctr.served},
 			{"repro_engine_pushes_declined_total", "Inbound pushes nacked while busy.", &s.ctr.busyDropped},
@@ -974,45 +994,23 @@ func (rt *Runtime) SetValue(i int, v float64) {
 	s.mu.Unlock()
 }
 
-// injectWait bounds how long InjectValue spins for a node's in-flight
-// exchange to resolve before force-applying the delta anyway. The
-// pending window is normally microseconds (one fabric delivery), so the
-// bound only bites when the sampled peer is dead and the exchange must
-// burn its full reply timeout.
-const injectWait = 10 * time.Millisecond
-
 // InjectValue updates node i's local attribute to v and folds the
 // difference into its current approximation of field idx, so the new
 // value enters the aggregate immediately rather than at the next epoch
-// restart — the dynamic-signals feed behind System.SetValue.
-//
-// The delta apply is only mass-conserving while no exchange is in
-// flight on the node: a push-then-mutate-then-merge interleaving loses
-// δ/2 of the injected mass (§3.2's atomicity argument). InjectValue
-// therefore waits (bounded by injectWait) for pendingSeq to clear
-// before applying; the stateVer bump also invalidates any armed
-// late-reply absorption, which would no longer commute with the
-// injection. Shard-local: one lock acquisition per attempt, no
-// allocations.
+// restart — the dynamic-signals feed behind System.SetValue. An
+// exchange in flight does not disturb it: the reply carries a transfer
+// that is added to whatever the state is when it lands (see servePush),
+// so the whole delta stays in Σ.
 func (rt *Runtime) InjectValue(i, idx int, v float64) {
 	s := rt.shardOf(i)
-	deadline := time.Now().Add(injectWait)
-	for {
-		s.mu.Lock()
-		n, c := &s.nodes[i-s.lo], &s.cold[i-s.lo]
-		if n.pendingSeq == 0 || n.failed || !time.Now().Before(deadline) {
-			delta := v - c.value
-			c.value = v
-			if !n.failed {
-				s.state(i - s.lo)[idx] += delta
-				n.stateVer++
-			}
-			s.mu.Unlock()
-			return
-		}
-		s.mu.Unlock()
-		time.Sleep(50 * time.Microsecond)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	li := i - s.lo
+	c := &s.cold[li]
+	if !s.nodes[li].failed {
+		s.state(li)[idx] += v - c.value
 	}
+	c.value = v
 }
 
 // FailNode silently crashes hosted node i: it stops initiating, drops
@@ -1030,18 +1028,17 @@ func (rt *Runtime) FailNode(i int) bool {
 		return false
 	}
 	n.failed = true
-	// Retire any in-flight exchange: its deadline and reply become
-	// no-ops, and no late absorption may fire into a dead node.
+	// Retire any in-flight exchange: its deadline and reply become no-ops.
 	n.pendingSeq = 0
-	n.late = false
 	rt.failedNodes.Add(1)
 	return true
 }
 
 // ReviveNode brings a failed node back as a fresh joiner: its state is
 // reinitialized from its current local value (stale pre-crash mass is
-// discarded) and it resumes initiating on its existing wake cadence.
-// Reports whether the call changed the node's status.
+// discarded, late replies to its old exchanges included) and it resumes
+// initiating on its existing wake cadence. Reports whether the call
+// changed the node's status.
 func (rt *Runtime) ReviveNode(i int) bool {
 	s := rt.shardOf(i)
 	s.mu.Lock()
@@ -1051,8 +1048,9 @@ func (rt *Runtime) ReviveNode(i int) bool {
 		return false
 	}
 	n.failed = false
-	copy(s.state(i-s.lo), rt.initStateFor(&s.cold[i-s.lo], n.tracker.Current()))
-	n.stateVer++
+	c := &s.cold[i-s.lo]
+	copy(s.state(i-s.lo), rt.initStateFor(c, n.tracker.Current()))
+	c.timedOut = seqRecord{}
 	rt.failedNodes.Add(-1)
 	return true
 }
@@ -1116,7 +1114,6 @@ func (rt *Runtime) SetAdversaries(behavior sim.AdversaryBehavior, nodes []int, m
 			}
 			if behavior != sim.AdvSelectiveDrop {
 				copy(s.state(li), rt.initStateFor(c, n.tracker.Current()))
-				n.stateVer++
 			}
 		}
 		s.mu.Unlock()
@@ -1533,10 +1530,9 @@ func (s *rshard) handleDeadline(d deadline, now float64) {
 		// its next message is observed.
 		c.sampler.Forget(c.pendingPeer)
 	}
-	// The peer may have committed its half of the merge; arm absorption
-	// so a merely-late reply still conserves mass (see absorbLate).
-	n.late = true
-	c.lateSeq, c.lateVer = d.seq, n.stateVer
+	// The peer may have served the push already: its reply, however
+	// late, still owes this node the transfer.
+	c.timedOut.add(d.seq)
 	if s.traceSampled(d.seq) {
 		s.recordTrace(li, d.seq, TraceTimedOut, now)
 	}
@@ -1573,20 +1569,19 @@ func (s *rshard) handleWake(w wake, now float64) {
 		s.initiate(li, now, w.peer)
 	} else if at <= now {
 		// A wake that finds an exchange still in flight initiates
-		// nothing: the goroutine runtime blocks its active loop until
-		// reply-or-timeout, and reaping the exchange here instead would
-		// drop a reply whose passive side already merged — an asymmetric
-		// merge that leaks aggregate mass. The reply deadline is the only
-		// reaper. A backlogged no-op wake skips ahead to its first slot
-		// past real time: when the shard runs L behind schedule,
-		// re-pushing at w.at+Δt would be a treadmill — N·L/Δt no-op wakes
-		// ground through in stale virtual time before the due deadlines
-		// behind them ever surface, wedging every node in pending. The
-		// skip must preserve the node's phase (whole multiples of its
-		// wait, not a clamp to now): clamping re-pins every backlogged
-		// node to the same instant, and a constant-wait shard whose
-		// phases collapse livelocks — every node initiates in the same
-		// round and busy-nacks every push forever after.
+		// nothing: a node has one exchange in flight at a time, as the
+		// goroutine runtime's active loop blocks until reply-or-timeout,
+		// and the reply deadline is the only reaper (it records the seq,
+		// so a late reply still lands). A backlogged no-op wake skips
+		// ahead to its first slot past real time: when the shard runs L
+		// behind schedule, re-pushing at w.at+Δt would be a treadmill —
+		// N·L/Δt no-op wakes ground through in stale virtual time before
+		// the due deadlines behind them ever surface, wedging every node
+		// in pending. The skip must preserve the node's phase (whole
+		// multiples of its wait, not a clamp to now): clamping re-pins
+		// every backlogged node to the same instant, and a constant-wait
+		// shard whose phases collapse livelocks — every node initiates
+		// in the same round and busy-nacks every push forever after.
 		at += math.Floor((now-at)/wait+1) * wait
 	}
 	s.arm(li, at)
@@ -1630,7 +1625,6 @@ func (s *rshard) checkClock(li int) {
 func (s *rshard) restart(li int) {
 	n, c := &s.nodes[li], &s.cold[li]
 	copy(s.state(li), s.rt.initStateFor(c, n.tracker.Current()))
-	n.stateVer++
 	c.epochSwitches++
 	s.ctr.epochSwitches.Add(1)
 }
@@ -1670,6 +1664,9 @@ func (s *rshard) initiate(li int, now float64, peer int32) {
 	}
 	fields := s.free.get()
 	copy(fields, s.state(li))
+	if s.robustOn {
+		s.cold[li].sent = fields[0]
+	}
 	s.seq++
 	msg := transport.Message{
 		Kind:   transport.KindPush,
@@ -1689,7 +1686,6 @@ func (s *rshard) initiate(li int, now float64, peer int32) {
 	s.ctr.initiated.Add(1)
 	if !s.rt.cfg.PushOnly {
 		n.pendingSeq = s.seq
-		n.late = false // a new exchange supersedes any absorbable late reply
 		if n.observes {
 			s.cold[li].pendingPeer = addr
 		}
@@ -1731,7 +1727,6 @@ func (s *rshard) fuse(li, pi int) bool {
 	s.seq++
 	n.initiated++
 	s.ctr.initiated.Add(1)
-	n.late = false // a new exchange supersedes any absorbable late reply
 	s.recv += 2
 	s.fused += 2
 	if p.pendingSeq != 0 {
@@ -1742,8 +1737,6 @@ func (s *rshard) fuse(li, pi int) bool {
 		return true
 	}
 	s.rt.schema.MergeInto(core.State(s.state(li)), core.State(s.state(pi)))
-	n.stateVer++
-	p.stateVer++
 	p.served++
 	s.ctr.served.Add(1)
 	n.replies++
@@ -1959,11 +1952,12 @@ func (s *rshard) handleMessage(m *transport.Message, from, to int32) {
 }
 
 // servePush implements the passive half (Figure 1, bottom) for local
-// node li: reply with the pre-merge state, then adopt the merge. The
-// answer goes back to the push's sender: node from when it is hosted
-// here, m.From otherwise. Caller holds s.mu and owns m.Fields
-// (receiver-owns rule); the happy path rewrites that buffer in place
-// into the reply payload (MergeExchange), every other path recycles it.
+// node li in transfer form: adopt the merge and reply with the transfer
+// d = (b − a)/2 the initiator adds to its state (core's MergeExchange).
+// The answer goes back to the push's sender: node from when it is
+// hosted here, m.From otherwise. Caller holds s.mu and owns m.Fields
+// (receiver-owns rule); a reply rewrites that buffer in place into its
+// payload, every other path recycles it.
 func (s *rshard) servePush(li int, from int32, m *transport.Message) {
 	n := &s.nodes[li]
 	if !s.rt.cfg.PushOnly && n.pendingSeq != 0 {
@@ -1994,16 +1988,19 @@ func (s *rshard) servePush(li int, from int32, m *transport.Message) {
 		return               // schema mismatch; drop defensively
 	}
 	if n.adv != 0 {
-		// Byzantine responder: answer with the (pinned) state so the
-		// initiator faithfully averages the poison in, but never adopt
-		// the merge. Eclipse adversaries flood the reply's membership
-		// digest with adversary addresses at age 0, capturing
-		// gossip-sampled victims' views.
+		// Byzantine responder: answer with the transfer its pinned state
+		// implies, (pinned − a)/2, so the initiator faithfully averages
+		// the poison in, but never adopt the merge. Eclipse adversaries
+		// flood the reply's membership digest with adversary addresses
+		// at age 0, capturing gossip-sampled victims' views.
 		if s.rt.cfg.PushOnly {
 			s.free.put(m.Fields)
 			return
 		}
-		copy(m.Fields, state)
+		pinned := s.free.get()
+		copy(pinned, state)
+		s.rt.schema.MergeExchange(core.State(pinned), core.State(m.Fields))
+		s.free.put(pinned)
 		reply := transport.Message{
 			Kind:   transport.KindReply,
 			Epoch:  n.tracker.Current(),
@@ -2042,16 +2039,14 @@ func (s *rshard) servePush(li int, from int32, m *transport.Message) {
 	if s.rt.cfg.PushOnly {
 		// No reply to build: merge in place and retire the buffer.
 		s.rt.schema.MergeInto(core.State(state), core.State(m.Fields))
-		n.stateVer++
 		n.served++
 		s.ctr.served.Add(1)
 		s.free.put(m.Fields)
 		return
 	}
 	// One pass, zero copies: the state adopts the merge and the inbound
-	// push buffer becomes the pre-merge reply payload.
+	// push buffer becomes the reply's transfer payload.
 	s.rt.schema.MergeExchange(core.State(state), core.State(m.Fields))
-	n.stateVer++
 	n.served++
 	s.ctr.served.Add(1)
 	r := s.routeTo(from)
@@ -2065,85 +2060,39 @@ func (s *rshard) servePush(li int, from int32, m *transport.Message) {
 	s.send(li, from, m.From, r, reply)
 }
 
-// handleReply completes (or aborts, on nack) local node li's in-flight
-// exchange. Caller holds s.mu and owns m.Fields, which is recycled on
-// every path once the merge (if any) is done.
+// handleReply completes (or aborts, on nack) local node li's exchange
+// m.Seq: the one in flight, or one its deadline already reaped whose
+// seq is still in the timed-out record — a late reply. Either way the
+// payload is a transfer, added to whatever the state is now, so a late
+// reply conserves Σ however the state moved since its push, and
+// striking the seq from the record applies it at most once. Caller
+// holds s.mu and owns m.Fields, which is recycled on every path.
 func (s *rshard) handleReply(li int, m *transport.Message) {
 	defer s.free.put(m.Fields)
-	n := &s.nodes[li]
-	if n.pendingSeq == 0 || m.Seq != n.pendingSeq {
-		// The exchange already timed out; the reply may still be
-		// absorbable (mass conservation — see absorbLate).
-		s.absorbLate(li, m)
-		return
-	}
-	n.pendingSeq = 0
-	if m.Kind == transport.KindNack {
-		s.cold[li].peerBusy++
-		s.ctr.peerBusy.Add(1)
-		if s.traceSampled(m.Seq) {
-			s.recordTrace(li, m.Seq, TraceNacked, s.rt.now())
-		}
-		return
-	}
-	if s.traceSampled(m.Seq) {
-		s.recordTrace(li, m.Seq, TraceCompleted, s.rt.now())
-	}
-	if n.tracker.Observe(m.Epoch) {
-		s.restart(li)
-		// The reply belongs to the new epoch we just joined; merge it.
-	} else if !n.tracker.InSync(m.Epoch) {
-		s.cold[li].staleDropped++
-		s.ctr.staleDropped.Add(1)
-		return
-	}
-	state := s.state(li)
-	if len(m.Fields) != len(state) {
-		return
-	}
-	if n.adv != 0 {
-		// Byzantine initiator: the exchange completed, but the merge is
-		// silently discarded — the node's report stays pinned.
-		n.replies++
-		s.ctr.replies.Add(1)
-		return
-	}
-	if s.robustOn {
-		rep := s.robust.ClampValue(m.Fields[0])
-		m.Fields[0] = rep
-		if s.robust.Trim && !s.cold[li].trim.Admit(rep-state[0], s.robust.TrimK) {
-			// Active-side reject: the responder already committed its
-			// half when it served the push, so only this node's half is
-			// dropped — the kernel's initiator-reject semantics.
-			s.ctr.robustRejected.Add(1)
+	n, c := &s.nodes[li], &s.cold[li]
+	late := false
+	switch {
+	case n.pendingSeq != 0 && m.Seq == n.pendingSeq:
+		n.pendingSeq = 0
+		if m.Kind == transport.KindNack {
+			c.peerBusy++
+			s.ctr.peerBusy.Add(1)
+			if s.traceSampled(m.Seq) {
+				s.recordTrace(li, m.Seq, TraceNacked, s.rt.now())
+			}
 			return
 		}
+		if s.traceSampled(m.Seq) {
+			s.recordTrace(li, m.Seq, TraceCompleted, s.rt.now())
+		}
+	case m.Kind == transport.KindReply && c.timedOut.take(m.Seq):
+		late = true
+	default:
+		return // a duplicate, a nack past its deadline, or a reply given up
 	}
-	s.rt.schema.MergeInto(core.State(state), core.State(m.Fields))
-	n.stateVer++
-	n.replies++
-	s.ctr.replies.Add(1)
-}
-
-// absorbLate merges a pull reply that arrived after its exchange's
-// deadline. The passive peer committed its half of the merge when it
-// served the push, so dropping the reply would lose (S_A−S_B)/2 of the
-// total aggregate mass (§3.2). The merge is only admissible while it
-// still commutes with the abandoned exchange: the node's state must be
-// untouched since the deadline armed it (stateVer == lateVer) and no
-// new exchange may be in flight (pendingSeq 0, late not cleared by a
-// newer initiation). Caller holds s.mu; m.Fields is recycled by the
-// caller.
-func (s *rshard) absorbLate(li int, m *transport.Message) {
-	n, c := &s.nodes[li], &s.cold[li]
-	if m.Kind != transport.KindReply || m.Seq == 0 || !n.late ||
-		m.Seq != c.lateSeq || n.stateVer != c.lateVer || n.pendingSeq != 0 {
-		return
-	}
-	n.late = false
 	if n.tracker.Observe(m.Epoch) {
 		s.restart(li)
-		// The reply belongs to the new epoch we just joined; merge it.
+		// The reply belongs to the new epoch we just joined; apply it.
 	} else if !n.tracker.InSync(m.Epoch) {
 		c.staleDropped++
 		s.ctr.staleDropped.Add(1)
@@ -2154,18 +2103,34 @@ func (s *rshard) absorbLate(li int, m *transport.Message) {
 		return
 	}
 	if n.adv != 0 {
+		// Byzantine initiator: the exchange completed, but the transfer
+		// is silently discarded — the node's report stays pinned.
+		if !late {
+			n.replies++
+			s.ctr.replies.Add(1)
+		}
 		return
 	}
 	if s.robustOn {
-		rep := s.robust.ClampValue(m.Fields[0])
-		m.Fields[0] = rep
-		if s.robust.Trim && !c.trim.Admit(rep-state[0], s.robust.TrimK) {
+		// The peer's implied report is the pushed value plus 2d: clamp
+		// it, cut the transfer to match, and trim on the implied delta.
+		// A reply that outlived a newer push is judged against that one.
+		rep := s.robust.ClampValue(c.sent + 2*m.Fields[0])
+		m.Fields[0] = (rep - c.sent) / 2
+		if s.robust.Trim && !c.trim.Admit(rep-c.sent, s.robust.TrimK) {
+			// Active-side reject: the responder already committed its
+			// half when it served the push, so only this node's half is
+			// dropped — the kernel's initiator-reject semantics.
 			s.ctr.robustRejected.Add(1)
 			return
 		}
 	}
-	s.rt.schema.MergeInto(core.State(state), core.State(m.Fields))
-	n.stateVer++
-	c.lateReplies++
-	s.ctr.lateReplies.Add(1)
+	s.rt.schema.ApplyTransfer(core.State(state), core.State(m.Fields))
+	if late {
+		c.lateReplies++
+		s.ctr.lateReplies.Add(1)
+		return
+	}
+	n.replies++
+	s.ctr.replies.Add(1)
 }

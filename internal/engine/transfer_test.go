@@ -2,6 +2,9 @@ package engine
 
 import (
 	"testing"
+
+	"repro/internal/robust"
+	"repro/internal/sim"
 )
 
 // The scripts below drive an unstarted two-worker runtime by hand: shard
@@ -123,4 +126,190 @@ func TestTransferLateReplyAfterReinitiation(t *testing.T) {
 	if st := rt.NodeStats(0); st.LateReplies != 1 || st.Replies != 1 {
 		t.Fatalf("node 0 stats %+v, want one late reply and one fused reply", st)
 	}
+}
+
+// TestTransferLateReplyAtMostOnce pins that a reply applies at most
+// once, and only to the life and epoch of the node that pushed: node 0
+// (4) pushes to node 2 (20), which serves; then the reply is delivered
+// twice, on time or after the deadline, or after node 0 was crashed and
+// revived, or after node 0 restarted into a newer epoch.
+func TestTransferLateReplyAtMostOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		late    bool           // the deadline fires before the reply lands
+		between func(*Runtime) // runs after node 2 served, before delivery
+		twice   bool           // the reply is delivered twice
+		want    float64        // Σ after delivery
+		wantA   float64        // node 0's state after delivery
+		stats   func(Stats) bool
+	}{
+		{name: "duplicate on time", twice: true, want: 48, wantA: 12,
+			stats: func(st Stats) bool { return st.Replies == 1 && st.LateReplies == 0 }},
+		{name: "duplicate late", late: true, twice: true, want: 48, wantA: 12,
+			stats: func(st Stats) bool { return st.Replies == 0 && st.LateReplies == 1 }},
+		{name: "after a revive", late: true, between: func(rt *Runtime) {
+			rt.FailNode(0)
+			rt.ReviveNode(0)
+		}, want: 40, wantA: 4,
+			stats: func(st Stats) bool { return st.Replies == 0 && st.LateReplies == 0 }},
+		{name: "after a newer epoch", late: true, between: func(rt *Runtime) {
+			s := rt.shards[0]
+			s.nodes[0].tracker.Observe(1)
+			s.restart(0)
+		}, want: 40, wantA: 4,
+			stats: func(st Stats) bool { return st.LateReplies == 0 && st.StaleDropped == 1 }},
+		{name: "on time after a newer epoch", between: func(rt *Runtime) {
+			s := rt.shards[0]
+			s.nodes[0].tracker.Observe(1)
+			s.restart(0)
+		}, want: 40, wantA: 4,
+			stats: func(st Stats) bool { return st.Replies == 0 && st.StaleDropped == 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := newScriptedShards(t, []float64{4, 12, 20, 12}, nil)
+			s0, s1 := rt.shards[0], rt.shards[1]
+			s0.initiate(0, 0, 1+2)
+			s0.postLocked()
+			handleMail(s1)
+			if tc.late {
+				timeOut(t, s0)
+			}
+			if tc.between != nil {
+				tc.between(rt)
+			}
+			if tc.twice {
+				l := s1.outbox[0][0]
+				l.m.Fields = append([]float64(nil), l.m.Fields...)
+				s1.outbox[0] = append(s1.outbox[0], l)
+			}
+			s1.postLocked()
+			handleMail(s0)
+			if got, a := mass(rt), rt.NodeState(0)[0]; got != tc.want || a != tc.wantA {
+				t.Fatalf("Σ = %g, node 0 = %g; want %g and %g", got, a, tc.want, tc.wantA)
+			}
+			if st := rt.NodeStats(0); !tc.stats(st) {
+				t.Fatalf("node 0 stats %+v", st)
+			}
+		})
+	}
+}
+
+// TestTransferNonHonestPaths pins the exchange's Byzantine and robust
+// paths on exact dyadic states, with the partner in the initiator's own
+// shard (where fuse declines and the letters run in-round) and in the
+// sibling shard (through the mailboxes). Node 0 (4) initiates with its
+// partner (20); the two other nodes hold 12.
+func TestTransferNonHonestPaths(t *testing.T) {
+	narrow := robust.TrimState{Scale: 1} // admits |delta| ≤ 8 at K = 8
+	wide := robust.TrimState{Scale: 100} // admits anything here
+	for _, tc := range []struct {
+		name  string
+		setup func(rt *Runtime, p int)
+		// between runs after the push left, before the partner serves.
+		between      func(rt *Runtime)
+		wantA, wantP float64
+		want         Stats // runtime-wide counters that must match
+		rejected     uint64
+	}{
+		{
+			// The responder answers (pinned − a)/2 = (100 − 4)/2 and
+			// adopts nothing.
+			name: "byzantine responder",
+			setup: func(rt *Runtime, p int) {
+				if err := rt.SetAdversaries(sim.AdvExtreme, []int{p}, 100, 0); err != nil {
+					t.Fatal(err)
+				}
+			},
+			wantA: 52, wantP: 100,
+			want: Stats{Initiated: 1, Replies: 1, Served: 1},
+		},
+		{
+			// The initiator pushes its pinned 100; the partner adopts
+			// 20 − (20 − 100)/2 and the initiator drops the transfer.
+			name: "byzantine initiator",
+			setup: func(rt *Runtime, p int) {
+				if err := rt.SetAdversaries(sim.AdvExtreme, []int{0}, 100, 0); err != nil {
+					t.Fatal(err)
+				}
+			},
+			wantA: 100, wantP: 60,
+			want: Stats{Initiated: 1, Replies: 1, Served: 1},
+		},
+		{
+			// The partner serves honestly (d = 8); the initiator clamps
+			// the implied report 4 + 2·8 = 20 to 12 and applies
+			// (12 − 4)/2 = 4 on top of the 4 injected in between.
+			name: "clamp on the implied report",
+			setup: func(rt *Runtime, p int) {
+				rt.SetRobust(robust.Policy{Clamp: true, ClampMin: 0, ClampMax: 12})
+			},
+			between: func(rt *Runtime) { rt.InjectValue(0, 0, 8) },
+			wantA:   12, wantP: 12,
+			want: Stats{Initiated: 1, Replies: 1, Served: 1},
+		},
+		{
+			// The partner's band rejects the delta 4 − 20: it nacks and
+			// neither side moves.
+			name: "passive trim reject",
+			setup: func(rt *Runtime, p int) {
+				rt.SetRobust(robust.Policy{Trim: true, TrimK: 8})
+				setTrim(rt, 0, wide)
+				setTrim(rt, p, narrow)
+			},
+			wantA: 4, wantP: 20,
+			want:     Stats{Initiated: 1, PeerBusy: 1},
+			rejected: 1,
+		},
+		{
+			// The partner serves (d = 8); the initiator's band rejects
+			// the implied delta 2d = 16 and drops only its own half.
+			name: "active trim reject",
+			setup: func(rt *Runtime, p int) {
+				rt.SetRobust(robust.Policy{Trim: true, TrimK: 8})
+				setTrim(rt, 0, narrow)
+				setTrim(rt, p, wide)
+			},
+			wantA: 4, wantP: 12,
+			want:     Stats{Initiated: 1, Served: 1},
+			rejected: 1,
+		},
+	} {
+		for _, p := range []int{1, 2} {
+			layout := map[int]string{1: "same shard", 2: "cross shard"}[p]
+			t.Run(tc.name+"/"+layout, func(t *testing.T) {
+				vals := []float64{4, 12, 12, 12}
+				vals[p] = 20
+				rt := newScriptedShards(t, vals, nil)
+				tc.setup(rt, p)
+				s0, s1 := rt.shards[0], rt.shards[1]
+				s0.initiate(0, 0, int32(1+p))
+				if p == 1 && len(s0.local) != 1 {
+					t.Fatal("the same-shard exchange was fused, want it declined to letters")
+				}
+				if tc.between != nil {
+					tc.between(rt)
+				}
+				s0.drainLocal()
+				s0.postLocked()
+				handleMail(s1)
+				s1.postLocked()
+				handleMail(s0)
+				if a, b := rt.NodeState(0)[0], rt.NodeState(p)[0]; a != tc.wantA || b != tc.wantP {
+					t.Fatalf("initiator %g, partner %g; want %g and %g", a, b, tc.wantA, tc.wantP)
+				}
+				if st := rt.Stats(); st != tc.want {
+					t.Fatalf("stats %+v, want %+v", st, tc.want)
+				}
+				if got := rt.RobustRejected(); got != tc.rejected {
+					t.Fatalf("robust rejects %d, want %d", got, tc.rejected)
+				}
+			})
+		}
+	}
+}
+
+// setTrim installs node i's trim acceptance band.
+func setTrim(rt *Runtime, i int, band robust.TrimState) {
+	s := rt.shardOf(i)
+	s.cold[i-s.lo].trim = band
 }

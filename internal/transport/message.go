@@ -19,7 +19,8 @@ type Kind uint8
 
 // Message kinds of the push-pull exchange (Figure 1): the active node
 // sends a push carrying its approximation, the passive node answers with
-// a reply carrying its pre-merge approximation.
+// a reply carrying the transfer the initiator adds to its own
+// (core.Schema.MergeExchange).
 const (
 	KindPush Kind = iota + 1
 	KindReply

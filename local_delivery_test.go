@@ -149,8 +149,8 @@ func TestOpenTCPMeshStillCrossesHosts(t *testing.T) {
 	t.Fatalf("combined mean %g, want 50 ± 0.1 (mass leaked across the local/remote split)", mean)
 }
 
-// TestOpenTCPSetValueRacesLocalExchanges: System.SetValue's in-flight
-// interlock against exchanges that complete inside one round-lock hold.
+// TestOpenTCPSetValueRacesLocalExchanges: System.SetValue against
+// exchanges that complete inside one round-lock hold.
 // Concurrent writers on disjoint nodes; afterwards the estimates must
 // carry exactly the mass of the last value written to every node.
 func TestOpenTCPSetValueRacesLocalExchanges(t *testing.T) {

@@ -300,6 +300,77 @@ func TestOpenTCPSingleNodePair(t *testing.T) {
 	}
 }
 
+// TestTransferMixedRuntimeMesh joins a single-node TCP system (a
+// goroutine Node) to a 64-node TCP heap runtime over loopback: the two
+// runtimes serve each other's pushes, so each must answer with the
+// transfer the other adds. An injection on either side mid-run must land
+// whole in the combined Σ, which every node converges on.
+func TestTransferMixedRuntimeMesh(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real TCP sockets")
+	}
+	const n = 64
+	heap, err := Open(
+		WithTCP("127.0.0.1:0"),
+		WithSize(n),
+		WithWorkers(2),
+		WithValues(func(i int) float64 { return float64(i % 8) }), // Σ 224
+		WithCycleLength(5*time.Millisecond),
+		WithReplyTimeout(200*time.Millisecond),
+		WithSeed(3),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer heap.Close()
+	single, err := Open(
+		WithTCP("127.0.0.1:0", heap.Nodes()[0].Addr()),
+		WithValue(31),
+		WithCycleLength(5*time.Millisecond),
+		WithReplyTimeout(200*time.Millisecond),
+		WithSeed(4),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
+	nodes := append(append([]*Node(nil), heap.Nodes()...), single.Nodes()...)
+
+	// Let the single node join the exchanges, then inject on both sides
+	// while they run: +65 on the goroutine node, +130 on a heap node.
+	deadline := time.Now().Add(20 * time.Second)
+	for single.Nodes()[0].Stats().Served == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no heap node ever pushed to the single node")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if err := single.SetValue(0, "avg", 31+65); err != nil {
+		t.Fatal(err)
+	}
+	if err := heap.SetValue(5, "avg", 5+130); err != nil {
+		t.Fatal(err)
+	}
+	want := float64(224+31+65+130) / (n + 1)
+	for {
+		worst := 0.0
+		for _, nd := range nodes {
+			est, err := nd.Estimate("avg")
+			if err != nil {
+				t.Fatal(err)
+			}
+			worst = math.Max(worst, math.Abs(est-want))
+		}
+		if worst < 1e-6 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("mixed mesh: worst estimate %g off the combined mean %g", worst, want)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestReduceDoesNotMaterialize is the acceptance gate for the
 // streaming observation surface: folding mean/variance over a
 // 10⁵-node heap-mode system must not allocate an N-length slice — the

@@ -413,7 +413,7 @@ func (s *System) registerSystemMetrics(tcpEP *transport.TCPEndpoint) {
 		{"repro_engine_exchanges_initiated_total", "Exchanges started by hosted nodes.", func(st NodeStats) uint64 { return st.Initiated }},
 		{"repro_engine_exchanges_completed_total", "Exchanges whose pull reply was merged.", func(st NodeStats) uint64 { return st.Replies }},
 		{"repro_engine_exchange_deadline_missed_total", "Exchanges reaped by the reply deadline.", func(st NodeStats) uint64 { return st.Timeouts }},
-		{"repro_engine_late_replies_absorbed_total", "Post-deadline replies still merged to conserve mass.", func(st NodeStats) uint64 { return st.LateReplies }},
+		{"repro_engine_late_replies_absorbed_total", "Replies applied after their exchange's deadline fired (the transfer the peer already gave).", func(st NodeStats) uint64 { return st.LateReplies }},
 		{"repro_engine_exchanges_nacked_total", "Exchanges declined by a busy peer.", func(st NodeStats) uint64 { return st.PeerBusy }},
 		{"repro_engine_pushes_served_total", "Inbound pushes merged and replied to.", func(st NodeStats) uint64 { return st.Served }},
 		{"repro_engine_pushes_declined_total", "Inbound pushes nacked while busy.", func(st NodeStats) uint64 { return st.BusyDropped }},
