@@ -407,6 +407,7 @@ func (n *Node) setRobust(p robust.Policy, seed robust.TrimState) {
 	n.robustCfg = p
 	n.robustOn = p.Enabled()
 	n.trim = seed
+	n.sent = n.state[0] // what an exchange already in flight pushed, barring an injection
 }
 
 // isAdversary reports whether the node is configured as an adversary.

@@ -1161,7 +1161,9 @@ func (rt *Runtime) SetRobust(p robust.Policy) {
 			s.robust, s.robustOn = robust.Policy{}, false
 		}
 		for i := range s.cold {
-			s.cold[i].trim = seed
+			// An exchange already in flight pushed the state as it still
+			// is, barring an injection (a busy node serves nothing).
+			s.cold[i].trim, s.cold[i].sent = seed, s.backing[i*s.width]
 		}
 		s.mu.Unlock()
 	}
