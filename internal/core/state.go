@@ -64,6 +64,9 @@ func MustSchema(fields ...Field) *Schema {
 // Len returns the number of fields.
 func (s *Schema) Len() int { return len(s.fields) }
 
+// Agg returns field i's aggregation.
+func (s *Schema) Agg(i int) Aggregate { return s.fields[i].Agg }
+
 // FieldNames returns the field names in schema order.
 func (s *Schema) FieldNames() []string {
 	out := make([]string, len(s.fields))

@@ -169,8 +169,8 @@ type Node struct {
 
 	replyTimer *time.Timer // reply-deadline timer, reused across exchanges (active loop only)
 
-	// timedOut records the exchanges whose reply deadline fired, so a
-	// late reply is still applied, once (see absorb); sent is the
+	// timedOut records the last exchange whose reply deadline fired, so
+	// its late reply is still applied, once (see absorb); sent is the
 	// primary field of the last push, kept while the robust gate is on.
 	// Both guarded by mu.
 	timedOut seqRecord
@@ -184,7 +184,9 @@ type Node struct {
 
 	// busy marks an exchange in flight on the active side. While set,
 	// incoming pushes are declined with a nack, so a node takes part in
-	// one exchange at a time, as the heap runtime's nodes do.
+	// one exchange at a time: not for Σ, which the transfer form keeps
+	// either way, but for the model the convergence factor of §3.3 is
+	// derived under (see the heap runtime's servePush).
 	busy atomic.Bool
 
 	// failed marks a scenario-injected crash: the node stops initiating
@@ -361,7 +363,7 @@ func (n *Node) Revive() bool {
 		return false
 	}
 	n.state = n.initState(n.tracker.Current(), n.value)
-	n.timedOut = seqRecord{}
+	n.timedOut = 0
 	n.failed.Store(false)
 	return true
 }
@@ -667,7 +669,7 @@ func (n *Node) initiateExchange() {
 			// The peer may have served the push already: its reply,
 			// however late, still owes this node the transfer.
 			n.mu.Lock()
-			n.timedOut.add(msg.Seq)
+			n.timedOut = seqRecord(msg.Seq)
 			n.mu.Unlock()
 			return
 		case <-n.stop:
@@ -702,17 +704,11 @@ func (n *Node) absorb(m transport.Message, late bool) {
 	if len(m.Fields) != len(n.state) {
 		return // schema mismatch; drop defensively
 	}
-	if n.robustOn {
-		// The peer's implied report is the pushed value plus 2d: clamp
-		// it, cut the transfer to match, and trim on the implied delta.
-		rep := n.robustCfg.ClampValue(n.sent + 2*m.Fields[0])
-		m.Fields[0] = (rep - n.sent) / 2
-		if n.robustCfg.Trim && !n.trim.Admit(rep-n.sent, n.robustCfg.TrimK) {
-			// Active-side reject: the responder already committed its
-			// half, so we can only drop our own (§3.2 asymmetry).
-			n.robustRejected.Add(1)
-			return
-		}
+	if n.robustOn && !gateReply(n.robustCfg, &n.trim, n.cfg.Schema.Agg(0), n.sent, m.Fields) {
+		// Active-side reject: the responder already committed its half,
+		// so we can only drop our own (§3.2 asymmetry).
+		n.robustRejected.Add(1)
+		return
 	}
 	n.cfg.Schema.ApplyTransfer(n.state, core.State(m.Fields))
 	if late {

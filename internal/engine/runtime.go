@@ -279,8 +279,8 @@ type rcold struct {
 	// missed reply deadline can Forget it (failure detection from
 	// traffic); only maintained when the sampler observes.
 	pendingPeer string
-	// timedOut records the exchanges whose deadline fired, so a late
-	// reply is still applied, once (see handleReply).
+	// timedOut records the last exchange whose deadline fired, so its
+	// late reply is still applied, once (see handleReply).
 	timedOut seqRecord
 	// sent is the primary field of the node's last push, kept while the
 	// robust gate is on: a reply's implied report is sent + 2d.
@@ -295,27 +295,40 @@ type rcold struct {
 	sendErrors, busyDropped, peerBusy                  uint64
 }
 
-// seqRecord is a node's record of its timed-out exchanges whose replies
-// may still arrive: the newest four seqs, 0 in an empty slot. take
-// strikes a seq out, so each late reply applies at most once; a seq
-// pushed out by four newer timeouts is given up, and its reply dropped.
-type seqRecord [4]uint64
+// seqRecord is a node's record of its last timed-out exchange, whose
+// reply may still arrive: its seq, 0 when none. take strikes it out, so
+// a late reply applies at most once; a newer timeout overwrites it and
+// gives the older reply up. One slot is what the measured traffic needs:
+// no late reply in the instrumented runs of ROADMAP item 16(a) belonged
+// to any but the node's newest timed-out exchange.
+type seqRecord uint64
 
-// add records seq, giving up the oldest.
-func (r *seqRecord) add(seq uint64) {
-	copy(r[1:], r[:len(r)-1])
-	r[0] = seq
+// take reports whether seq is the recorded one, and strikes it out.
+func (r *seqRecord) take(seq uint64) bool {
+	if seq == 0 || seqRecord(seq) != *r {
+		return false
+	}
+	*r = 0
+	return true
 }
 
-// take reports whether seq was recorded, and strikes it out.
-func (r *seqRecord) take(seq uint64) bool {
-	for i, v := range r {
-		if v == seq && seq != 0 {
-			r[i] = 0
-			return true
-		}
+// gateReply runs the active robust gate on a reply's payload f, for a
+// node whose push carried sent as its primary field, and reports whether
+// the reply is admitted. The peer's report is sent + 2d when the field
+// is an Average (f[0] is the transfer d) and f[0] itself for Min and Max
+// (the pre-merge value): it is clamped, f[0] is cut to match, and the
+// trim judges the report's distance from sent.
+func gateReply(p robust.Policy, t *robust.TrimState, agg core.Aggregate, sent float64, f []float64) bool {
+	rep := f[0]
+	if agg == core.Average {
+		rep = sent + 2*f[0]
 	}
-	return false
+	rep = p.ClampValue(rep)
+	f[0] = rep
+	if agg == core.Average {
+		f[0] = (rep - sent) / 2
+	}
+	return !p.Trim || t.Admit(rep-sent, p.TrimK)
 }
 
 // letter is one in-process message: the protocol message with its
@@ -1050,7 +1063,7 @@ func (rt *Runtime) ReviveNode(i int) bool {
 	n.failed = false
 	c := &s.cold[i-s.lo]
 	copy(s.state(i-s.lo), rt.initStateFor(c, n.tracker.Current()))
-	c.timedOut = seqRecord{}
+	c.timedOut = 0
 	rt.failedNodes.Add(-1)
 	return true
 }
@@ -1534,7 +1547,7 @@ func (s *rshard) handleDeadline(d deadline, now float64) {
 	}
 	// The peer may have served the push already: its reply, however
 	// late, still owes this node the transfer.
-	c.timedOut.add(d.seq)
+	c.timedOut = seqRecord(d.seq)
 	if s.traceSampled(d.seq) {
 		s.recordTrace(li, d.seq, TraceTimedOut, now)
 	}
@@ -1963,9 +1976,11 @@ func (s *rshard) handleMessage(m *transport.Message, from, to int32) {
 func (s *rshard) servePush(li int, from int32, m *transport.Message) {
 	n := &s.nodes[li]
 	if !s.rt.cfg.PushOnly && n.pendingSeq != 0 {
-		// An own exchange is in flight; merging now would break the
-		// atomicity of the elementary step. Decline with a nack, as the
-		// goroutine runtime does.
+		// An own exchange is in flight: decline with a nack, as the
+		// goroutine runtime does. Σ would hold either way (the reply is
+		// a transfer); the nack keeps each node in one exchange at a
+		// time, the model the convergence factor of §3.3 is derived
+		// under. ROADMAP item 17 measures whether it can go.
 		s.cold[li].busyDropped++
 		s.ctr.busyDropped.Add(1)
 		s.free.put(m.Fields)
@@ -2113,19 +2128,13 @@ func (s *rshard) handleReply(li int, m *transport.Message) {
 		}
 		return
 	}
-	if s.robustOn {
-		// The peer's implied report is the pushed value plus 2d: clamp
-		// it, cut the transfer to match, and trim on the implied delta.
-		// A reply that outlived a newer push is judged against that one.
-		rep := s.robust.ClampValue(c.sent + 2*m.Fields[0])
-		m.Fields[0] = (rep - c.sent) / 2
-		if s.robust.Trim && !c.trim.Admit(rep-c.sent, s.robust.TrimK) {
-			// Active-side reject: the responder already committed its
-			// half when it served the push, so only this node's half is
-			// dropped — the kernel's initiator-reject semantics.
-			s.ctr.robustRejected.Add(1)
-			return
-		}
+	// A reply that outlived a newer push is judged against that one.
+	if s.robustOn && !gateReply(s.robust, &c.trim, s.rt.schema.Agg(0), c.sent, m.Fields) {
+		// Active-side reject: the responder already committed its half
+		// when it served the push, so only this node's half is dropped —
+		// the kernel's initiator-reject semantics.
+		s.ctr.robustRejected.Add(1)
+		return
 	}
 	s.rt.schema.ApplyTransfer(core.State(state), core.State(m.Fields))
 	if late {

@@ -2,9 +2,13 @@ package engine
 
 import (
 	"testing"
+	"time"
 
+	"repro/internal/core"
+	"repro/internal/membership"
 	"repro/internal/robust"
 	"repro/internal/sim"
+	"repro/internal/transport"
 )
 
 // The scripts below drive an unstarted two-worker runtime by hand: shard
@@ -194,17 +198,51 @@ func TestTransferLateReplyAtMostOnce(t *testing.T) {
 	}
 }
 
+// TestTransferLateReplyGivenUp pins the one-slot timed-out record: node
+// 0 (4) times out on two pushes to node 2 (20) before either reply
+// lands. Node 2 serves both, replying d = 8 and then d = 4; the newer
+// timeout overwrote the first seq, so only the second reply applies and
+// the first one's 8 leaves Σ — the price of one slot (ROADMAP 16(a)).
+func TestTransferLateReplyGivenUp(t *testing.T) {
+	rt := newScriptedShards(t, []float64{4, 12, 20, 12}, nil)
+	s0, s1 := rt.shards[0], rt.shards[1]
+	s0.initiate(0, 0, 1+2)
+	timeOut(t, s0)
+	s0.initiate(0, 0, 1+2)
+	timeOut(t, s0)
+	s0.postLocked()
+	handleMail(s1)
+	s1.postLocked()
+	if got := handleMail(s0); got != 2 {
+		t.Fatalf("%d replies delivered, want 2", got)
+	}
+	if got, a, b := mass(rt), rt.NodeState(0)[0], rt.NodeState(2)[0]; got != 40 || a != 8 || b != 8 {
+		t.Fatalf("Σ = %g, node 0 = %g, node 2 = %g; want 40, 8 and 8", got, a, b)
+	}
+	if st := rt.NodeStats(0); st.Timeouts != 2 || st.LateReplies != 1 || st.Replies != 0 {
+		t.Fatalf("node 0 stats %+v", st)
+	}
+}
+
 // TestTransferNonHonestPaths pins the exchange's Byzantine and robust
 // paths on exact dyadic states, with the partner in the initiator's own
 // shard (where fuse declines and the letters run in-round) and in the
 // sibling shard (through the mailboxes). Node 0 (4) initiates with its
-// partner (20); the two other nodes hold 12.
+// partner (20); the two other nodes hold 12. The max-first rows gossip
+// Max in field 0, whose reply carries the partner's pre-merge value, not
+// a transfer: the gate must clamp and trim that value itself.
 func TestTransferNonHonestPaths(t *testing.T) {
 	narrow := robust.TrimState{Scale: 1} // admits |delta| ≤ 8 at K = 8
+	mid := robust.TrimState{Scale: 2.5}  // admits |delta| ≤ 20 at K = 8
 	wide := robust.TrimState{Scale: 100} // admits anything here
+	id := func(v float64) float64 { return v }
+	maxFirst := core.MustSchema(
+		core.Field{Name: "max", Agg: core.Max, Init: id},
+		core.Field{Name: "avg", Agg: core.Average, Init: id})
 	for _, tc := range []struct {
-		name  string
-		setup func(rt *Runtime, p int)
+		name   string
+		schema *core.Schema // nil: core.AverageSchema
+		setup  func(rt *Runtime, p int)
 		// between runs after the push left, before the partner serves.
 		between      func(rt *Runtime)
 		wantA, wantP float64
@@ -273,13 +311,56 @@ func TestTransferNonHonestPaths(t *testing.T) {
 			want:     Stats{Initiated: 1, Served: 1},
 			rejected: 1,
 		},
+		{
+			// The partner keeps max(20, 4) and replies its pre-merge
+			// 20; the initiator clamps that report to 12 and adopts
+			// max(4, 12).
+			name:   "max-first clamp",
+			schema: maxFirst,
+			setup: func(rt *Runtime, p int) {
+				rt.SetRobust(robust.Policy{Clamp: true, ClampMin: 0, ClampMax: 12})
+			},
+			wantA: 12, wantP: 20,
+			want: Stats{Initiated: 1, Replies: 1, Served: 1},
+		},
+		{
+			// The initiator's band admits the report's distance
+			// 20 − 4 = 16 and adopts the max.
+			name:   "max-first active trim admits",
+			schema: maxFirst,
+			setup: func(rt *Runtime, p int) {
+				rt.SetRobust(robust.Policy{Trim: true, TrimK: 8})
+				setTrim(rt, 0, mid)
+				setTrim(rt, p, wide)
+			},
+			wantA: 20, wantP: 20,
+			want: Stats{Initiated: 1, Replies: 1, Served: 1},
+		},
+		{
+			// The same distance 16 is outside the narrow band: the
+			// initiator keeps its 4, the partner its 20.
+			name:   "max-first active trim reject",
+			schema: maxFirst,
+			setup: func(rt *Runtime, p int) {
+				rt.SetRobust(robust.Policy{Trim: true, TrimK: 8})
+				setTrim(rt, 0, narrow)
+				setTrim(rt, p, wide)
+			},
+			wantA: 4, wantP: 20,
+			want:     Stats{Initiated: 1, Served: 1},
+			rejected: 1,
+		},
 	} {
 		for _, p := range []int{1, 2} {
 			layout := map[int]string{1: "same shard", 2: "cross shard"}[p]
 			t.Run(tc.name+"/"+layout, func(t *testing.T) {
 				vals := []float64{4, 12, 12, 12}
 				vals[p] = 20
-				rt := newScriptedShards(t, vals, nil)
+				rt := newScriptedShards(t, vals, func(c *RuntimeConfig) {
+					if tc.schema != nil {
+						c.Schema = tc.schema
+					}
+				})
 				tc.setup(rt, p)
 				s0, s1 := rt.shards[0], rt.shards[1]
 				s0.initiate(0, 0, int32(1+p))
@@ -312,4 +393,151 @@ func TestTransferNonHonestPaths(t *testing.T) {
 func setTrim(rt *Runtime, i int, band robust.TrimState) {
 	s := rt.shardOf(i)
 	s.cold[i-s.lo].trim = band
+}
+
+// scriptedNodes builds two unstarted goroutine Nodes on one lossless
+// fabric: a (value va) samples only b (value vb), and neither dispatches,
+// so the script hands each message to its handler itself. a's reply
+// deadline is timeout.
+func scriptedNodes(t *testing.T, schema *core.Schema, va, vb float64, timeout time.Duration) (a, b *Node) {
+	t.Helper()
+	fabric := transport.NewFabric(transport.WithSeed(31))
+	epA, epB := fabric.NewEndpoint(), fabric.NewEndpoint()
+	view, err := membership.NewStatic([]string{epB.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk := func(ep transport.Endpoint, s membership.Sampler, v float64) *Node {
+		n, err := NewNode(Config{Schema: schema, Endpoint: ep, Sampler: s, Value: v,
+			CycleLength: time.Second, ReplyTimeout: timeout, Seed: 33})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	return mk(epA, view, va), mk(epB, silentSampler{}, vb)
+}
+
+// serve has b serve the push waiting in its inbox and returns the reply
+// that lands in a's inbox.
+func serve(t *testing.T, a, b *Node) transport.Message {
+	t.Helper()
+	b.servePush(<-b.cfg.Endpoint.Inbox())
+	select {
+	case r := <-a.cfg.Endpoint.Inbox():
+		return r
+	default:
+		t.Fatal("no reply in the initiator's inbox")
+		return transport.Message{}
+	}
+}
+
+// copyMsg duplicates m with a buffer of its own, as a duplicated
+// delivery would hand the node.
+func copyMsg(m transport.Message) transport.Message {
+	m.Fields = append([]float64(nil), m.Fields...)
+	return m
+}
+
+// TestTransferNodeLateReplyAtMostOnce is TestTransferLateReplyAtMostOnce
+// for the goroutine Node. Node a (4) pushes to b (20) and its deadline
+// fires before b serves; b adopts 12 and replies d = 8. The late reply
+// reaches a by routeReply — or, as when its delivery raced the timeout,
+// from the reply slot, drained by the next exchange or taken by the
+// wait loop of an exchange in flight — and must apply once.
+func TestTransferNodeLateReplyAtMostOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		between func(a *Node)
+		deliver func(t *testing.T, a *Node, r transport.Message)
+		wantA   float64
+		stats   func(Stats) bool
+	}{
+		{name: "duplicate", deliver: func(t *testing.T, a *Node, r transport.Message) {
+			a.routeReply(copyMsg(r))
+			a.routeReply(r)
+		}, wantA: 12, stats: func(st Stats) bool { return st.LateReplies == 1 && st.Replies == 0 }},
+		{name: "drained by the next exchange", deliver: func(t *testing.T, a *Node, r transport.Message) {
+			a.replyCh <- copyMsg(r)
+			a.initiateExchange() // its own push times out unserved
+			if got := a.State()[0]; got != 12 {
+				t.Fatalf("a = %g after the drain, want 12", got)
+			}
+			a.routeReply(r)
+		}, wantA: 12, stats: func(st Stats) bool { return st.LateReplies == 1 && st.Timeouts == 2 }},
+		{name: "taken while the next exchange waits", deliver: func(t *testing.T, a *Node, r transport.Message) {
+			done := make(chan struct{})
+			go func() { a.initiateExchange(); close(done) }()
+			for a.pendingSeq.Load() == 0 {
+				time.Sleep(time.Millisecond)
+			}
+			a.replyCh <- copyMsg(r)
+			<-done
+			if got := a.State()[0]; got != 12 {
+				t.Fatalf("a = %g after the wait, want 12", got)
+			}
+			a.routeReply(r)
+		}, wantA: 12, stats: func(st Stats) bool { return st.LateReplies == 1 && st.Timeouts == 2 }},
+		{name: "after a revive", between: func(a *Node) {
+			a.Fail()
+			a.Revive()
+		}, deliver: func(t *testing.T, a *Node, r transport.Message) { a.routeReply(r) },
+			wantA: 4, stats: func(st Stats) bool { return st.LateReplies == 0 }},
+		{name: "after a newer epoch", between: func(a *Node) {
+			a.tracker.Observe(1)
+			a.state = a.initState(1, a.value)
+		}, deliver: func(t *testing.T, a *Node, r transport.Message) { a.routeReply(r) },
+			wantA: 4, stats: func(st Stats) bool { return st.LateReplies == 0 && st.StaleDropped == 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := scriptedNodes(t, core.AverageSchema(), 4, 20, 20*time.Millisecond)
+			a.initiateExchange() // b does not serve before the deadline
+			r := serve(t, a, b)
+			if tc.between != nil {
+				tc.between(a)
+			}
+			tc.deliver(t, a, r)
+			if got, gotB := a.State()[0], b.State()[0]; got != tc.wantA || gotB != 12 {
+				t.Fatalf("a = %g, b = %g; want %g and 12", got, gotB, tc.wantA)
+			}
+			if st := a.Stats(); !tc.stats(st) {
+				t.Fatalf("a's stats %+v", st)
+			}
+		})
+	}
+}
+
+// TestTransferNodeRobustGate pins the goroutine Node's active robust
+// gate on an Average and a Max primary field. a (4) pushes to b (20) and
+// clamps b's report to [0, 12]: for an Average the report is implied,
+// 4 + 2·8, and a applies (12 − 4)/2; for a Max the reply is b's
+// pre-merge 20 and a adopts max(4, 12).
+func TestTransferNodeRobustGate(t *testing.T) {
+	id := func(v float64) float64 { return v }
+	for _, tc := range []struct {
+		name         string
+		schema       *core.Schema
+		wantA, wantB float64
+	}{
+		{"average", core.AverageSchema(), 8, 12},
+		{"max", core.MustSchema(core.Field{Name: "max", Agg: core.Max, Init: id}), 12, 20},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := scriptedNodes(t, tc.schema, 4, 20, 10*time.Second)
+			a.setRobust(robust.Policy{Clamp: true, ClampMin: 0, ClampMax: 12}, robust.TrimState{})
+			done := make(chan struct{})
+			go func() { a.initiateExchange(); close(done) }()
+			for a.pendingSeq.Load() == 0 {
+				time.Sleep(time.Millisecond)
+			}
+			a.routeReply(serve(t, a, b))
+			<-done
+			if got, gotB := a.State()[0], b.State()[0]; got != tc.wantA || gotB != tc.wantB {
+				t.Fatalf("a = %g, b = %g; want %g and %g", got, gotB, tc.wantA, tc.wantB)
+			}
+			if st := a.Stats(); st.Replies != 1 || st.Timeouts != 0 {
+				t.Fatalf("a's stats %+v", st)
+			}
+		})
+	}
 }
