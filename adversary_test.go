@@ -8,13 +8,12 @@ import (
 	"time"
 )
 
-// adversarySystem opens an n-node system in the given mode with values
+// adversarySystem opens an n-node system with values
 // i%10 (honest mean ≈ 4.5) and a fast cycle, plus any extra options.
-func adversarySystem(t *testing.T, mode RuntimeMode, n int, extra ...Option) *System {
+func adversarySystem(t *testing.T, n int, extra ...Option) *System {
 	t.Helper()
 	opts := append([]Option{
 		WithSize(n),
-		WithMode(mode),
 		WithValues(func(i int) float64 { return float64(i % 10) }),
 		WithCycleLength(2 * time.Millisecond),
 		WithSeed(19),
@@ -49,8 +48,7 @@ func corruption(t *testing.T, sys *System) float64 {
 // package): 5% extreme-value adversaries corrupt the unprotected
 // aggregate far beyond the honest noise floor, while the same attack
 // against the robust-merge countermeasures (value clamp + trimmed
-// merge) stays bounded near it — in both the goroutine and the heap
-// scheduler.
+// merge) stays bounded near it.
 func TestAdversaryCorruptionBothRuntimes(t *testing.T) {
 	const (
 		n = 200
@@ -61,43 +59,41 @@ func TestAdversaryCorruptionBothRuntimes(t *testing.T) {
 		attackTime = 600 * time.Millisecond // ≈ 300 protocol cycles
 	)
 	adv := WithAdversaries("extreme-value", 0.05, 1000, 0)
-	for _, mode := range []RuntimeMode{ModeGoroutine, ModeHeap} {
-		t.Run(mode.String(), func(t *testing.T) {
-			t.Run("baseline", func(t *testing.T) {
-				sys := adversarySystem(t, mode, n, adv)
-				if got := sys.AdversaryCount(); got != 10 {
-					t.Fatalf("AdversaryCount = %d, want 10", got)
-				}
-				time.Sleep(attackTime)
-				c := corruption(t, sys)
-				if c < 10*noiseFloor {
-					t.Fatalf("baseline corruption %.3f under 5%% extreme-value adversaries, want > %.2f (poison did not propagate)",
-						c, 10*noiseFloor)
-				}
-				tel := sys.Telemetry()
-				if tel.AdversaryNodes != 10 {
-					t.Fatalf("telemetry reports %d adversary nodes, want 10", tel.AdversaryNodes)
-				}
-				t.Logf("baseline corruption: %.2f", c)
-			})
-			t.Run("robust", func(t *testing.T) {
-				sys := adversarySystem(t, mode, n, adv, WithRobustMerge(RobustConfig{
-					Clamp: true, ClampMin: -100, ClampMax: 100,
-					Trim: true, TrimK: 8,
-				}))
-				time.Sleep(attackTime)
-				c := corruption(t, sys)
-				if c > 10*noiseFloor {
-					t.Fatalf("robust corruption %.3f, want ≤ %.2f (countermeasures failed to contain the attack)",
-						c, 10*noiseFloor)
-				}
-				if rej := sys.RobustRejected(); rej == 0 {
-					t.Fatal("robust merge rejected nothing while under active attack")
-				}
-				t.Logf("robust corruption: %.4f, rejected %d halves", c, sys.RobustRejected())
-			})
+	t.Run("heap", func(t *testing.T) {
+		t.Run("baseline", func(t *testing.T) {
+			sys := adversarySystem(t, n, adv)
+			if got := sys.AdversaryCount(); got != 10 {
+				t.Fatalf("AdversaryCount = %d, want 10", got)
+			}
+			time.Sleep(attackTime)
+			c := corruption(t, sys)
+			if c < 10*noiseFloor {
+				t.Fatalf("baseline corruption %.3f under 5%% extreme-value adversaries, want > %.2f (poison did not propagate)",
+					c, 10*noiseFloor)
+			}
+			tel := sys.Telemetry()
+			if tel.AdversaryNodes != 10 {
+				t.Fatalf("telemetry reports %d adversary nodes, want 10", tel.AdversaryNodes)
+			}
+			t.Logf("baseline corruption: %.2f", c)
 		})
-	}
+		t.Run("robust", func(t *testing.T) {
+			sys := adversarySystem(t, n, adv, WithRobustMerge(RobustConfig{
+				Clamp: true, ClampMin: -100, ClampMax: 100,
+				Trim: true, TrimK: 8,
+			}))
+			time.Sleep(attackTime)
+			c := corruption(t, sys)
+			if c > 10*noiseFloor {
+				t.Fatalf("robust corruption %.3f, want ≤ %.2f (countermeasures failed to contain the attack)",
+					c, 10*noiseFloor)
+			}
+			if rej := sys.RobustRejected(); rej == 0 {
+				t.Fatal("robust merge rejected nothing while under active attack")
+			}
+			t.Logf("robust corruption: %.4f, rejected %d halves", c, sys.RobustRejected())
+		})
+	})
 }
 
 // TestAdversaryLiveInjectionAndRestore drives the live reconfiguration
@@ -106,62 +102,60 @@ func TestAdversaryCorruptionBothRuntimes(t *testing.T) {
 // honesty with fraction 0, and re-converge.
 func TestAdversaryLiveInjectionAndRestore(t *testing.T) {
 	const n = 64
-	for _, mode := range []RuntimeMode{ModeGoroutine, ModeHeap} {
-		t.Run(mode.String(), func(t *testing.T) {
-			sys := adversarySystem(t, mode, n)
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			if _, err := sys.WaitConverged(ctx, "avg", 1e-6); err != nil {
-				t.Fatalf("initial convergence: %v", err)
-			}
+	t.Run("heap", func(t *testing.T) {
+		sys := adversarySystem(t, n)
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if _, err := sys.WaitConverged(ctx, "avg", 1e-6); err != nil {
+			t.Fatalf("initial convergence: %v", err)
+		}
 
-			if err := sys.SetAdversaries("colluding", 0.1, 0, 42); err != nil {
-				t.Fatal(err)
-			}
-			count := sys.AdversaryCount()
-			if count == 0 {
-				t.Fatal("no adversaries after injection")
-			}
-			est, err := sys.Query(ctx, "avg")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if est.Nodes != n-count {
-				t.Fatalf("estimate folds %d nodes with %d adversaries, want %d (adversaries must not vote)",
-					est.Nodes, count, n-count)
-			}
+		if err := sys.SetAdversaries("colluding", 0.1, 0, 42); err != nil {
+			t.Fatal(err)
+		}
+		count := sys.AdversaryCount()
+		if count == 0 {
+			t.Fatal("no adversaries after injection")
+		}
+		est, err := sys.Query(ctx, "avg")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if est.Nodes != n-count {
+			t.Fatalf("estimate folds %d nodes with %d adversaries, want %d (adversaries must not vote)",
+				est.Nodes, count, n-count)
+		}
 
-			// Validation: unknown behaviors and out-of-range fractions are
-			// rejected without touching the running system.
-			if err := sys.SetAdversaries("gaslighting", 0.1, 0, 0); err == nil {
-				t.Fatal("SetAdversaries accepted an unknown behavior")
-			}
-			if err := sys.SetAdversaries("extreme-value", 1.0, 0, 0); err == nil {
-				t.Fatal("SetAdversaries accepted fraction 1.0 (no honest nodes left)")
-			}
-			if got := sys.AdversaryCount(); got != count {
-				t.Fatalf("failed validation changed the adversary set: %d → %d", count, got)
-			}
+		// Validation: unknown behaviors and out-of-range fractions are
+		// rejected without touching the running system.
+		if err := sys.SetAdversaries("gaslighting", 0.1, 0, 0); err == nil {
+			t.Fatal("SetAdversaries accepted an unknown behavior")
+		}
+		if err := sys.SetAdversaries("extreme-value", 1.0, 0, 0); err == nil {
+			t.Fatal("SetAdversaries accepted fraction 1.0 (no honest nodes left)")
+		}
+		if got := sys.AdversaryCount(); got != count {
+			t.Fatalf("failed validation changed the adversary set: %d → %d", count, got)
+		}
 
-			// Fraction 0 restores every node to honest operation.
-			if err := sys.SetAdversaries("colluding", 0, 0, 0); err != nil {
-				t.Fatal(err)
-			}
-			if got := sys.AdversaryCount(); got != 0 {
-				t.Fatalf("AdversaryCount = %d after restore, want 0", got)
-			}
-			est, err = sys.Query(ctx, "avg")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if est.Nodes != n {
-				t.Fatalf("estimate folds %d nodes after restore, want %d", est.Nodes, n)
-			}
-			if _, err := sys.WaitConverged(ctx, "avg", 1e-6); err != nil {
-				t.Fatalf("post-restore convergence: %v", err)
-			}
-		})
-	}
+		// Fraction 0 restores every node to honest operation.
+		if err := sys.SetAdversaries("colluding", 0, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		if got := sys.AdversaryCount(); got != 0 {
+			t.Fatalf("AdversaryCount = %d after restore, want 0", got)
+		}
+		est, err = sys.Query(ctx, "avg")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if est.Nodes != n {
+			t.Fatalf("estimate folds %d nodes after restore, want %d", est.Nodes, n)
+		}
+		if _, err := sys.WaitConverged(ctx, "avg", 1e-6); err != nil {
+			t.Fatalf("post-restore convergence: %v", err)
+		}
+	})
 }
 
 // TestQueryRobustMedianOfMeans: the robust read path. A population with
@@ -170,7 +164,7 @@ func TestAdversaryLiveInjectionAndRestore(t *testing.T) {
 // and as the system-wide default (WithMedianOfMeans).
 func TestQueryRobustMedianOfMeans(t *testing.T) {
 	const n = 60 // multiple of 10 so the i%10 population mean is exactly 4.5
-	sys := adversarySystem(t, ModeHeap, n)
+	sys := adversarySystem(t, n)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if _, err := sys.WaitConverged(ctx, "avg", 1e-6); err != nil {
@@ -207,65 +201,63 @@ func TestQueryRobustMedianOfMeans(t *testing.T) {
 
 // TestSetValueFailReviveRace hammers the three live mutation paths —
 // SetValue, FailNode, ReviveNode — concurrently with each other and
-// with running exchanges and reductions, in both runtimes. The assertion
+// with running exchanges and reductions. The assertion
 // is the race detector plus liveness: the system still answers queries
 // and re-converges once the chaos stops.
 func TestSetValueFailReviveRace(t *testing.T) {
 	const n = 50 // multiple of 10 so the i%10 population mean is exactly 4.5
-	for _, mode := range []RuntimeMode{ModeGoroutine, ModeHeap} {
-		t.Run(mode.String(), func(t *testing.T) {
-			sys := adversarySystem(t, mode, n)
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
+	t.Run("heap", func(t *testing.T) {
+		sys := adversarySystem(t, n)
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
 
-			stop := make(chan struct{})
-			var wg sync.WaitGroup
-			worker := func(fn func(i int)) {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; ; i++ {
-						select {
-						case <-stop:
-							return
-						default:
-							fn(i)
-						}
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		worker := func(fn func(i int)) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+						fn(i)
 					}
-				}()
-			}
-			worker(func(i int) { _ = sys.SetValue(i%n, "avg", float64(i%10)) })
-			worker(func(i int) { _ = sys.FailNode(i % n) })
-			worker(func(i int) { _ = sys.ReviveNode(i % n) })
-			worker(func(i int) { _, _ = sys.Query(ctx, "avg") })
-			time.Sleep(300 * time.Millisecond)
-			close(stop)
-			wg.Wait()
-
-			// Settle: revive everyone, set a known population, converge.
-			for i := 0; i < n; i++ {
-				_ = sys.ReviveNode(i)
-			}
-			if got := sys.FailedNodes(); got != 0 {
-				t.Fatalf("FailedNodes = %d after full revival, want 0", got)
-			}
-			for i := 0; i < n; i++ {
-				if err := sys.SetValue(i, "avg", float64(i%10)); err != nil {
-					t.Fatal(err)
 				}
+			}()
+		}
+		worker(func(i int) { _ = sys.SetValue(i%n, "avg", float64(i%10)) })
+		worker(func(i int) { _ = sys.FailNode(i % n) })
+		worker(func(i int) { _ = sys.ReviveNode(i % n) })
+		worker(func(i int) { _, _ = sys.Query(ctx, "avg") })
+		time.Sleep(300 * time.Millisecond)
+		close(stop)
+		wg.Wait()
+
+		// Settle: revive everyone, set a known population, converge.
+		for i := 0; i < n; i++ {
+			_ = sys.ReviveNode(i)
+		}
+		if got := sys.FailedNodes(); got != 0 {
+			t.Fatalf("FailedNodes = %d after full revival, want 0", got)
+		}
+		for i := 0; i < n; i++ {
+			if err := sys.SetValue(i, "avg", float64(i%10)); err != nil {
+				t.Fatal(err)
 			}
-			est, err := sys.WaitConverged(ctx, "avg", 1e-6)
-			if err != nil {
-				t.Fatalf("post-chaos convergence: %v (last %+v)", err, est)
-			}
-			// Crash churn perturbs total mass by design — a node failing
-			// mid-exchange takes its in-flight half with it, and a revival
-			// rejoins fresh — so this is a sanity bound, not the exact
-			// mass-conservation check (that's TestSetValueRoundTripsBothRuntimes,
-			// which mutates without concurrent crashes).
-			if math.Abs(est.Mean-4.5) > 1.0 {
-				t.Fatalf("post-chaos mean %.3f, want ≈ 4.5 (mutation raced an exchange into gross mass leakage)", est.Mean)
-			}
-		})
-	}
+		}
+		est, err := sys.WaitConverged(ctx, "avg", 1e-6)
+		if err != nil {
+			t.Fatalf("post-chaos convergence: %v (last %+v)", err, est)
+		}
+		// Crash churn perturbs total mass by design — a node failing
+		// mid-exchange takes its in-flight half with it, and a revival
+		// rejoins fresh — so this is a sanity bound, not the exact
+		// mass-conservation check (that's TestSetValueRoundTripsBothRuntimes,
+		// which mutates without concurrent crashes).
+		if math.Abs(est.Mean-4.5) > 1.0 {
+			t.Fatalf("post-chaos mean %.3f, want ≈ 4.5 (mutation raced an exchange into gross mass leakage)", est.Mean)
+		}
+	})
 }

@@ -53,7 +53,6 @@ func TestOpenClusterMatchesInProcessHeap(t *testing.T) {
 
 	sys, err := Open(
 		WithSize(n),
-		WithMode(ModeHeap),
 		WithValues(values),
 		WithCycleLength(5*time.Millisecond),
 		WithReplyTimeout(500*time.Millisecond),

@@ -15,8 +15,8 @@
 // inputs (or SIGHUP-style reconfiguration in a real deployment) are
 // picked up (§4 adaptivity).
 //
-// With -local N > 1 one process hosts N nodes on the sharded
-// event-heap runtime: -workers sets the parallel pool size (default
+// Every process runs the sharded runtime. With -local N > 1 one process
+// hosts N nodes on it: -workers sets the parallel pool size (default
 // one per core), -batch the message coalescing window. This is the
 // shape that scales a single process to 10⁵+ protocol participants:
 //
@@ -67,9 +67,9 @@ func run() error {
 	epochLen := flag.Duration("epoch", 0, "epoch length for periodic restarts (0 disables)")
 	view := flag.Int("view", 8, "membership view capacity")
 	report := flag.Duration("report", 2*time.Second, "interval between printed estimates")
-	local := flag.Int("local", 1, "number of nodes hosted by this process (> 1 uses the event-heap runtime)")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "heap runtime: parallel worker pool size")
-	batch := flag.Duration("batch", 0, "heap runtime: message coalescing window (0: flush every scheduler round)")
+	local := flag.Int("local", 1, "number of nodes hosted by this process")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "parallel worker pool size (at most one worker per two nodes; 1 for a single node)")
+	batch := flag.Duration("batch", 0, "message coalescing window (0: flush every scheduler round)")
 	ops := flag.String("ops", "", "ops HTTP listen address serving /metrics, /healthz, /varz and /debug/pprof/ (empty disables)")
 	trace := flag.Int("trace", 0, "record every n-th exchange per shard into the trace ring; each report prints the most recent records (0 disables)")
 	flag.Parse()
@@ -119,7 +119,7 @@ func run() error {
 
 	probe := sys.Nodes()[0]
 	fmt.Printf("aggnode hosting %d node(s) on %d worker(s), first endpoint %s (value %g, Δt %v, batch window %v)\n",
-		sys.Size(), max(sys.Workers(), 1), probe.Addr(), *value, *cycle, *batch)
+		sys.Size(), sys.Workers(), probe.Addr(), *value, *cycle, *batch)
 	if addr := sys.OpsAddr(); addr != "" {
 		fmt.Printf("ops endpoint on http://%s (/metrics /healthz /varz /debug/pprof/ /v1/)\n", addr)
 	}
@@ -143,7 +143,7 @@ func run() error {
 			now := time.Now()
 			rate := float64(s.Initiated-lastInitiated) / now.Sub(lastReport).Seconds()
 			lastInitiated, lastReport = s.Initiated, now
-			perWorker := rate / float64(max(sys.Workers(), 1))
+			perWorker := rate / float64(sys.Workers())
 			fmt.Printf("epoch=%d avg=%.4f min=%.4f max=%.4f exchanges=%d/%d (%s) rate=%.0f/s (%.0f/s/worker) rho=%s timeouts=%d busy=%d steals=%d balance=%s\n",
 				probe.Epoch(), summary.Mean, summary.Min, summary.Max,
 				s.Replies, s.Initiated, percent(tel.Completion), rate, perWorker,
@@ -176,11 +176,8 @@ func rho(v float64) string {
 }
 
 // balance summarizes per-worker load as min/max shares of the initiated
-// exchanges ("n/a" for unsharded shapes or before any exchange).
+// exchanges ("n/a" before any exchange).
 func balance(shard []uint64) string {
-	if len(shard) == 0 {
-		return "n/a"
-	}
 	var total, lo, hi uint64
 	lo = shard[0]
 	for _, v := range shard {

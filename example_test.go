@@ -69,7 +69,6 @@ func ExampleOpen() {
 func ExampleSystem_Reduce() {
 	sys, err := repro.Open(
 		repro.WithSize(256),
-		repro.WithMode(repro.ModeHeap), // the 10⁵-nodes-per-process scheduler
 		repro.WithValues(func(i int) float64 { return float64(i % 8) }), // mean 3.5
 		repro.WithCycleLength(2*time.Millisecond),
 		repro.WithReplyTimeout(time.Second),

@@ -9,65 +9,60 @@ import (
 )
 
 // TestSetValueRoundTripsBothRuntimes: live value injection is
-// mass-conserving in both runtimes — after every node's value is
-// replaced mid-run, the re-converged estimate lands on the new
-// population mean (not a half-injected one, which is what a
-// push/mutate/merge interleaving would leave), and telemetry's true
-// mean tracks the injected values. Cross-runtime equivalence-style:
-// same shape and seed through both schedulers.
+// mass-conserving — after every node's value is replaced mid-run, the
+// re-converged estimate lands on the new population mean (not a
+// half-injected one, which is what a push/mutate/merge interleaving
+// would leave), and telemetry's true mean tracks the injected values.
 func TestSetValueRoundTripsBothRuntimes(t *testing.T) {
-	for _, mode := range []RuntimeMode{ModeGoroutine, ModeHeap} {
-		t.Run(mode.String(), func(t *testing.T) {
-			const n = 24
-			sys, err := Open(
-				WithSize(n),
-				WithMode(mode),
-				WithValues(func(i int) float64 { return float64(i) }), // mean 11.5
-				WithCycleLength(2*time.Millisecond),
-				WithSeed(7),
-			)
-			if err != nil {
+	t.Run("heap", func(t *testing.T) {
+		const n = 24
+		sys, err := Open(
+			WithSize(n),
+			WithValues(func(i int) float64 { return float64(i) }), // mean 11.5
+			WithCycleLength(2*time.Millisecond),
+			WithSeed(7),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sys.Close()
+
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		est, err := sys.WaitConverged(ctx, "avg", 1e-6)
+		if err != nil {
+			t.Fatalf("initial convergence: %v (last %+v)", err, est)
+		}
+		if math.Abs(est.Mean-11.5) > 0.05 {
+			t.Fatalf("initial mean %v, want ≈ 11.5", est.Mean)
+		}
+
+		// Inject a full set of new values while exchanges are running:
+		// node i's value doubles, so the population mean moves to 23.
+		for i := 0; i < n; i++ {
+			if err := sys.SetValue(i, "avg", float64(2*i)); err != nil {
 				t.Fatal(err)
 			}
-			defer sys.Close()
+		}
+		if err := sys.SetValue(0, "nope", 1); err == nil {
+			t.Fatal("SetValue accepted an unknown field")
+		}
+		if err := sys.SetValue(n, "avg", 1); err == nil {
+			t.Fatal("SetValue accepted an out-of-range node")
+		}
 
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			est, err := sys.WaitConverged(ctx, "avg", 1e-6)
-			if err != nil {
-				t.Fatalf("initial convergence: %v (last %+v)", err, est)
-			}
-			if math.Abs(est.Mean-11.5) > 0.05 {
-				t.Fatalf("initial mean %v, want ≈ 11.5", est.Mean)
-			}
-
-			// Inject a full set of new values while exchanges are running:
-			// node i's value doubles, so the population mean moves to 23.
-			for i := 0; i < n; i++ {
-				if err := sys.SetValue(i, "avg", float64(2*i)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := sys.SetValue(0, "nope", 1); err == nil {
-				t.Fatal("SetValue accepted an unknown field")
-			}
-			if err := sys.SetValue(n, "avg", 1); err == nil {
-				t.Fatal("SetValue accepted an out-of-range node")
-			}
-
-			est, err = sys.WaitConverged(ctx, "avg", 1e-6)
-			if err != nil {
-				t.Fatalf("post-injection convergence: %v (last %+v)", err, est)
-			}
-			if math.Abs(est.Mean-23) > 0.05 {
-				t.Fatalf("post-injection mean %v, want ≈ 23 (injected mass leaked)", est.Mean)
-			}
-			tel := sys.Telemetry()
-			if math.Abs(tel.TrueMean-23) > 1e-9 {
-				t.Fatalf("telemetry true mean %v, want 23", tel.TrueMean)
-			}
-		})
-	}
+		est, err = sys.WaitConverged(ctx, "avg", 1e-6)
+		if err != nil {
+			t.Fatalf("post-injection convergence: %v (last %+v)", err, est)
+		}
+		if math.Abs(est.Mean-23) > 0.05 {
+			t.Fatalf("post-injection mean %v, want ≈ 23 (injected mass leaked)", est.Mean)
+		}
+		tel := sys.Telemetry()
+		if math.Abs(tel.TrueMean-23) > 1e-9 {
+			t.Fatalf("telemetry true mean %v, want 23", tel.TrueMean)
+		}
+	})
 }
 
 // TestScenarioFailReviveLoss: live fault injection against a running
@@ -76,84 +71,81 @@ func TestSetValueRoundTripsBothRuntimes(t *testing.T) {
 // revived nodes rejoin as fresh joiners, and the in-memory fabric's
 // loss probability is changeable mid-run.
 func TestScenarioFailReviveLoss(t *testing.T) {
-	for _, mode := range []RuntimeMode{ModeGoroutine, ModeHeap} {
-		t.Run(mode.String(), func(t *testing.T) {
-			const n = 32
-			sys, err := Open(
-				WithSize(n),
-				WithMode(mode),
-				WithValues(func(i int) float64 { return float64(i) }),
-				WithCycleLength(2*time.Millisecond),
-				WithSeed(3),
-			)
-			if err != nil {
+	t.Run("heap", func(t *testing.T) {
+		const n = 32
+		sys, err := Open(
+			WithSize(n),
+			WithValues(func(i int) float64 { return float64(i) }),
+			WithCycleLength(2*time.Millisecond),
+			WithSeed(3),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sys.Close()
+
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if _, err := sys.WaitConverged(ctx, "avg", 1e-6); err != nil {
+			t.Fatalf("initial convergence: %v", err)
+		}
+
+		const failed = 8
+		for i := 0; i < failed; i++ {
+			if err := sys.FailNode(i); err != nil {
 				t.Fatal(err)
 			}
-			defer sys.Close()
+		}
+		if err := sys.FailNode(n); err == nil {
+			t.Fatal("FailNode accepted an out-of-range node")
+		}
+		if got := sys.FailedNodes(); got != failed {
+			t.Fatalf("FailedNodes = %d, want %d", got, failed)
+		}
+		est, err := sys.Query(ctx, "avg")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if est.Nodes != n-failed {
+			t.Fatalf("estimate folds %d nodes after %d failures, want %d", est.Nodes, failed, n-failed)
+		}
 
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			if _, err := sys.WaitConverged(ctx, "avg", 1e-6); err != nil {
-				t.Fatalf("initial convergence: %v", err)
-			}
+		// The survivors keep gossiping: still converged among
+		// themselves, with the failed nodes contributing nothing new.
+		if _, err := sys.WaitConverged(ctx, "avg", 1e-6); err != nil {
+			t.Fatalf("convergence among survivors: %v", err)
+		}
 
-			const failed = 8
-			for i := 0; i < failed; i++ {
-				if err := sys.FailNode(i); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := sys.FailNode(n); err == nil {
-				t.Fatal("FailNode accepted an out-of-range node")
-			}
-			if got := sys.FailedNodes(); got != failed {
-				t.Fatalf("FailedNodes = %d, want %d", got, failed)
-			}
-			est, err := sys.Query(ctx, "avg")
-			if err != nil {
+		// Live loss injection on the in-memory fabric.
+		if err := sys.SetLoss(0.1); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.SetLoss(1.5); err == nil {
+			t.Fatal("SetLoss accepted p > 1")
+		}
+		if err := sys.SetLoss(0); err != nil {
+			t.Fatal(err)
+		}
+
+		for i := 0; i < failed; i++ {
+			if err := sys.ReviveNode(i); err != nil {
 				t.Fatal(err)
 			}
-			if est.Nodes != n-failed {
-				t.Fatalf("estimate folds %d nodes after %d failures, want %d", est.Nodes, failed, n-failed)
-			}
-
-			// The survivors keep gossiping: still converged among
-			// themselves, with the failed nodes contributing nothing new.
-			if _, err := sys.WaitConverged(ctx, "avg", 1e-6); err != nil {
-				t.Fatalf("convergence among survivors: %v", err)
-			}
-
-			// Live loss injection on the in-memory fabric.
-			if err := sys.SetLoss(0.1); err != nil {
-				t.Fatal(err)
-			}
-			if err := sys.SetLoss(1.5); err == nil {
-				t.Fatal("SetLoss accepted p > 1")
-			}
-			if err := sys.SetLoss(0); err != nil {
-				t.Fatal(err)
-			}
-
-			for i := 0; i < failed; i++ {
-				if err := sys.ReviveNode(i); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if got := sys.FailedNodes(); got != 0 {
-				t.Fatalf("FailedNodes = %d after revival, want 0", got)
-			}
-			est, err = sys.Query(ctx, "avg")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if est.Nodes != n {
-				t.Fatalf("estimate folds %d nodes after revival, want %d", est.Nodes, n)
-			}
-			if _, err := sys.WaitConverged(ctx, "avg", 1e-6); err != nil {
-				t.Fatalf("post-revival convergence: %v", err)
-			}
-		})
-	}
+		}
+		if got := sys.FailedNodes(); got != 0 {
+			t.Fatalf("FailedNodes = %d after revival, want 0", got)
+		}
+		est, err = sys.Query(ctx, "avg")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if est.Nodes != n {
+			t.Fatalf("estimate folds %d nodes after revival, want %d", est.Nodes, n)
+		}
+		if _, err := sys.WaitConverged(ctx, "avg", 1e-6); err != nil {
+			t.Fatalf("post-revival convergence: %v", err)
+		}
+	})
 }
 
 // TestWatchHubScale100k is the fan-out scale gate behind the serve

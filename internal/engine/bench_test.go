@@ -14,46 +14,37 @@ import (
 	"repro/internal/sim"
 )
 
-// BenchmarkRuntimeExchange measures live-runtime exchange throughput —
-// goroutine mode versus the heap scheduler — over the in-memory fabric
-// at N = 10³, 10⁴ and 10⁵ nodes. Δt = 1 ms oversubscribes every size,
-// so the measurement is each runtime's maximum sustainable exchange
-// rate. One benchmark iteration is a fixed one-second measurement
-// window (never b.N exchanges: a runtime that collapses under load
-// would otherwise hang the harness — the collapse is the result);
-// throughput is reported as the explicit exchanges/s and ns/exchange
-// metrics, not ns/op. Goroutine mode is skipped at N = 10⁵: 2·10⁵
-// goroutines plus a timer and a 1024-slot channel inbox per node is
-// the blow-up the heap runtime exists to remove.
+// BenchmarkRuntimeExchange measures live-runtime exchange throughput
+// over the in-memory fabric at N = 10³, 10⁴ and 10⁵ nodes. Δt = 1 ms
+// oversubscribes every size, so the measurement is the runtime's
+// maximum sustainable exchange rate. One benchmark iteration is a fixed
+// one-second measurement window (never b.N exchanges: a runtime that
+// collapses under load would otherwise hang the harness — the collapse
+// is the result); throughput is reported as the explicit exchanges/s
+// and ns/exchange metrics, not ns/op.
 //
-// CI's bench-smoke step runs mode=heap/n=10000 once per PR.
+// CI's bench-smoke step runs n=10000 once per PR.
 //
-// Recorded trajectory on the 1-core dev container (mode=heap/n=10000,
+// Recorded trajectory on the 1-core dev container (n=10000,
 // benchtime=2x): PR 3 baseline ≈ 570–834 k exchanges/s on CI hardware,
 // 739 k exchanges/s (1352 ns/exchange) re-measured before PR 5; after
 // the pooled zero-allocation hot path: 865 k exchanges/s
 // (1156 ns/exchange), +17% on identical hardware.
 func BenchmarkRuntimeExchange(b *testing.B) {
-	for _, mode := range []RuntimeMode{ModeGoroutine, ModeHeap} {
-		for _, n := range []int{1_000, 10_000, 100_000} {
-			b.Run(fmt.Sprintf("mode=%s/n=%d", mode, n), func(b *testing.B) {
-				if mode == ModeGoroutine && n >= 100_000 {
-					b.Skip("2·10⁵ goroutines; the scaling wall this benchmark documents")
-				}
-				benchmarkRuntimeExchange(b, mode, n)
-			})
-		}
+	for _, n := range []int{1_000, 10_000, 100_000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			benchmarkRuntimeExchange(b, n)
+		})
 	}
 }
 
-func benchmarkRuntimeExchange(b *testing.B, mode RuntimeMode, size int) {
+func benchmarkRuntimeExchange(b *testing.B, size int) {
 	c, err := NewCluster(ClusterConfig{
 		Size:         size,
 		Schema:       core.AverageSchema(),
 		Value:        func(i int) float64 { return float64(i % 2) },
-		CycleLength:  time.Millisecond, // saturating for every runtime
+		CycleLength:  time.Millisecond, // saturating at every size
 		ReplyTimeout: 250 * time.Millisecond,
-		Mode:         mode,
 		Seed:         uint64(size),
 	})
 	if err != nil {
@@ -62,13 +53,13 @@ func benchmarkRuntimeExchange(b *testing.B, mode RuntimeMode, size int) {
 	c.Start(context.Background())
 	// Warm up past construction transients before measuring.
 	time.Sleep(100 * time.Millisecond)
-	before := clusterStats(c)
+	before := c.Stats()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		time.Sleep(time.Second)
 	}
 	b.StopTimer()
-	after := clusterStats(c)
+	after := c.Stats()
 	c.Stop()
 
 	exchanges := after.Initiated - before.Initiated
@@ -320,23 +311,6 @@ func BenchmarkRuntimeMetricsOverhead(b *testing.B) {
 				100*(1-ratio), pairs, ratios, 100*(1-floor))
 		}
 	}
-}
-
-// clusterStats aggregates counters across the whole cluster in either
-// mode.
-func clusterStats(c *Cluster) Stats {
-	if rt := c.Runtime(); rt != nil {
-		return rt.Stats()
-	}
-	var agg Stats
-	for _, n := range c.Nodes() {
-		s := n.Stats()
-		agg.Initiated += s.Initiated
-		agg.Replies += s.Replies
-		agg.Timeouts += s.Timeouts
-		agg.Served += s.Served
-	}
-	return agg
 }
 
 // reduceSink keeps BenchmarkRuntimeReduceField's fold observable.

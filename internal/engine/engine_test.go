@@ -15,33 +15,46 @@ import (
 	"repro/internal/xrand"
 )
 
+// singleNodeConfig is a one-node runtime on ep whose only peer is the
+// sampler's: the deployable single-node shape.
+func singleNodeConfig(ep transport.Endpoint, sampler membership.Sampler) RuntimeConfig {
+	return RuntimeConfig{
+		Size:        1,
+		Schema:      core.AverageSchema(),
+		Endpoints:   []transport.Endpoint{ep},
+		Samplers:    func(int, string, []string) (membership.Sampler, error) { return sampler, nil },
+		CycleLength: time.Millisecond,
+	}
+}
+
+// TestConfigValidation: a single-node runtime needs what a lone node
+// needs — a schema, an endpoint, a sampler, a positive cycle and a known
+// wait policy — and is accepted with them.
 func TestConfigValidation(t *testing.T) {
 	fabric := transport.NewFabric()
-	ep := fabric.NewEndpoint()
-	defer ep.Close()
 	sampler, err := membership.NewStatic([]string{"mem-1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := Config{
-		Schema:      core.AverageSchema(),
-		Endpoint:    ep,
-		Sampler:     sampler,
-		CycleLength: time.Millisecond,
+	base := singleNodeConfig(fabric.NewEndpoint(), sampler)
+	rt, err := NewRuntime(base)
+	if err != nil {
+		t.Fatalf("valid single-node config rejected: %v", err)
 	}
+	rt.Stop()
 	mutations := []struct {
 		name   string
-		mutate func(c Config) Config
+		mutate func(c RuntimeConfig) RuntimeConfig
 	}{
-		{"nil schema", func(c Config) Config { c.Schema = nil; return c }},
-		{"nil endpoint", func(c Config) Config { c.Endpoint = nil; return c }},
-		{"nil sampler", func(c Config) Config { c.Sampler = nil; return c }},
-		{"zero cycle", func(c Config) Config { c.CycleLength = 0; return c }},
-		{"bad wait", func(c Config) Config { c.Wait = WaitPolicy(99); return c }},
+		{"nil schema", func(c RuntimeConfig) RuntimeConfig { c.Schema = nil; return c }},
+		{"nil endpoint", func(c RuntimeConfig) RuntimeConfig { c.Endpoints = nil; return c }},
+		{"nil sampler", func(c RuntimeConfig) RuntimeConfig { c.Samplers = nil; return c }},
+		{"zero cycle", func(c RuntimeConfig) RuntimeConfig { c.CycleLength = 0; return c }},
+		{"bad wait", func(c RuntimeConfig) RuntimeConfig { c.Wait = WaitPolicy(99); return c }},
 	}
 	for _, m := range mutations {
 		t.Run(m.name, func(t *testing.T) {
-			if _, err := NewNode(m.mutate(base)); err == nil {
+			if _, err := NewRuntime(m.mutate(base)); err == nil {
 				t.Fatal("invalid config accepted")
 			}
 		})
@@ -50,119 +63,28 @@ func TestConfigValidation(t *testing.T) {
 
 func TestNodeStartStopClean(t *testing.T) {
 	fabric := transport.NewFabric()
-	ep := fabric.NewEndpoint()
 	sampler, _ := membership.NewStatic([]string{"nonexistent"})
-	n, err := NewNode(Config{
-		Schema:      core.AverageSchema(),
-		Endpoint:    ep,
-		Sampler:     sampler,
-		CycleLength: time.Millisecond,
-		Value:       1,
-	})
+	cfg := singleNodeConfig(fabric.NewEndpoint(), sampler)
+	cfg.Value = func(int) float64 { return 1 }
+	rt, err := NewRuntime(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.Start()
-	n.Start() // second Start is a no-op
+	rt.Start(context.Background())
+	rt.Start(context.Background()) // second Start is a no-op
 	time.Sleep(10 * time.Millisecond)
-	n.Stop()
-	n.Stop() // idempotent
+	rt.Stop()
+	rt.Stop() // idempotent
 }
 
 func TestNodeStopBeforeStart(t *testing.T) {
 	fabric := transport.NewFabric()
-	ep := fabric.NewEndpoint()
 	sampler, _ := membership.NewStatic([]string{"x"})
-	n, err := NewNode(Config{
-		Schema:      core.AverageSchema(),
-		Endpoint:    ep,
-		Sampler:     sampler,
-		CycleLength: time.Millisecond,
-	})
+	rt, err := NewRuntime(singleNodeConfig(fabric.NewEndpoint(), sampler))
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.Stop() // must not hang or panic
-}
-
-func TestClusterConvergesToAverage(t *testing.T) {
-	const size = 24
-	c, err := NewCluster(ClusterConfig{
-		Size:         size,
-		Schema:       core.AverageSchema(),
-		Value:        func(i int) float64 { return float64(i) },
-		CycleLength:  2 * time.Millisecond,
-		ReplyTimeout: 200 * time.Millisecond, // generous: timeouts skew the mean
-		Seed:         1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start(context.Background())
-	defer c.Stop()
-	v, converged, err := c.WaitConverged("avg", 1e-6, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !converged {
-		t.Fatalf("variance %g after 5s, want ≤ 1e-6", v)
-	}
-	vals, err := c.Snapshot("avg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := float64(size-1) / 2 // mean of 0..size-1
-	got := stats.Mean(vals)
-	if math.Abs(got-want) > 0.05 {
-		t.Fatalf("converged mean %g, want ≈ %g", got, want)
-	}
-}
-
-func TestClusterSummarySchemaConverges(t *testing.T) {
-	schema := core.SummarySchema()
-	sizeIdx, err := schema.Index("size")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const size = 16
-	c, err := NewCluster(ClusterConfig{
-		Size:         size,
-		Schema:       schema,
-		Value:        func(i int) float64 { return float64(i%4) + 1 },
-		CycleLength:  2 * time.Millisecond,
-		ReplyTimeout: 200 * time.Millisecond,
-		Seed:         2,
-		InitState: func(i int) func(uint64, float64) core.State {
-			return func(_ uint64, value float64) core.State {
-				st := schema.InitState(value)
-				if i == 0 {
-					st[sizeIdx] = 1 // node 0 leads the size instance
-				}
-				return st
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start(context.Background())
-	defer c.Stop()
-	if _, ok, _ := c.WaitConverged("size", 1e-10, 5*time.Second); !ok {
-		t.Fatal("size field did not converge")
-	}
-	sum, err := core.DecodeSummary(schema, c.Nodes()[7].State())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(sum.Size-size) > 0.5 {
-		t.Errorf("size estimate %g, want ≈ %d", sum.Size, size)
-	}
-	if sum.Min != 1 || sum.Max != 4 {
-		t.Errorf("min/max = %g/%g, want 1/4", sum.Min, sum.Max)
-	}
-	if math.Abs(sum.Mean-2.5) > 0.05 {
-		t.Errorf("mean = %g, want ≈ 2.5", sum.Mean)
-	}
+	rt.Stop() // must not hang or panic
 }
 
 func TestClusterMassApproximatelyConserved(t *testing.T) {
@@ -211,68 +133,6 @@ func TestClusterExponentialWaitConverges(t *testing.T) {
 	}
 }
 
-func TestClusterPushOnlyStillReducesVariance(t *testing.T) {
-	// Push-only is the ablation: it converges toward consensus, just
-	// without the initiator-side update and without exact mass
-	// conservation.
-	c, err := NewCluster(ClusterConfig{
-		Size:        12,
-		Schema:      core.AverageSchema(),
-		Value:       func(i int) float64 { return float64(i) },
-		CycleLength: 2 * time.Millisecond,
-		PushOnly:    true,
-		Seed:        5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before, err := c.Variance("avg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start(context.Background())
-	defer c.Stop()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		after, _ := c.Variance("avg")
-		if after < before/10 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("push-only variance stuck: %g → %g", before, after)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-func TestClusterUnderMessageLoss(t *testing.T) {
-	fabric := transport.NewFabric(transport.WithDropProbability(0.2), transport.WithSeed(6))
-	c, err := NewCluster(ClusterConfig{
-		Size:        12,
-		Schema:      core.AverageSchema(),
-		Value:       func(i int) float64 { return float64(i) },
-		CycleLength: 2 * time.Millisecond,
-		Fabric:      fabric,
-		Seed:        6,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start(context.Background())
-	defer c.Stop()
-	if v, ok, _ := c.WaitConverged("avg", 1e-4, 8*time.Second); !ok {
-		t.Fatalf("lossy cluster stuck at variance %g", v)
-	}
-	// Timeouts must have been recorded somewhere.
-	var timeouts uint64
-	for _, n := range c.Nodes() {
-		timeouts += n.Stats().Timeouts
-	}
-	if timeouts == 0 {
-		t.Error("20% loss produced zero timeouts; loss path untested")
-	}
-}
-
 func TestNodeStatsCounters(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{
 		Size:        4,
@@ -305,85 +165,6 @@ func TestNodeStatsCounters(t *testing.T) {
 	}
 }
 
-func TestEpochRestartAdaptsToNewValues(t *testing.T) {
-	// With an epoch clock, changing local values must be reflected after
-	// the next restart — the adaptivity of §4.
-	fabric := transport.NewFabric()
-	schema := core.AverageSchema()
-	clock, err := epoch.NewClock(time.Now(), 150*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const size = 8
-	endpoints := make([]transport.Endpoint, size)
-	addrs := make([]string, size)
-	for i := range endpoints {
-		endpoints[i] = fabric.NewEndpoint()
-		addrs[i] = endpoints[i].Addr()
-	}
-	nodes := make([]*Node, 0, size)
-	for i := 0; i < size; i++ {
-		peers := make([]string, 0, size-1)
-		for j, a := range addrs {
-			if j != i {
-				peers = append(peers, a)
-			}
-		}
-		sampler, err := membership.NewStatic(peers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := NewNode(Config{
-			Schema:      schema,
-			Endpoint:    endpoints[i],
-			Sampler:     sampler,
-			Value:       1, // everyone starts at 1
-			CycleLength: 2 * time.Millisecond,
-			Clock:       clock,
-			Seed:        uint64(100 + i),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes = append(nodes, n)
-	}
-	for _, n := range nodes {
-		n.Start()
-	}
-	defer func() {
-		for _, n := range nodes {
-			n.Stop()
-		}
-	}()
-
-	// Change every node's local value; after a restart the estimates
-	// must move from ≈1 to ≈5.
-	for _, n := range nodes {
-		n.SetValue(5)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		est, err := nodes[3].Estimate("avg")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(est-5) < 0.01 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("estimate %g never adapted to new value 5", est)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	var switches uint64
-	for _, n := range nodes {
-		switches += n.Stats().EpochSwitches
-	}
-	if switches == 0 {
-		t.Fatal("no epoch switches recorded despite adaptation")
-	}
-}
-
 func TestEpochIDsMonotone(t *testing.T) {
 	clock, err := epoch.NewClock(time.Now(), 50*time.Millisecond)
 	if err != nil {
@@ -412,42 +193,19 @@ func TestEpochIDsMonotone(t *testing.T) {
 }
 
 // clusterWithClock builds a small cluster whose nodes share an epoch
-// clock (ClusterConfig has no clock field; build nodes directly).
+// clock.
 func clusterWithClock(t *testing.T, size int, clock *epoch.Clock) *Cluster {
 	t.Helper()
-	fabric := transport.NewFabric()
-	schema := core.AverageSchema()
-	endpoints := make([]transport.Endpoint, size)
-	addrs := make([]string, size)
-	for i := range endpoints {
-		endpoints[i] = fabric.NewEndpoint()
-		addrs[i] = endpoints[i].Addr()
-	}
-	c := &Cluster{fabric: fabric, schema: schema}
-	for i := 0; i < size; i++ {
-		peers := make([]string, 0, size-1)
-		for j, a := range addrs {
-			if j != i {
-				peers = append(peers, a)
-			}
-		}
-		sampler, err := membership.NewStatic(peers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := NewNode(Config{
-			Schema:      schema,
-			Endpoint:    endpoints[i],
-			Sampler:     sampler,
-			Value:       float64(i),
-			CycleLength: 2 * time.Millisecond,
-			Clock:       clock,
-			Seed:        uint64(i + 1),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.nodes = append(c.nodes, n)
+	c, err := NewCluster(ClusterConfig{
+		Size:        size,
+		Schema:      core.AverageSchema(),
+		Value:       func(i int) float64 { return float64(i) },
+		CycleLength: 2 * time.Millisecond,
+		Clock:       clock,
+		Seed:        1,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	return c
 }
@@ -523,25 +281,20 @@ func TestTCPNodesExchange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	schema := core.AverageSchema()
-	a, err := NewNode(Config{
-		Schema: schema, Endpoint: epA, Sampler: samplerA,
-		Value: 10, CycleLength: 5 * time.Millisecond, ReplyTimeout: 500 * time.Millisecond, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
+	open := func(ep transport.Endpoint, sampler membership.Sampler, value float64, seed uint64) *Node {
+		cfg := singleNodeConfig(ep, sampler)
+		cfg.Value = func(int) float64 { return value }
+		cfg.CycleLength, cfg.ReplyTimeout, cfg.Seed = 5*time.Millisecond, 500*time.Millisecond, seed
+		rt, err := NewRuntime(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.Start(context.Background())
+		t.Cleanup(rt.Stop)
+		return rt.Nodes()[0]
 	}
-	b, err := NewNode(Config{
-		Schema: schema, Endpoint: epB, Sampler: samplerB,
-		Value: 20, CycleLength: 5 * time.Millisecond, ReplyTimeout: 500 * time.Millisecond, Seed: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Start()
-	b.Start()
-	defer a.Stop()
-	defer b.Stop()
+	a := open(epA, samplerA, 10, 1)
+	b := open(epB, samplerB, 20, 2)
 
 	// Generous deadline: loaded CI machines schedule the two nodes'
 	// loops erratically even with multiple cores.
@@ -568,44 +321,24 @@ func TestTCPNodesExchange(t *testing.T) {
 func TestGossipSamplerIntegration(t *testing.T) {
 	// Nodes bootstrapped with only one seed peer must still reach
 	// everyone through piggybacked membership gossip.
-	fabric := transport.NewFabric()
-	schema := core.AverageSchema()
 	const size = 10
-	endpoints := make([]transport.Endpoint, size)
-	addrs := make([]string, size)
-	for i := range endpoints {
-		endpoints[i] = fabric.NewEndpoint()
-		addrs[i] = endpoints[i].Addr()
+	c, err := NewCluster(ClusterConfig{
+		Size:         size,
+		Schema:       core.AverageSchema(),
+		Value:        func(i int) float64 { return float64(i) },
+		CycleLength:  2 * time.Millisecond,
+		ReplyTimeout: 200 * time.Millisecond,
+		Seed:         50,
+		Samplers: func(i int, self string, local []string) (membership.Sampler, error) {
+			return membership.NewGossipSampler(self, 8, []string{local[(i+1)%size]}) // ring bootstrap
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	nodes := make([]*Node, 0, size)
-	for i := 0; i < size; i++ {
-		seed := addrs[(i+1)%size] // ring bootstrap
-		sampler, err := membership.NewGossipSampler(addrs[i], 8, []string{seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := NewNode(Config{
-			Schema:       schema,
-			Endpoint:     endpoints[i],
-			Sampler:      sampler,
-			Value:        float64(i),
-			CycleLength:  2 * time.Millisecond,
-			ReplyTimeout: 200 * time.Millisecond,
-			Seed:         uint64(i + 50),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes = append(nodes, n)
-	}
-	for _, n := range nodes {
-		n.Start()
-	}
-	defer func() {
-		for _, n := range nodes {
-			n.Stop()
-		}
-	}()
+	c.Start(context.Background())
+	defer c.Stop()
+	nodes := c.Nodes()
 	want := float64(size-1) / 2
 	deadline := time.Now().Add(8 * time.Second)
 	for {
@@ -621,7 +354,7 @@ func TestGossipSamplerIntegration(t *testing.T) {
 		}
 		// Exchanges conserve mass even when a reply outlives the
 		// initiator's timeout: the reply carries a transfer that the
-		// initiator adds to whatever its state is when it lands (absorb),
+		// initiator adds to whatever its state is when it lands,
 		// so the converged average does not drift by 0.5/size per glitch
 		// as it did before late replies were applied. 0.05 is well
 		// inside "every node was reached" (an unreached node sits ≥ 0.5
@@ -685,19 +418,16 @@ func TestSendErrorForgetsDeadPeer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := NewNode(Config{
-		Schema:      core.AverageSchema(),
-		Endpoint:    ep,
-		Sampler:     sampler,
-		CycleLength: time.Millisecond,
-		Seed:        9,
-	})
+	cfg := singleNodeConfig(ep, sampler)
+	cfg.Seed = 9
+	rt, err := NewRuntime(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.Start()
+	n := rt.Nodes()[0]
+	rt.Start(context.Background())
 	time.Sleep(50 * time.Millisecond)
-	n.Stop()
+	rt.Stop()
 	if n.Stats().SendErrors == 0 {
 		t.Fatal("no send errors recorded against a dead-only peer set")
 	}
@@ -746,63 +476,13 @@ func (silentSampler) AppendDigest(a []string, g []uint32, _ *xrand.Rand, _ int) 
 func (silentSampler) Tick()         {}
 func (silentSampler) Forget(string) {}
 
-func TestLateReplyAbsorptionConservesMass(t *testing.T) {
-	// Regression for the mass glitch behind the old 0.45 threshold in
-	// TestGossipSamplerIntegration: with fabric latency above the reply
-	// timeout, every pull reply arrives after the initiator has timed
-	// out. The passive side has already committed its half of the merge,
-	// so dropping the reply loses (S_A−S_B)/2 permanently. Absorption
-	// must merge the late reply (the state hasn't moved since the push
-	// snapshot) and land both nodes exactly on the mean.
-	fabric := transport.NewFabric(transport.WithLatency(20*time.Millisecond, 0), transport.WithSeed(11))
-	schema := core.AverageSchema()
-	epA, epB := fabric.NewEndpoint(), fabric.NewEndpoint()
-	samplerA, err := membership.NewStatic([]string{epB.Addr()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := NewNode(Config{
-		Schema: schema, Endpoint: epA, Sampler: samplerA,
-		Value: 10, CycleLength: 100 * time.Millisecond, ReplyTimeout: 10 * time.Millisecond, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewNode(Config{
-		Schema: schema, Endpoint: epB, Sampler: silentSampler{},
-		Value: 20, CycleLength: 100 * time.Millisecond, ReplyTimeout: 10 * time.Millisecond, Seed: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Start()
-	b.Start()
-	defer a.Stop()
-	defer b.Stop()
-
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		ea, _ := a.Estimate("avg")
-		eb, _ := b.Estimate("avg")
-		st := a.Stats()
-		if math.Abs(ea-15) < 1e-9 && math.Abs(eb-15) < 1e-9 && st.LateReplies > 0 {
-			if st.Timeouts == 0 {
-				t.Fatal("late replies absorbed without any timeout — test setup broken")
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("a=%g b=%g lateReplies=%d timeouts=%d; want 15/15 with ≥1 absorbed late reply",
-				ea, eb, st.LateReplies, st.Timeouts)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 func TestLateReplyAbsorptionHeapRuntime(t *testing.T) {
-	// Same scenario on the sharded heap-mode runtime: the reaper
+	// With fabric latency above the reply timeout, every pull reply
+	// arrives after the initiator has timed out. The passive side has
+	// already committed its half of the merge, so the reaper
 	// (handleDeadline) records the seq and handleReply must still apply
-	// the transfer when the reply finally lands.
+	// the transfer when the reply finally lands, putting both nodes
+	// exactly on the mean.
 	fabric := transport.NewFabric(transport.WithLatency(20*time.Millisecond, 0), transport.WithSeed(12))
 	c, err := NewCluster(ClusterConfig{
 		Size:         2,
@@ -811,7 +491,6 @@ func TestLateReplyAbsorptionHeapRuntime(t *testing.T) {
 		CycleLength:  100 * time.Millisecond,
 		ReplyTimeout: 10 * time.Millisecond,
 		Fabric:       fabric,
-		Mode:         ModeHeap,
 		Workers:      1,
 		Seed:         13,
 		Samplers: func(i int, self string, local []string) (membership.Sampler, error) {
@@ -833,7 +512,7 @@ func TestLateReplyAbsorptionHeapRuntime(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := c.Runtime().Stats()
+		st := c.Stats()
 		if math.Abs(vals[0]-15) < 1e-9 && math.Abs(vals[1]-15) < 1e-9 && st.LateReplies > 0 {
 			return
 		}
@@ -846,43 +525,39 @@ func TestLateReplyAbsorptionHeapRuntime(t *testing.T) {
 }
 
 func TestClusterGossipMembershipBothModes(t *testing.T) {
-	// The same ring-bootstrapped gossip membership must carry either
-	// runtime to the true mean: no static directory anywhere, the view
-	// is built entirely from piggybacked digests.
+	// Ring-bootstrapped gossip membership must carry a two-shard runtime
+	// to the true mean: no static directory anywhere, the view is built
+	// entirely from piggybacked digests.
 	const size = 16
 	want := float64(size-1) / 2
-	for _, mode := range []RuntimeMode{ModeGoroutine, ModeHeap} {
-		mode := mode
-		t.Run(mode.String(), func(t *testing.T) {
-			c, err := NewCluster(ClusterConfig{
-				Size:         size,
-				Schema:       core.AverageSchema(),
-				Value:        func(i int) float64 { return float64(i) },
-				CycleLength:  2 * time.Millisecond,
-				ReplyTimeout: 200 * time.Millisecond,
-				Mode:         mode,
-				Workers:      2,
-				Seed:         21,
-				GossipFanout: 3,
-				Samplers: func(i int, self string, local []string) (membership.Sampler, error) {
-					return membership.NewGossipSampler(self, 8, []string{local[(i+1)%len(local)]})
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.Start(context.Background())
-			defer c.Stop()
-			if v, ok, err := c.WaitConverged("avg", 1e-4, 8*time.Second); err != nil || !ok {
-				t.Fatalf("gossip-membership cluster stuck at variance %g (err %v)", v, err)
-			}
-			vals, err := c.Snapshot("avg")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := stats.Mean(vals); math.Abs(got-want) > 0.05 {
-				t.Fatalf("converged mean %g, want ≈ %g", got, want)
-			}
+	t.Run("heap", func(t *testing.T) {
+		c, err := NewCluster(ClusterConfig{
+			Size:         size,
+			Schema:       core.AverageSchema(),
+			Value:        func(i int) float64 { return float64(i) },
+			CycleLength:  2 * time.Millisecond,
+			ReplyTimeout: 200 * time.Millisecond,
+			Workers:      2,
+			Seed:         21,
+			GossipFanout: 3,
+			Samplers: func(i int, self string, local []string) (membership.Sampler, error) {
+				return membership.NewGossipSampler(self, 8, []string{local[(i+1)%len(local)]})
+			},
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Start(context.Background())
+		defer c.Stop()
+		if v, ok, err := c.WaitConverged("avg", 1e-4, 8*time.Second); err != nil || !ok {
+			t.Fatalf("gossip-membership cluster stuck at variance %g (err %v)", v, err)
+		}
+		vals, err := c.Snapshot("avg")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := stats.Mean(vals); math.Abs(got-want) > 0.05 {
+			t.Fatalf("converged mean %g, want ≈ %g", got, want)
+		}
+	})
 }

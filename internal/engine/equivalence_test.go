@@ -13,13 +13,13 @@ import (
 )
 
 // equivCase is one scenario of the cross-runtime equivalence matrix:
-// both the goroutine runtime and the heap runtime execute it over a
-// deterministic in-memory fabric with fixed seeds, and must converge to
-// the same aggregate within tolerance. The runtimes schedule work very
-// differently (per-node goroutines and real timers versus a sharded
-// event heap with batched transports), so the equivalence is on the
-// protocol's fixed point — the aggregate every node agrees on — not on
-// trajectories.
+// every runtime variant (one shard, several parallel shards) executes it
+// over a deterministic in-memory fabric with fixed seeds, and must
+// converge to the analytic aggregate within tolerance. The variants
+// schedule work very differently (one serialized shard versus parallel
+// shards exchanging through mailboxes and batch frames), so the
+// equivalence is on the protocol's fixed point — the aggregate every
+// node agrees on — not on trajectories.
 type equivCase struct {
 	name    string
 	size    int
@@ -41,7 +41,7 @@ func equivMatrix(short bool) []equivCase {
 		},
 		{
 			name: "avg-loss20", size: 12, field: "avg", dropP: 0.2,
-			// Loss breaks exact mass conservation (§2); both runtimes
+			// Loss breaks exact mass conservation (§2); every variant
 			// must stay near the true mean, and near each other. The
 			// variance threshold is looser because ongoing loss keeps
 			// perturbing the consensus, and the mean tolerance is ≈ 4σ
@@ -68,10 +68,9 @@ func equivMatrix(short bool) []equivCase {
 	return cases
 }
 
-// runEquivCase executes one matrix entry on one runtime mode (and, in
-// heap mode, a pinned worker count; 0 keeps the GOMAXPROCS default) and
-// returns the converged snapshot of the case's field.
-func runEquivCase(t *testing.T, tc equivCase, mode RuntimeMode, workers int, seed uint64) []float64 {
+// runEquivCase executes one matrix entry on a runtime with the given
+// worker count and returns the converged snapshot of the case's field.
+func runEquivCase(t *testing.T, tc equivCase, workers int, seed uint64) []float64 {
 	t.Helper()
 	schema := core.AverageSchema()
 	value := func(i int) float64 { return float64(i) }
@@ -81,7 +80,6 @@ func runEquivCase(t *testing.T, tc equivCase, mode RuntimeMode, workers int, see
 		Value:        value,
 		CycleLength:  2 * time.Millisecond,
 		ReplyTimeout: 30 * time.Millisecond,
-		Mode:         mode,
 		Workers:      workers,
 		Seed:         seed,
 	}
@@ -125,7 +123,7 @@ func runEquivCase(t *testing.T, tc equivCase, mode RuntimeMode, workers int, see
 
 	if tc.churn {
 		// One churn epoch: every node's local value jumps mid-run; the
-		// epoch restart must carry both runtimes to the new average.
+		// epoch restart must carry every variant to the new average.
 		time.Sleep(30 * time.Millisecond)
 		for i, n := range c.Nodes() {
 			n.SetValue(float64(i) + 3.5)
@@ -146,8 +144,8 @@ func runEquivCase(t *testing.T, tc equivCase, mode RuntimeMode, workers int, see
 			return vals
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%s/%s stuck: mean %g (want %g ± %g), variance %g",
-				tc.name, mode, stats.Mean(vals), tc.want, tc.tol, stats.Variance(vals))
+			t.Fatalf("%s/%dw stuck: mean %g (want %g ± %g), variance %g",
+				tc.name, workers, stats.Mean(vals), tc.want, tc.tol, stats.Variance(vals))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -155,29 +153,27 @@ func runEquivCase(t *testing.T, tc equivCase, mode RuntimeMode, workers int, see
 
 // TestCrossRuntimeEquivalence runs the scenario matrix on every runtime
 // variant with the same seeds and checks that they all converge to the
-// same aggregate within tolerance — the contract that lets callers
-// switch a Cluster to ModeHeap (at any worker count) without
-// revalidating the protocol. Heap mode runs twice: workers=1 (one
-// shard, fully serialized) and workers=4 (parallel shard workers,
-// cross-shard exchanges through batch frames, work stealing armed), so
-// the fixed point is pinned independent of GOMAXPROCS. The -race CI
+// same aggregate within tolerance — the contract that lets callers pick
+// any worker count without revalidating the protocol. The runtime runs
+// twice: workers=1 (one shard, fully serialized) and workers=4
+// (parallel shard workers, cross-shard exchanges through mailboxes,
+// work stealing armed), so the fixed point is pinned independent of
+// GOMAXPROCS. The -race CI
 // job runs this test too, which exercises the parallel shards under
 // the race detector.
 func TestCrossRuntimeEquivalence(t *testing.T) {
 	variants := []struct {
 		name    string
-		mode    RuntimeMode
 		workers int
 	}{
-		{"goroutine", ModeGoroutine, 0},
-		{"heap-1w", ModeHeap, 1},
-		{"heap-4w", ModeHeap, 4},
+		{"heap-1w", 1},
+		{"heap-4w", 4},
 	}
 	for _, tc := range equivMatrix(testing.Short()) {
 		t.Run(tc.name, func(t *testing.T) {
 			means := make([]float64, len(variants))
 			for i, v := range variants {
-				vals := runEquivCase(t, tc, v.mode, v.workers, 1234)
+				vals := runEquivCase(t, tc, v.workers, 1234)
 				means[i] = stats.Mean(vals)
 				if math.Abs(means[i]-tc.want) > tc.tol {
 					t.Errorf("%s mean %g, want %g ± %g", v.name, means[i], tc.want, tc.tol)

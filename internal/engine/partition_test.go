@@ -13,10 +13,11 @@ import (
 	"repro/internal/transport"
 )
 
-// memIndex parses the numeric suffix of an in-memory fabric address
-// ("mem-7" → 7) so partition filters can split by node index.
+// memIndex parses the endpoint number of an in-memory fabric address
+// ("mem-1", or a node's sub-address "mem-1#9" → 1) so partition filters
+// can split by shard endpoint.
 func memIndex(addr string) int {
-	i, err := strconv.Atoi(strings.TrimPrefix(addr, "mem-"))
+	i, err := strconv.Atoi(strings.TrimPrefix(transport.BaseAddr(addr), "mem-"))
 	if err != nil {
 		return -1
 	}
@@ -24,10 +25,11 @@ func memIndex(addr string) int {
 }
 
 func TestPartitionHeal(t *testing.T) {
-	// Split a cluster into two halves, let each converge to its own
-	// average, then heal and verify the halves re-merge to the global
-	// average — the failure-injection scenario the anti-entropy design
-	// exists to survive.
+	// Split a cluster into two halves — its two shards, one fabric
+	// endpoint each — let each converge to its own average, then heal and
+	// verify the halves re-merge to the global average: the
+	// failure-injection scenario the anti-entropy design exists to
+	// survive.
 	const size = 16
 	c, err := NewCluster(ClusterConfig{
 		Size:         size,
@@ -35,6 +37,7 @@ func TestPartitionHeal(t *testing.T) {
 		Value:        func(i int) float64 { return float64(i) }, // global mean 7.5
 		CycleLength:  2 * time.Millisecond,
 		ReplyTimeout: 15 * time.Millisecond, // cross-cut sends must fail fast
+		Workers:      2,
 		Seed:         77,
 	})
 	if err != nil {

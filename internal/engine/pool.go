@@ -25,10 +25,10 @@ import "sync"
 // never poison the pool.
 //
 // The shared tier is a sync.Pool so idle buffers are reclaimed across
-// GC cycles; each shard (or goroutine-mode node) additionally keeps a
-// small lock-free local free list in front of it — see rshard.free —
-// because sync.Pool.Put boxes the slice header on every call, which
-// would itself be a per-exchange allocation.
+// GC cycles; each shard additionally keeps a small lock-free local
+// free list in front of it — see rshard.free — because sync.Pool.Put
+// boxes the slice header on every call, which would itself be a
+// per-exchange allocation.
 type fieldsPool struct {
 	n      int
 	shared sync.Pool

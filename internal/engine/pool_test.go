@@ -68,7 +68,6 @@ func TestPoolBuffersNotObservedAfterPut(t *testing.T) {
 		CycleLength:  200 * time.Microsecond, // saturating: constant churn of buffers
 		ReplyTimeout: 2 * time.Millisecond,
 		Fabric:       fabric,
-		Mode:         ModeHeap,
 		Workers:      1,
 		Seed:         99,
 	})
@@ -79,7 +78,7 @@ func TestPoolBuffersNotObservedAfterPut(t *testing.T) {
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	rt := c.Runtime()
+	rt := c.Runtime
 	observers := []func(){
 		func() { _, _ = c.Snapshot("avg") },
 		func() {

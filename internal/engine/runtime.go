@@ -22,47 +22,6 @@ import (
 	"repro/internal/xrand"
 )
 
-// RuntimeMode selects how a cluster's nodes are scheduled.
-type RuntimeMode uint8
-
-const (
-	// ModeGoroutine is the legacy runtime: one active goroutine and
-	// one dispatcher goroutine per node. Simple and maximally
-	// asynchronous, but two goroutines, a timer and a channel-backed
-	// inbox per node stop scaling around 10⁴ nodes per process. It
-	// remains the zero value at this layer for compatibility; the
-	// public repro.Open front door defaults to ModeHeap.
-	ModeGoroutine RuntimeMode = iota
-	// ModeHeap multiplexes every local node onto a small worker pool:
-	// each worker owns a contiguous shard of nodes, drives their
-	// exchange wakes from a per-shard calendar queue and their reply
-	// deadlines from a per-shard FIFO ring (the kernel's event-driven
-	// scheduling model, at O(1) per timer — see sched.go). Inside the
-	// process a node is an integer index: a message between two hosted
-	// nodes is handled in-round when both live in one shard and posted
-	// to the sibling shard's mailbox otherwise. Only traffic that leaves
-	// the process (or crosses an impaired fabric) is addressed with
-	// "endpoint#index" sub-addresses and coalesced through a
-	// transport.Batcher onto one endpoint per worker. A single process
-	// sustains 10⁵–10⁶ nodes, and the workers run genuinely in parallel:
-	// one goroutine per shard, a round-granular lock per shard, and work
-	// stealing between shards (see DESIGN.md, "Concurrency model &
-	// shard ownership").
-	ModeHeap
-)
-
-// String returns the mode name.
-func (m RuntimeMode) String() string {
-	switch m {
-	case ModeGoroutine:
-		return "goroutine"
-	case ModeHeap:
-		return "heap"
-	default:
-		return fmt.Sprintf("mode(%d)", uint8(m))
-	}
-}
-
 // eventBudget returns how many due events one scheduler round of a
 // shard with n nodes may fire before serving the inbox again. When a
 // shard runs behind schedule (saturation), every node's wake is due at
@@ -76,9 +35,11 @@ func eventBudget(n int) int {
 	return min(1024, max(64, n/8))
 }
 
-// RuntimeConfig assembles a heap-mode runtime hosting Size nodes.
+// RuntimeConfig assembles a runtime hosting Size nodes.
 type RuntimeConfig struct {
-	// Size is the number of hosted nodes (≥ 2).
+	// Size is the number of hosted nodes: ≥ 2, or 1 for a single
+	// deployable node, which needs explicit Endpoints and Samplers (its
+	// peers are all remote).
 	Size int
 	// Schema defines the gossiped fields (required).
 	Schema *core.Schema
@@ -144,8 +105,11 @@ type RuntimeConfig struct {
 
 // withDefaults validates and fills defaults.
 func (c RuntimeConfig) withDefaults() (RuntimeConfig, error) {
-	if c.Size < 2 {
-		return c, fmt.Errorf("engine: runtime needs ≥ 2 nodes, got %d", c.Size)
+	switch {
+	case c.Size == 1 && (len(c.Endpoints) == 0 || c.Samplers == nil):
+		return c, fmt.Errorf("engine: a single-node runtime needs explicit Endpoints and Samplers")
+	case c.Size < 1:
+		return c, fmt.Errorf("engine: runtime needs ≥ 1 node, got %d", c.Size)
 	}
 	if c.Schema == nil {
 		return c, fmt.Errorf("engine: runtime needs a Schema")
@@ -204,10 +168,17 @@ func (c RuntimeConfig) withDefaults() (RuntimeConfig, error) {
 	return c, nil
 }
 
-// Runtime is the heap-mode live runtime: a worker pool multiplexing all
-// hosted nodes, per-shard schedules of exchange wakes and reply
-// deadlines, and batched transports. Construct with NewRuntime, then
-// Start; Stop tears down the workers and endpoints.
+// Runtime is the live runtime: a worker pool multiplexing all hosted
+// nodes. Each worker owns a contiguous shard of nodes and drives their
+// exchange wakes and reply deadlines from a per-shard calendar and ring
+// (sched.go). Inside the process a node is an integer index: a message
+// between two hosted nodes is handled in-round when both live in one
+// shard and posted to the sibling shard's mailbox otherwise. Only
+// traffic that leaves the process (or crosses an impaired fabric) is
+// addressed with "endpoint#index" sub-addresses and coalesced through a
+// transport.Batcher onto one endpoint per worker (see DESIGN.md,
+// "Concurrency model & shard ownership"). Construct with NewRuntime,
+// then Start; Stop tears down the workers and endpoints.
 type Runtime struct {
 	cfg    RuntimeConfig
 	schema *core.Schema
@@ -215,7 +186,7 @@ type Runtime struct {
 	pool   *fieldsPool       // shared tier of the Fields buffer recycler
 	shards []*rshard
 	addrs  []string // node i's sub-address, spelled out only at the transport
-	nodes  []*Node  // facade handles, one per hosted node
+	nodes  []*Node  // handles, one per hosted node
 
 	// sockets is set when every worker endpoint is a TCP listener: the
 	// network is real, so traffic between hosted nodes always stays in
@@ -267,7 +238,7 @@ type rnode struct {
 // rcold is the rest of a hosted node's state, in the shard array
 // parallel to the hot lines. Only the off-fast-path work touches it:
 // timeouts, late replies, nacks, restarts, sampler and robust work,
-// trace-sampled exchanges and the Node facade.
+// trace-sampled exchanges and the Node handle.
 type rcold struct {
 	value     float64
 	sampler   membership.Sampler // nil: the implicit complete overlay
@@ -291,14 +262,14 @@ type rcold struct {
 	pendingAt  float64
 	pendingDst int32
 	// The rare per-node counters (see rnode for the three per-exchange ones).
-	timeouts, lateReplies, epochSwitches, staleDropped uint64
-	sendErrors, busyDropped, peerBusy                  uint64
+	timeouts, lateReplies, lateGivenUp, epochSwitches uint64
+	staleDropped, sendErrors, busyDropped, peerBusy   uint64
 }
 
 // seqRecord is a node's record of its last timed-out exchange, whose
 // reply may still arrive: its seq, 0 when none. take strikes it out, so
 // a late reply applies at most once; a newer timeout overwrites it and
-// gives the older reply up. One slot is what the measured traffic needs:
+// gives the older reply up (counted as LateGivenUp). One slot is what the measured traffic needs:
 // no late reply in the instrumented runs of ROADMAP item 16(a) belonged
 // to any but the node's newest timed-out exchange.
 type seqRecord uint64
@@ -406,6 +377,7 @@ type shardCounters struct {
 	replies        atomic.Uint64
 	timeouts       atomic.Uint64
 	lateReplies    atomic.Uint64
+	lateGivenUp    atomic.Uint64
 	served         atomic.Uint64
 	epochSwitches  atomic.Uint64
 	staleDropped   atomic.Uint64
@@ -413,7 +385,7 @@ type shardCounters struct {
 	busyDropped    atomic.Uint64
 	peerBusy       atomic.Uint64
 	robustRejected atomic.Uint64
-	_              [40]byte // pad 11×8 B of counters to two full cache lines
+	_              [32]byte // pad 12×8 B of counters to two full cache lines
 }
 
 // rshard is one worker's slice of the runtime: a contiguous node range,
@@ -549,7 +521,7 @@ func (s *rshard) state(li int) []float64 {
 	return s.backing[li*s.width : (li+1)*s.width : (li+1)*s.width]
 }
 
-// NewRuntime builds (but does not start) a heap-mode runtime.
+// NewRuntime builds (but does not start) a runtime.
 func NewRuntime(cfg RuntimeConfig) (*Runtime, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -658,7 +630,7 @@ func NewRuntime(cfg RuntimeConfig) (*Runtime, error) {
 				n.observes = !isDir
 			}
 			copy(s.state(li), rt.initStateFor(c, startEpoch))
-			rt.nodes[i] = &Node{hrt: rt, hidx: i}
+			rt.nodes[i] = &Node{rt: rt, idx: i}
 		}
 	}
 	rt.registerMetrics(cfg.Metrics)
@@ -696,6 +668,7 @@ func (rt *Runtime) registerMetrics(reg *metrics.Registry) {
 			{"repro_engine_exchanges_completed_total", "Exchanges whose pull reply was merged.", &s.ctr.replies},
 			{"repro_engine_exchange_deadline_missed_total", "Exchanges reaped by the reply deadline.", &s.ctr.timeouts},
 			{"repro_engine_late_replies_absorbed_total", "Replies applied after their exchange's deadline fired (the transfer the peer already gave).", &s.ctr.lateReplies},
+			{"repro_engine_late_replies_given_up_total", "Timed-out exchanges whose late reply a newer timeout gave up (its transfer is lost if it still arrives).", &s.ctr.lateGivenUp},
 			{"repro_engine_exchanges_nacked_total", "Exchanges declined by a busy peer.", &s.ctr.peerBusy},
 			{"repro_engine_pushes_served_total", "Inbound pushes merged and replied to.", &s.ctr.served},
 			{"repro_engine_pushes_declined_total", "Inbound pushes nacked while busy.", &s.ctr.busyDropped},
@@ -817,9 +790,7 @@ func (rt *Runtime) Size() int { return len(rt.addrs) }
 // Workers returns the worker/shard count.
 func (rt *Runtime) Workers() int { return len(rt.shards) }
 
-// Nodes returns per-node facade handles in index order. The handles
-// support the full Node API (State, Estimate, Epoch, Stats, SetValue);
-// Start and Stop act on the whole runtime.
+// Nodes returns the hosted nodes' handles in index order.
 func (rt *Runtime) Nodes() []*Node { return rt.nodes }
 
 // Addr returns node i's sub-address.
@@ -846,8 +817,7 @@ func (rt *Runtime) Start(ctx context.Context) {
 			s.mu.Lock()
 			for i := s.lo; i < s.hi; i++ {
 				// Random initial phase in [0, Δt): desynchronized ticks
-				// avoid lockstep collisions (§1.1 autonomy), exactly as
-				// the goroutine runtime does.
+				// avoid lockstep collisions (§1.1 autonomy).
 				s.arm(i-s.lo, s.rng.Float64()*cycle)
 			}
 			s.publishNextDue(s.earliest())
@@ -989,6 +959,7 @@ func (rt *Runtime) NodeStats(i int) Stats {
 		Replies:       n.replies,
 		Timeouts:      c.timeouts,
 		LateReplies:   c.lateReplies,
+		LateGivenUp:   c.lateGivenUp,
 		Served:        n.served,
 		EpochSwitches: c.epochSwitches,
 		StaleDropped:  c.staleDropped,
@@ -1206,6 +1177,7 @@ func (rt *Runtime) Stats() Stats {
 		agg.Replies += s.ctr.replies.Load()
 		agg.Timeouts += s.ctr.timeouts.Load()
 		agg.LateReplies += s.ctr.lateReplies.Load()
+		agg.LateGivenUp += s.ctr.lateGivenUp.Load()
 		agg.Served += s.ctr.served.Load()
 		agg.EpochSwitches += s.ctr.epochSwitches.Load()
 		agg.StaleDropped += s.ctr.staleDropped.Load()
@@ -1546,7 +1518,12 @@ func (s *rshard) handleDeadline(d deadline, now float64) {
 		c.sampler.Forget(c.pendingPeer)
 	}
 	// The peer may have served the push already: its reply, however
-	// late, still owes this node the transfer.
+	// late, still owes this node the transfer. The one-slot record gives
+	// up an older timed-out exchange's reply; count it.
+	if c.timedOut != 0 {
+		c.lateGivenUp++
+		s.ctr.lateGivenUp.Add(1)
+	}
 	c.timedOut = seqRecord(d.seq)
 	if s.traceSampled(d.seq) {
 		s.recordTrace(li, d.seq, TraceTimedOut, now)
@@ -1584,9 +1561,8 @@ func (s *rshard) handleWake(w wake, now float64) {
 		s.initiate(li, now, w.peer)
 	} else if at <= now {
 		// A wake that finds an exchange still in flight initiates
-		// nothing: a node has one exchange in flight at a time, as the
-		// goroutine runtime's active loop blocks until reply-or-timeout,
-		// and the reply deadline is the only reaper (it records the seq,
+		// nothing: a node has one exchange in flight at a time, and the
+		// reply deadline is the only reaper (it records the seq,
 		// so a late reply still lands). A backlogged no-op wake skips
 		// ahead to its first slot past real time: when the shard runs L
 		// behind schedule, re-pushing at w.at+Δt would be a treadmill —
@@ -1976,8 +1952,8 @@ func (s *rshard) handleMessage(m *transport.Message, from, to int32) {
 func (s *rshard) servePush(li int, from int32, m *transport.Message) {
 	n := &s.nodes[li]
 	if !s.rt.cfg.PushOnly && n.pendingSeq != 0 {
-		// An own exchange is in flight: decline with a nack, as the
-		// goroutine runtime does. Σ would hold either way (the reply is
+		// An own exchange is in flight: decline with a nack. Σ would
+		// hold either way (the reply is
 		// a transfer); the nack keeps each node in one exchange at a
 		// time, the model the convergence factor of §3.3 is derived
 		// under. ROADMAP item 17 measures whether it can go.

@@ -121,14 +121,10 @@ func TestHeapClusterConvergesToAverage(t *testing.T) {
 		Value:        func(i int) float64 { return float64(i) },
 		CycleLength:  2 * time.Millisecond,
 		ReplyTimeout: 200 * time.Millisecond,
-		Mode:         ModeHeap,
 		Seed:         1,
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if c.Runtime() == nil {
-		t.Fatal("heap cluster has no runtime")
 	}
 	c.Start(context.Background())
 	defer c.Stop()
@@ -173,7 +169,6 @@ func TestHeapClusterSummarySchemaConverges(t *testing.T) {
 		Value:        func(i int) float64 { return float64(i%4) + 1 },
 		CycleLength:  2 * time.Millisecond,
 		ReplyTimeout: 200 * time.Millisecond,
-		Mode:         ModeHeap,
 		Workers:      3,                // exercise cross-shard exchanges
 		BatchWindow:  time.Millisecond, // and timer-driven batch flushing
 		Seed:         2,
@@ -219,7 +214,6 @@ func TestHeapClusterUnderMessageLoss(t *testing.T) {
 		CycleLength:  2 * time.Millisecond,
 		ReplyTimeout: 20 * time.Millisecond,
 		Fabric:       fabric,
-		Mode:         ModeHeap,
 		Seed:         6,
 	})
 	if err != nil {
@@ -230,7 +224,7 @@ func TestHeapClusterUnderMessageLoss(t *testing.T) {
 	if v, ok, _ := c.WaitConverged("avg", 1e-4, 8*time.Second); !ok {
 		t.Fatalf("lossy heap cluster stuck at variance %g", v)
 	}
-	if c.Runtime().Stats().Timeouts == 0 {
+	if c.Stats().Timeouts == 0 {
 		t.Error("20% loss produced zero timeouts; loss path unexercised")
 	}
 }
@@ -247,7 +241,6 @@ func TestHeapEpochRestartAdaptsToNewValues(t *testing.T) {
 		CycleLength:  2 * time.Millisecond,
 		ReplyTimeout: 200 * time.Millisecond,
 		Clock:        clock,
-		Mode:         ModeHeap,
 		Seed:         7,
 	})
 	if err != nil {
@@ -272,7 +265,7 @@ func TestHeapEpochRestartAdaptsToNewValues(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if c.Runtime().Stats().EpochSwitches == 0 {
+	if c.Stats().EpochSwitches == 0 {
 		t.Fatal("no epoch switches recorded despite adaptation")
 	}
 	// Epoch identifiers spread epidemically; give node 0 a moment in
@@ -292,7 +285,6 @@ func TestHeapClusterPushOnlyStillReducesVariance(t *testing.T) {
 		Value:       func(i int) float64 { return float64(i) },
 		CycleLength: 2 * time.Millisecond,
 		PushOnly:    true,
-		Mode:        ModeHeap,
 		Seed:        5,
 	})
 	if err != nil {
@@ -564,7 +556,6 @@ func runSustainedWith(tb testing.TB, size, cycles, workers int, deadline time.Du
 		Value:        func(i int) float64 { return float64(i % 2) },
 		CycleLength:  time.Millisecond, // saturating: workers run flat out
 		ReplyTimeout: 300 * time.Millisecond,
-		Mode:         ModeHeap,
 		Workers:      workers,
 		Seed:         42,
 	}
@@ -580,7 +571,7 @@ func runSustainedWith(tb testing.TB, size, cycles, workers int, deadline time.Du
 	if postStart != nil {
 		postStart(c)
 	}
-	return measureSustained(tb, c.Runtime(), 2, cycles, deadline)
+	return measureSustained(tb, c.Runtime, 2, cycles, deadline)
 }
 
 // measureSustained is the accounting shared by the sustained harnesses:
@@ -698,10 +689,9 @@ func assertOneShard(tb testing.TB, res sustainedResult, n int) {
 // hosts N = 10⁵ live nodes on the in-memory fabric and completes a full
 // 20-cycle average run (every node initiates ≥ 20 exchanges) while
 // driving the variance down two orders of magnitude, with no busy-nack,
-// no timeout and an allocation-free steady state (assertOneShard). The
-// goroutine runtime cannot even construct at this size in comparable
-// memory; the heap runtime runs it on one worker. The 10⁶-node variant of the same harness runs in
-// -bench mode (BenchmarkRuntimeSustained).
+// no timeout and an allocation-free steady state (assertOneShard), on
+// one worker. The 10⁶-node variant of the same harness runs in -bench
+// mode (BenchmarkRuntimeSustained).
 func TestHeapRuntimeSustains100k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10⁵-node scale run; skipped in -short mode")
@@ -748,7 +738,7 @@ func TestHeapRuntimeSteadyStateAllocsTwoWorkers(t *testing.T) {
 	assertSustained(t, res, 0)
 	// The harness has stopped the cluster: the counters are final and an
 	// exchange still in flight is frozen in its node's pendingSeq.
-	rt := c.Runtime()
+	rt := c.Runtime
 	st := rt.Stats()
 	var inFlight uint64
 	for _, s := range rt.shards {
@@ -886,6 +876,7 @@ func TestNodeStatsSumToRuntimeStats(t *testing.T) {
 		sum.Replies += st.Replies
 		sum.Timeouts += st.Timeouts
 		sum.LateReplies += st.LateReplies
+		sum.LateGivenUp += st.LateGivenUp
 		sum.Served += st.Served
 		sum.EpochSwitches += st.EpochSwitches
 		sum.StaleDropped += st.StaleDropped
@@ -903,6 +894,7 @@ func TestNodeStatsSumToRuntimeStats(t *testing.T) {
 		{"Replies", sum.Replies, want.Replies, true},
 		{"Timeouts", sum.Timeouts, want.Timeouts, true},
 		{"LateReplies", sum.LateReplies, want.LateReplies, true},
+		{"LateGivenUp", sum.LateGivenUp, want.LateGivenUp, false},
 		{"Served", sum.Served, want.Served, true},
 		{"EpochSwitches", sum.EpochSwitches, want.EpochSwitches, true},
 		{"StaleDropped", sum.StaleDropped, want.StaleDropped, true},

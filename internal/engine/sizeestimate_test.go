@@ -1,14 +1,13 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/epoch"
-	"repro/internal/membership"
-	"repro/internal/transport"
 )
 
 // TestLiveSizeEstimationAcrossEpochs runs the §4 counting protocol on
@@ -26,56 +25,30 @@ func TestLiveSizeEstimationAcrossEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fabric := transport.NewFabric()
-	endpoints := make([]transport.Endpoint, size)
-	addrs := make([]string, size)
-	for i := range endpoints {
-		endpoints[i] = fabric.NewEndpoint()
-		addrs[i] = endpoints[i].Addr()
-	}
-	nodes := make([]*Node, 0, size)
-	for i := 0; i < size; i++ {
-		peers := make([]string, 0, size-1)
-		for j, a := range addrs {
-			if j != i {
-				peers = append(peers, a)
-			}
-		}
-		sampler, err := membership.NewStatic(peers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		leader := i == 0
-		n, err := NewNode(Config{
-			Schema:       schema,
-			Endpoint:     endpoints[i],
-			Sampler:      sampler,
-			Value:        float64(i),
-			CycleLength:  3 * time.Millisecond,
-			ReplyTimeout: 100 * time.Millisecond,
-			Clock:        clock,
-			Seed:         uint64(300 + i),
-			InitState: func(_ uint64, value float64) core.State {
+	c, err := NewCluster(ClusterConfig{
+		Size:         size,
+		Schema:       schema,
+		Value:        func(i int) float64 { return float64(i) },
+		CycleLength:  3 * time.Millisecond,
+		ReplyTimeout: 100 * time.Millisecond,
+		Clock:        clock,
+		Seed:         300,
+		InitState: func(i int) func(uint64, float64) core.State {
+			return func(_ uint64, value float64) core.State {
 				st := schema.InitState(value)
-				if leader {
+				if i == 0 {
 					st[sizeIdx] = 1
 				}
 				return st
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes = append(nodes, n)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, n := range nodes {
-		n.Start()
-	}
-	defer func() {
-		for _, n := range nodes {
-			n.Stop()
-		}
-	}()
+	c.Start(context.Background())
+	defer c.Stop()
+	nodes := c.Nodes()
 
 	// Sample size estimates near the end of several consecutive epochs;
 	// each must be close to the true size despite the restarts between.

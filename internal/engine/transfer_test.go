@@ -2,13 +2,10 @@ package engine
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/membership"
 	"repro/internal/robust"
 	"repro/internal/sim"
-	"repro/internal/transport"
 )
 
 // The scripts below drive an unstarted two-worker runtime by hand: shard
@@ -155,7 +152,7 @@ func TestTransferLateReplyAtMostOnce(t *testing.T) {
 			rt.FailNode(0)
 			rt.ReviveNode(0)
 		}, want: 40, wantA: 4,
-			stats: func(st Stats) bool { return st.Replies == 0 && st.LateReplies == 0 }},
+			stats: func(st Stats) bool { return st.Replies == 0 && st.LateReplies == 0 && st.LateGivenUp == 0 }},
 		{name: "after a newer epoch", late: true, between: func(rt *Runtime) {
 			s := rt.shards[0]
 			s.nodes[0].tracker.Observe(1)
@@ -202,7 +199,8 @@ func TestTransferLateReplyAtMostOnce(t *testing.T) {
 // 0 (4) times out on two pushes to node 2 (20) before either reply
 // lands. Node 2 serves both, replying d = 8 and then d = 4; the newer
 // timeout overwrote the first seq, so only the second reply applies and
-// the first one's 8 leaves Σ — the price of one slot (ROADMAP 16(a)).
+// the first one's 8 leaves Σ — the price of one slot (ROADMAP 16(a)),
+// counted once as a reply given up.
 func TestTransferLateReplyGivenUp(t *testing.T) {
 	rt := newScriptedShards(t, []float64{4, 12, 20, 12}, nil)
 	s0, s1 := rt.shards[0], rt.shards[1]
@@ -219,8 +217,11 @@ func TestTransferLateReplyGivenUp(t *testing.T) {
 	if got, a, b := mass(rt), rt.NodeState(0)[0], rt.NodeState(2)[0]; got != 40 || a != 8 || b != 8 {
 		t.Fatalf("Σ = %g, node 0 = %g, node 2 = %g; want 40, 8 and 8", got, a, b)
 	}
-	if st := rt.NodeStats(0); st.Timeouts != 2 || st.LateReplies != 1 || st.Replies != 0 {
+	if st := rt.NodeStats(0); st.Timeouts != 2 || st.LateReplies != 1 || st.LateGivenUp != 1 || st.Replies != 0 {
 		t.Fatalf("node 0 stats %+v", st)
+	}
+	if st := rt.Stats(); st.LateGivenUp != 1 {
+		t.Fatalf("runtime stats %+v, want one reply given up", st)
 	}
 }
 
@@ -393,151 +394,4 @@ func TestTransferNonHonestPaths(t *testing.T) {
 func setTrim(rt *Runtime, i int, band robust.TrimState) {
 	s := rt.shardOf(i)
 	s.cold[i-s.lo].trim = band
-}
-
-// scriptedNodes builds two unstarted goroutine Nodes on one lossless
-// fabric: a (value va) samples only b (value vb), and neither dispatches,
-// so the script hands each message to its handler itself. a's reply
-// deadline is timeout.
-func scriptedNodes(t *testing.T, schema *core.Schema, va, vb float64, timeout time.Duration) (a, b *Node) {
-	t.Helper()
-	fabric := transport.NewFabric(transport.WithSeed(31))
-	epA, epB := fabric.NewEndpoint(), fabric.NewEndpoint()
-	view, err := membership.NewStatic([]string{epB.Addr()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func(ep transport.Endpoint, s membership.Sampler, v float64) *Node {
-		n, err := NewNode(Config{Schema: schema, Endpoint: ep, Sampler: s, Value: v,
-			CycleLength: time.Second, ReplyTimeout: timeout, Seed: 33})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n
-	}
-	return mk(epA, view, va), mk(epB, silentSampler{}, vb)
-}
-
-// serve has b serve the push waiting in its inbox and returns the reply
-// that lands in a's inbox.
-func serve(t *testing.T, a, b *Node) transport.Message {
-	t.Helper()
-	b.servePush(<-b.cfg.Endpoint.Inbox())
-	select {
-	case r := <-a.cfg.Endpoint.Inbox():
-		return r
-	default:
-		t.Fatal("no reply in the initiator's inbox")
-		return transport.Message{}
-	}
-}
-
-// copyMsg duplicates m with a buffer of its own, as a duplicated
-// delivery would hand the node.
-func copyMsg(m transport.Message) transport.Message {
-	m.Fields = append([]float64(nil), m.Fields...)
-	return m
-}
-
-// TestTransferNodeLateReplyAtMostOnce is TestTransferLateReplyAtMostOnce
-// for the goroutine Node. Node a (4) pushes to b (20) and its deadline
-// fires before b serves; b adopts 12 and replies d = 8. The late reply
-// reaches a by routeReply — or, as when its delivery raced the timeout,
-// from the reply slot, drained by the next exchange or taken by the
-// wait loop of an exchange in flight — and must apply once.
-func TestTransferNodeLateReplyAtMostOnce(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		between func(a *Node)
-		deliver func(t *testing.T, a *Node, r transport.Message)
-		wantA   float64
-		stats   func(Stats) bool
-	}{
-		{name: "duplicate", deliver: func(t *testing.T, a *Node, r transport.Message) {
-			a.routeReply(copyMsg(r))
-			a.routeReply(r)
-		}, wantA: 12, stats: func(st Stats) bool { return st.LateReplies == 1 && st.Replies == 0 }},
-		{name: "drained by the next exchange", deliver: func(t *testing.T, a *Node, r transport.Message) {
-			a.replyCh <- copyMsg(r)
-			a.initiateExchange() // its own push times out unserved
-			if got := a.State()[0]; got != 12 {
-				t.Fatalf("a = %g after the drain, want 12", got)
-			}
-			a.routeReply(r)
-		}, wantA: 12, stats: func(st Stats) bool { return st.LateReplies == 1 && st.Timeouts == 2 }},
-		{name: "taken while the next exchange waits", deliver: func(t *testing.T, a *Node, r transport.Message) {
-			done := make(chan struct{})
-			go func() { a.initiateExchange(); close(done) }()
-			for a.pendingSeq.Load() == 0 {
-				time.Sleep(time.Millisecond)
-			}
-			a.replyCh <- copyMsg(r)
-			<-done
-			if got := a.State()[0]; got != 12 {
-				t.Fatalf("a = %g after the wait, want 12", got)
-			}
-			a.routeReply(r)
-		}, wantA: 12, stats: func(st Stats) bool { return st.LateReplies == 1 && st.Timeouts == 2 }},
-		{name: "after a revive", between: func(a *Node) {
-			a.Fail()
-			a.Revive()
-		}, deliver: func(t *testing.T, a *Node, r transport.Message) { a.routeReply(r) },
-			wantA: 4, stats: func(st Stats) bool { return st.LateReplies == 0 }},
-		{name: "after a newer epoch", between: func(a *Node) {
-			a.tracker.Observe(1)
-			a.state = a.initState(1, a.value)
-		}, deliver: func(t *testing.T, a *Node, r transport.Message) { a.routeReply(r) },
-			wantA: 4, stats: func(st Stats) bool { return st.LateReplies == 0 && st.StaleDropped == 1 }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			a, b := scriptedNodes(t, core.AverageSchema(), 4, 20, 20*time.Millisecond)
-			a.initiateExchange() // b does not serve before the deadline
-			r := serve(t, a, b)
-			if tc.between != nil {
-				tc.between(a)
-			}
-			tc.deliver(t, a, r)
-			if got, gotB := a.State()[0], b.State()[0]; got != tc.wantA || gotB != 12 {
-				t.Fatalf("a = %g, b = %g; want %g and 12", got, gotB, tc.wantA)
-			}
-			if st := a.Stats(); !tc.stats(st) {
-				t.Fatalf("a's stats %+v", st)
-			}
-		})
-	}
-}
-
-// TestTransferNodeRobustGate pins the goroutine Node's active robust
-// gate on an Average and a Max primary field. a (4) pushes to b (20) and
-// clamps b's report to [0, 12]: for an Average the report is implied,
-// 4 + 2·8, and a applies (12 − 4)/2; for a Max the reply is b's
-// pre-merge 20 and a adopts max(4, 12).
-func TestTransferNodeRobustGate(t *testing.T) {
-	id := func(v float64) float64 { return v }
-	for _, tc := range []struct {
-		name         string
-		schema       *core.Schema
-		wantA, wantB float64
-	}{
-		{"average", core.AverageSchema(), 8, 12},
-		{"max", core.MustSchema(core.Field{Name: "max", Agg: core.Max, Init: id}), 12, 20},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			a, b := scriptedNodes(t, tc.schema, 4, 20, 10*time.Second)
-			a.setRobust(robust.Policy{Clamp: true, ClampMin: 0, ClampMax: 12}, robust.TrimState{})
-			done := make(chan struct{})
-			go func() { a.initiateExchange(); close(done) }()
-			for a.pendingSeq.Load() == 0 {
-				time.Sleep(time.Millisecond)
-			}
-			a.routeReply(serve(t, a, b))
-			<-done
-			if got, gotB := a.State()[0], b.State()[0]; got != tc.wantA || gotB != tc.wantB {
-				t.Fatalf("a = %g, b = %g; want %g and %g", got, gotB, tc.wantA, tc.wantB)
-			}
-			if st := a.Stats(); st.Replies != 1 || st.Timeouts != 0 {
-				t.Fatalf("a's stats %+v", st)
-			}
-		})
-	}
 }

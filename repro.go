@@ -13,17 +13,17 @@
 //     by the spec's axes — and materializes the outcome. RunGrid
 //     sweeps a base spec crossed with axes and streams reduction rows.
 //   - Open(opts...) assembles and starts a live aggregation System
-//     from functional options: an in-memory cluster (goroutine or
-//     event-heap scheduling), a 10⁵-node heap runtime over TCP, or one
-//     deployable TCP node.
+//     from functional options on one sharded runtime: an in-memory
+//     population, a 10⁵-node population over TCP, or one deployable TCP
+//     node.
 //   - System.Watch(ctx, field) streams one typed Estimate per cycle;
 //     System.Reduce(ctx, field, reducer) folds over node states shard
 //     by shard without materializing an N-length vector — aggregation
 //     as a continuously queried service, not a batch run.
 //
 // The historical entry points — Simulate, SimulateAsync,
-// EstimateSizeUnderChurn, NewCluster/NewNode/NewRuntime — remain as
-// thin deprecated wrappers with byte-identical fixed-seed output; each
+// EstimateSizeUnderChurn, NewCluster/NewRuntime — remain as thin
+// deprecated wrappers with byte-identical fixed-seed output; each
 // config documents its Run/Open replacement.
 //
 // See DESIGN.md for the system inventory (including the public-API
@@ -64,24 +64,23 @@ type (
 	// Summary is the decoded result of a summary schema: mean, variance,
 	// extrema, size and sum in one gossip instance.
 	Summary = core.Summary
-	// Node is one live protocol participant.
+	// Node is a handle on one live protocol participant hosted by a
+	// System, Cluster or Runtime.
 	Node = engine.Node
-	// NodeConfig assembles a single Node (bring your own transport and
-	// membership; most callers want Open with WithTCP instead).
-	NodeConfig = engine.Config
 	// Cluster is a locally running set of nodes over an in-memory fabric.
 	Cluster = engine.Cluster
 	// ClusterConfig assembles a Cluster (most callers want Open).
 	ClusterConfig = engine.ClusterConfig
-	// Runtime is the heap-mode live runtime: a sharded event-heap
-	// scheduler multiplexing 10⁵–10⁶ nodes onto a small worker pool
-	// with batched transports.
+	// Runtime is the live runtime: a sharded scheduler multiplexing one
+	// to 10⁶ nodes onto a small worker pool with batched transports.
 	Runtime = engine.Runtime
-	// RuntimeConfig assembles a Runtime (bring your own endpoints for
-	// TCP deployments; most callers want Open with WithTCP).
+	// RuntimeConfig assembles a Runtime (bring your own endpoints and
+	// samplers, e.g. for a single node; most callers want Open with
+	// WithTCP).
 	RuntimeConfig = engine.RuntimeConfig
-	// RuntimeMode selects goroutine-per-node or heap scheduling for a
-	// Cluster or System (see WithMode).
+	// RuntimeMode once selected a Cluster's or System's scheduler.
+	//
+	// Deprecated: every Cluster and System runs the sharded Runtime.
 	RuntimeMode = engine.RuntimeMode
 	// NodeStats is a snapshot of a live node's protocol counters.
 	NodeStats = engine.Stats
@@ -122,22 +121,20 @@ const (
 	TraceTimedOut  = engine.TraceTimedOut
 )
 
-// Runtime modes for ClusterConfig.Mode and WithMode: the parallel
-// sharded event-heap scheduler that hosts 10⁵+ nodes per process (the
-// default), or one goroutine pair per node (the historical default,
-// kept as a scheduling cross-check).
+// Runtime modes for ClusterConfig.Mode and WithMode.
+//
+// Deprecated: both run the sharded Runtime.
 const (
 	ModeGoroutine = engine.ModeGoroutine
 	ModeHeap      = engine.ModeHeap
 )
 
-// NewRuntime builds (but does not start) a heap-mode runtime hosting
-// many nodes in one process.
+// NewRuntime builds (but does not start) a runtime hosting one or more
+// nodes in one process.
 //
-// Deprecated: new code should use Open (WithMode(ModeHeap) in-memory,
-// or WithTCP(listen, peers...) with WithSize(n) for the deployable
-// multi-node shape); NewRuntime remains for callers supplying their
-// own endpoints.
+// Deprecated: new code should use Open (in-memory, or WithTCP(listen,
+// peers...) for the deployable shapes); NewRuntime remains for callers
+// supplying their own endpoints and samplers.
 func NewRuntime(cfg RuntimeConfig) (*Runtime, error) { return engine.NewRuntime(cfg) }
 
 // NewAverageSchema returns a schema gossiping the plain average of the
@@ -184,15 +181,9 @@ func DecodeGeometricMean(schema *Schema, st State) (float64, error) {
 // manual Start).
 func NewCluster(cfg ClusterConfig) (*Cluster, error) { return engine.NewCluster(cfg) }
 
-// NewNode builds a single live node from an explicit configuration.
-//
-// Deprecated: new code should use Open with WithTCP, which assembles
-// endpoint, membership and node in one call; NewNode remains for
-// callers bringing their own transport or membership implementations.
-func NewNode(cfg NodeConfig) (*Node, error) { return engine.NewNode(cfg) }
-
 // NewTCPEndpoint listens on the given address ("127.0.0.1:0" for an
-// ephemeral port) and returns a transport endpoint for NodeConfig.
+// ephemeral port) and returns a transport endpoint for
+// RuntimeConfig.Endpoints.
 func NewTCPEndpoint(listen string) (transport.Endpoint, error) {
 	return transport.NewTCPEndpoint(listen)
 }

@@ -226,29 +226,30 @@ func TestTCPNodeFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sB, err := NewGossipSampler(epB.Addr(), 4, []string{epA.Addr()})
-	if err != nil {
-		t.Fatal(err)
+	// One node per runtime, each on its own endpoint: b's view learns a
+	// from its seed and then from a's traffic.
+	open := func(ep Endpoint, sampler func(self string) (Sampler, error), value float64, wait WaitPolicy, seed uint64) *Node {
+		rt, err := NewRuntime(RuntimeConfig{
+			Size:      1,
+			Schema:    NewAverageSchema(),
+			Value:     func(int) float64 { return value },
+			Endpoints: []Endpoint{ep},
+			Samplers: func(_ int, self string, _ []string) (Sampler, error) {
+				return sampler(self)
+			},
+			CycleLength: 5 * time.Millisecond, ReplyTimeout: 500 * time.Millisecond, Wait: wait, Seed: seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.Start(context.Background())
+		t.Cleanup(rt.Stop)
+		return rt.Nodes()[0]
 	}
-	schema := NewAverageSchema()
-	a, err := NewNode(NodeConfig{
-		Schema: schema, Endpoint: epA, Sampler: sA,
-		Value: 2, CycleLength: 5 * time.Millisecond, ReplyTimeout: 500 * time.Millisecond, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewNode(NodeConfig{
-		Schema: schema, Endpoint: epB, Sampler: sB,
-		Value: 4, CycleLength: 5 * time.Millisecond, ReplyTimeout: 500 * time.Millisecond, Wait: ExponentialWait, Seed: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Start()
-	b.Start()
-	defer a.Stop()
-	defer b.Stop()
+	a := open(epA, func(string) (Sampler, error) { return sA, nil }, 2, ConstantWait, 1)
+	b := open(epB, func(self string) (Sampler, error) {
+		return NewGossipSampler(self, 4, []string{epA.Addr()})
+	}, 4, ExponentialWait, 2)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		ea, _ := a.Estimate("avg")

@@ -64,7 +64,7 @@ if [ "${BENCH_MULTICORE:-0}" = "1" ]; then
 	SERVE=''
 elif [ "${BENCH_QUICK:-0}" = "1" ]; then
 	KERNEL='BenchmarkKernelMillionNode/n=10000$'
-	EXCHANGE='BenchmarkRuntimeExchange/mode=heap/n=10000$'
+	EXCHANGE='BenchmarkRuntimeExchange/n=10000$'
 	SUSTAINED='BenchmarkRuntimeSustained/n=10000$'
 	ROBUST='BenchmarkRuntimeSustainedRobust$'
 	TCPLOCAL='BenchmarkRuntimeSustainedTCP$'

@@ -66,7 +66,6 @@ type sysConfig struct {
 	cycle     time.Duration
 	timeout   time.Duration
 	wait      engine.WaitPolicy
-	mode      engine.RuntimeMode
 	workers   int
 	batch     time.Duration
 	seed      uint64
@@ -164,7 +163,7 @@ func WithCycleLength(d time.Duration) Option {
 }
 
 // WithReplyTimeout bounds the pull-reply wait (default Δt/2, plus a
-// batching allowance in heap mode).
+// batching allowance when WithBatchWindow is set).
 func WithReplyTimeout(d time.Duration) Option {
 	return func(c *sysConfig) error {
 		c.timeout = d
@@ -181,20 +180,16 @@ func WithWaitPolicy(p WaitPolicy) Option {
 	}
 }
 
-// WithMode selects the scheduler for in-memory systems: ModeHeap
-// (default, a parallel sharded event-heap worker pool — the
-// 10⁵-nodes-per-process path) or ModeGoroutine (the legacy two
-// goroutines per node, useful as a scheduling cross-check). Multi-node
-// TCP systems always run the heap runtime.
+// WithMode once selected the scheduler for in-memory systems.
+//
+// Deprecated: every System runs the sharded runtime; the option is
+// ignored.
 func WithMode(m RuntimeMode) Option {
-	return func(c *sysConfig) error {
-		c.mode = m
-		return nil
-	}
+	return func(*sysConfig) error { return nil }
 }
 
-// WithWorkers bounds the heap scheduler's worker/shard pool (default
-// GOMAXPROCS).
+// WithWorkers bounds the scheduler's worker/shard pool (default
+// GOMAXPROCS, and always 1 for a single TCP node).
 func WithWorkers(n int) Option {
 	return func(c *sysConfig) error {
 		c.workers = n
@@ -202,8 +197,8 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithBatchWindow bounds message coalescing delay in heap mode (0
-// flushes once per scheduler round).
+// WithBatchWindow bounds message coalescing delay (0 flushes once per
+// scheduler round).
 func WithBatchWindow(d time.Duration) Option {
 	return func(c *sysConfig) error {
 		c.batch = d
@@ -324,7 +319,6 @@ func WithOps(addr string) Option {
 // into a fixed-size trace ring, drained with System.Trace. Sampling
 // costs two stores and one integer parse per sampled exchange and
 // nothing otherwise; n = 0 (the default) disables tracing entirely.
-// Tracing requires the heap runtime (the default mode).
 func WithTraceSampling(n int) Option {
 	return func(c *sysConfig) error {
 		if n < 0 {
@@ -439,11 +433,12 @@ func WithMedianOfMeans(buckets int) Option {
 }
 
 // System is a live aggregation service: a set of locally hosted
-// protocol nodes (in-memory cluster, heap runtime, or one deployable
-// TCP node) continuously maintaining every node's approximation of the
-// global aggregates. Open assembles and starts it; observe it with
-// Watch (streaming typed snapshots), Reduce (custom folds without
-// materializing state), Query and WaitConverged; Close shuts it down.
+// protocol nodes continuously maintaining every node's approximation of
+// the global aggregates, all on one sharded runtime — an in-memory
+// population, a population behind TCP endpoints, or one deployable TCP
+// node. Open assembles and starts it; observe it with Watch (streaming
+// typed snapshots), Reduce (custom folds without materializing state),
+// Query and WaitConverged; Close shuts it down.
 type System struct {
 	schema *core.Schema
 	cycle  time.Duration
@@ -452,14 +447,8 @@ type System struct {
 	// median-of-means estimator (WithMedianOfMeans).
 	momBuckets int
 
-	cluster *engine.Cluster // in-memory shapes
-	rt      *engine.Runtime // multi-node TCP shape
-	node    *engine.Node    // single-node TCP shape
-	nodes   []*Node
-
-	// gsampler is the single TCP node's gossip view, kept for the
-	// membership gauges (other shapes register theirs in the runtime).
-	gsampler *membership.GossipSampler
+	rt    *engine.Runtime
+	nodes []*Node
 
 	// watchMu guards the per-field fan-out hubs; reduceCount counts
 	// snapshot reductions (observability for the fan-out sharing tests).
@@ -602,7 +591,7 @@ func (h *watchHub) run() {
 // Open assembles a live aggregation system from functional options and
 // starts it. The zero-option call opens a two-node in-memory system
 // gossiping a plain average. See WithSize, WithSchema, WithValues,
-// WithCycleLength, WithMode, WithTCP and friends for the axes; Close
+// WithCycleLength, WithTCP and friends for the axes; Close
 // (or a WithContext cancellation) shuts the system down.
 func Open(opts ...Option) (*System, error) {
 	cfg := sysConfig{
@@ -610,7 +599,6 @@ func Open(opts ...Option) (*System, error) {
 		cycle:  100 * time.Millisecond,
 		seed:   1,
 		view:   8,
-		mode:   engine.ModeHeap,
 		ctx:    context.Background(),
 		value:  func(int) float64 { return 0 },
 		schema: NewAverageSchema(),
@@ -646,57 +634,17 @@ func Open(opts ...Option) (*System, error) {
 		openedAt:   time.Now(),
 		done:       make(chan struct{}),
 	}
-	var tcpEP *transport.TCPEndpoint // single-node shape's endpoint, for metrics
-	switch {
-	case cfg.tcp && cfg.size == 1:
-		node, ep, sampler, err := openTCPNode(cfg, clock)
-		if err != nil {
-			return nil, err
-		}
-		sys.node = node
-		sys.nodes = []*Node{node}
-		sys.gsampler = sampler
-		tcpEP = ep
-	case cfg.tcp:
-		rt, err := openTCPRuntime(cfg, clock)
-		if err != nil {
-			return nil, err
-		}
-		sys.rt = rt
-		sys.nodes = rt.Nodes()
-	default:
-		clusterCfg := engine.ClusterConfig{
-			Size:         cfg.size,
-			Schema:       cfg.schema,
-			Value:        cfg.value,
-			CycleLength:  cfg.cycle,
-			ReplyTimeout: cfg.replyTimeout(),
-			Wait:         cfg.wait,
-			PushOnly:     cfg.pushOnly,
-			InitState:    cfg.initState,
-			Clock:        clock,
-			Mode:         cfg.mode,
-			Workers:      cfg.workers,
-			BatchWindow:  cfg.batch,
-			Seed:         cfg.seed,
-			Metrics:      reg,
-			TraceSample:  cfg.trace,
-		}
-		if cfg.gossip {
-			// Live membership: ring bootstrap, every further peer is
-			// learned from piggybacked digests.
-			clusterCfg.Samplers = func(i int, self string, local []string) (membership.Sampler, error) {
-				return membership.NewGossipSampler(self, cfg.view, []string{local[(i+1)%len(local)]})
-			}
-		}
-		cluster, err := engine.NewCluster(clusterCfg)
-		if err != nil {
-			return nil, err
-		}
-		sys.cluster = cluster
-		sys.nodes = cluster.Nodes()
+	open := openRuntime
+	if cfg.tcp {
+		open = openTCPRuntime
 	}
-	sys.registerSystemMetrics(tcpEP)
+	rt, err := open(cfg, clock)
+	if err != nil {
+		return nil, err
+	}
+	sys.rt = rt
+	sys.nodes = rt.Nodes()
+	sys.registerSystemMetrics()
 	// Adversaries before robust countermeasures, and both before the
 	// engine starts: the trim gate seeds its acceptance band from the
 	// honest population's spread, which is only known once the
@@ -714,14 +662,7 @@ func Open(opts ...Option) (*System, error) {
 			return nil, err
 		}
 	}
-	switch {
-	case sys.cluster != nil:
-		sys.cluster.Start(cfg.ctx)
-	case sys.rt != nil:
-		sys.rt.Start(cfg.ctx)
-	default:
-		sys.node.Start()
-	}
+	sys.rt.Start(cfg.ctx)
 	if cfg.ops != "" {
 		if err := sys.startOps(cfg.ops); err != nil {
 			sys.Close()
@@ -744,55 +685,43 @@ func Open(opts ...Option) (*System, error) {
 	return sys, nil
 }
 
-// openTCPNode assembles the deployable single-node shape: one TCP
-// endpoint and the gossip sampler (both returned alongside the node so
-// the system can register traffic counters and membership gauges),
-// membership seeded from the configured peers.
-func openTCPNode(cfg sysConfig, clock *epoch.Clock) (*Node, *transport.TCPEndpoint, *membership.GossipSampler, error) {
-	endpoint, err := transport.NewTCPEndpoint(cfg.listen)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	self := endpoint.Addr()
-	seeds := cfg.peers
-	if len(seeds) == 0 {
-		// No seeds: wait to be contacted. A single self-seed is
-		// rejected, so use a placeholder that is forgotten on first
-		// contact failure.
-		seeds = []string{self + "#boot"}
-	}
-	sampler, err := membership.NewGossipSampler(self, cfg.view, seeds)
-	if err != nil {
-		_ = endpoint.Close()
-		return nil, nil, nil, err
-	}
-	nodeCfg := engine.Config{
+// openRuntime assembles the in-memory shape: the runtime over its own
+// fabric, on the complete overlay or, with WithGossipMembership, on
+// gossip views bootstrapped from the ring successor.
+func openRuntime(cfg sysConfig, clock *epoch.Clock) (*engine.Runtime, error) {
+	rcfg := engine.RuntimeConfig{
+		Size:         cfg.size,
 		Schema:       cfg.schema,
-		Endpoint:     endpoint,
-		Sampler:      sampler,
-		Value:        cfg.value(0),
+		Value:        cfg.value,
 		CycleLength:  cfg.cycle,
 		ReplyTimeout: cfg.replyTimeout(),
 		Wait:         cfg.wait,
 		PushOnly:     cfg.pushOnly,
+		InitState:    cfg.initState,
 		Clock:        clock,
+		Workers:      cfg.workers,
+		BatchWindow:  cfg.batch,
 		Seed:         cfg.seed,
+		Metrics:      cfg.reg,
+		TraceSample:  cfg.trace,
 	}
-	if cfg.initState != nil {
-		nodeCfg.InitState = cfg.initState(0)
+	if cfg.gossip {
+		// Live membership: every peer past the ring successor is learned
+		// from piggybacked digests.
+		rcfg.Samplers = func(i int, self string, local []string) (membership.Sampler, error) {
+			return membership.NewGossipSampler(self, cfg.view, []string{local[(i+1)%len(local)]})
+		}
 	}
-	node, err := engine.NewNode(nodeCfg)
-	if err != nil {
-		_ = endpoint.Close()
-		return nil, nil, nil, err
-	}
-	return node, endpoint, sampler, nil
+	return engine.NewRuntime(rcfg)
 }
 
-// openTCPRuntime assembles the multi-node TCP shape: the heap runtime
-// with one TCP endpoint per worker (the first on the configured listen
-// address, the rest on ephemeral ports of the same host) and gossip
-// membership bootstrapped from the remote seeds plus a local sibling.
+// openTCPRuntime assembles the TCP shapes: the runtime with one TCP
+// endpoint per worker (the first on the configured listen address, the
+// rest on ephemeral ports of the same host) and gossip membership
+// bootstrapped from the remote seeds plus a local sibling. A single node
+// (the aggnode shape) runs one worker; with no seeds it has no peer at
+// all, so its view starts from a placeholder that names no real peer,
+// and it waits to be contacted.
 func openTCPRuntime(cfg sysConfig, clock *epoch.Clock) (*engine.Runtime, error) {
 	workers := cfg.workers
 	if workers <= 0 {
@@ -845,6 +774,9 @@ func openTCPRuntime(cfg sysConfig, clock *epoch.Clock) (*engine.Runtime, error) 
 			if sib := local[(i+1)%len(local)]; sib != self {
 				boot = append(boot, sib)
 			}
+			if len(boot) == 0 {
+				boot = []string{self + "#boot"} // a lone self-seed is rejected
+			}
 			return membership.NewGossipSampler(self, cfg.view, boot)
 		},
 	})
@@ -857,76 +789,29 @@ func (s *System) Size() int { return len(s.nodes) }
 // SetValue, Addr).
 func (s *System) Nodes() []*Node { return s.nodes }
 
-// Workers returns the heap scheduler's parallel worker (shard) count,
-// or 0 when the system runs the legacy goroutine-per-node mode or the
-// deployable single-node TCP shape (both schedule without shards).
-func (s *System) Workers() int {
-	switch {
-	case s.rt != nil:
-		return s.rt.Workers()
-	case s.cluster != nil:
-		if rt := s.cluster.Runtime(); rt != nil {
-			return rt.Workers()
-		}
-	}
-	return 0
-}
+// Workers returns the scheduler's parallel worker (shard) count: 1 for
+// the single TCP node.
+func (s *System) Workers() int { return s.rt.Workers() }
 
 // Schema returns the gossiped field schema.
 func (s *System) Schema() *Schema { return s.schema }
 
 // Stats returns the element-wise sum of every hosted node's protocol
 // counters.
-func (s *System) Stats() NodeStats {
-	if s.rt != nil {
-		return s.rt.Stats()
-	}
-	var agg NodeStats
-	for _, n := range s.nodes {
-		st := n.Stats()
-		agg.Initiated += st.Initiated
-		agg.Replies += st.Replies
-		agg.Timeouts += st.Timeouts
-		agg.LateReplies += st.LateReplies
-		agg.Served += st.Served
-		agg.EpochSwitches += st.EpochSwitches
-		agg.StaleDropped += st.StaleDropped
-		agg.SendErrors += st.SendErrors
-		agg.BusyDropped += st.BusyDropped
-		agg.PeerBusy += st.PeerBusy
-	}
-	return agg
-}
+func (s *System) Stats() NodeStats { return s.rt.Stats() }
 
 // Reduce folds every hosted node's current approximation of the named
 // field into r, shard by shard, without materializing an N-length
 // vector — the observation primitive that scales to 10⁶ in-process
-// nodes. r.Add runs under the owning shard's lock (heap mode) or the
-// node's lock (goroutine mode): keep it fast and do not call back into
-// the system. Returns promptly; ctx is checked once at entry.
+// nodes. r.Add runs under the owning shard's lock: keep it fast and do
+// not call back into the system. Returns promptly; ctx is checked once
+// at entry.
 func (s *System) Reduce(ctx context.Context, field string, r Reducer) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	return s.reduce(field, r.Add)
-}
-
-// reduce dispatches the fold to the backend.
-func (s *System) reduce(field string, fn func(float64)) error {
 	s.reduceCount.Add(1)
-	switch {
-	case s.cluster != nil:
-		return s.cluster.ReduceField(field, fn)
-	case s.rt != nil:
-		return s.rt.ReduceField(field, fn)
-	default:
-		v, err := s.node.Estimate(field)
-		if err != nil {
-			return err
-		}
-		fn(v)
-		return nil
-	}
+	return s.rt.ReduceField(field, r.Add)
 }
 
 // Query takes one typed snapshot of the named field.
@@ -1072,10 +957,10 @@ func (s *System) WaitConverged(ctx context.Context, field string, tol float64) (
 // the service layer's POST /v1/values and the dynamic-signals workload.
 //
 // The apply is shard-local under the engine's existing round lock and
-// mass-conserving: the engine waits (bounded) for the node's in-flight
-// exchange to resolve before folding the delta, so the converged mean
-// moves to exactly the new population mean (§3.2). Safe to call
-// concurrently with exchanges, reduces and other SetValue calls.
+// mass-conserving: an exchange in flight replies with a transfer that
+// lands on top of the delta, so the converged mean moves to exactly the
+// new population mean (§3.2). Safe to call concurrently with exchanges,
+// reduces and other SetValue calls.
 func (s *System) SetValue(node int, field string, v float64) error {
 	idx, err := s.schema.Index(field)
 	if err != nil {
@@ -1096,7 +981,7 @@ func (s *System) FailNode(node int) error {
 	if node < 0 || node >= len(s.nodes) {
 		return fmt.Errorf("repro: FailNode node %d out of range [0,%d)", node, len(s.nodes))
 	}
-	s.nodes[node].Fail()
+	s.rt.FailNode(node)
 	return nil
 }
 
@@ -1107,33 +992,21 @@ func (s *System) ReviveNode(node int) error {
 	if node < 0 || node >= len(s.nodes) {
 		return fmt.Errorf("repro: ReviveNode node %d out of range [0,%d)", node, len(s.nodes))
 	}
-	s.nodes[node].Revive()
+	s.rt.ReviveNode(node)
 	return nil
 }
 
 // FailedNodes returns how many hosted nodes are currently failed via
 // FailNode.
-func (s *System) FailedNodes() int {
-	switch {
-	case s.cluster != nil:
-		return s.cluster.FailedNodes()
-	case s.rt != nil:
-		return s.rt.FailedNodes()
-	default:
-		if s.node.Failed() {
-			return 1
-		}
-		return 0
-	}
-}
+func (s *System) FailedNodes() int { return s.rt.FailedNodes() }
 
 // SetAdversaries reconfigures a fraction of the hosted nodes as
 // Byzantine adversaries on the live system (POST /v1/scenario's
 // "adversary" section): behavior names match WithAdversaries, fraction
 // 0 restores every node to honest operation, and adversaries are spread
 // evenly across the node index space (and therefore across shards).
-// Magnitude 0 defaults to 1000. Errors on the single-node TCP shape,
-// which hosts no local population to corrupt.
+// Magnitude 0 defaults to 1000. Errors when fewer than two honest
+// nodes would remain, so always on the single-node TCP shape.
 func (s *System) SetAdversaries(behavior string, fraction, magnitude, target float64) error {
 	b, err := adversaryBehavior(behavior)
 	if err != nil {
@@ -1157,61 +1030,29 @@ func (s *System) SetAdversaries(behavior string, fraction, magnitude, target flo
 			idx[i] = i * n / count
 		}
 	}
-	switch {
-	case s.cluster != nil:
-		return s.cluster.SetAdversaries(b, idx, magnitude, target)
-	case s.rt != nil:
-		return s.rt.SetAdversaries(b, idx, magnitude, target)
-	default:
-		return fmt.Errorf("repro: adversary injection needs locally hosted peers (single-node TCP shape has none)")
-	}
+	return s.rt.SetAdversaries(b, idx, magnitude, target)
 }
 
 // AdversaryCount returns how many hosted nodes currently act as
 // Byzantine adversaries.
-func (s *System) AdversaryCount() int {
-	switch {
-	case s.cluster != nil:
-		return s.cluster.AdversaryCount()
-	case s.rt != nil:
-		return s.rt.AdversaryCount()
-	default:
-		return 0
-	}
-}
+func (s *System) AdversaryCount() int { return s.rt.AdversaryCount() }
 
 // SetRobust installs (or, with a zero config, removes) the robust-merge
 // countermeasures on every hosted node of the live system. Each node's
 // trim acceptance band seeds from the honest population's current
 // spread, so install countermeasures after SetAdversaries, not before.
-// Errors on the single-node TCP shape.
+// A single TCP node gates what its remote peers report.
 func (s *System) SetRobust(cfg RobustConfig) error {
 	if err := cfg.validate(); err != nil {
 		return err
 	}
-	switch {
-	case s.cluster != nil:
-		s.cluster.SetRobust(cfg.policy())
-	case s.rt != nil:
-		s.rt.SetRobust(cfg.policy())
-	default:
-		return fmt.Errorf("repro: robust merge needs locally hosted peers (single-node TCP shape has none)")
-	}
+	s.rt.SetRobust(cfg.policy())
 	return nil
 }
 
 // RobustRejected returns the cumulative number of exchange halves the
 // robust trim gate has rejected across all hosted nodes.
-func (s *System) RobustRejected() uint64 {
-	switch {
-	case s.cluster != nil:
-		return s.cluster.RobustRejected()
-	case s.rt != nil:
-		return s.rt.RobustRejected()
-	default:
-		return 0
-	}
-}
+func (s *System) RobustRejected() uint64 { return s.rt.RobustRejected() }
 
 // SetLoss changes the in-memory fabric's message-loss probability on a
 // live system (each message dropped independently with probability p —
@@ -1221,24 +1062,12 @@ func (s *System) SetLoss(p float64) error {
 	if p < 0 || p > 1 || math.IsNaN(p) {
 		return fmt.Errorf("repro: SetLoss probability %v outside [0,1]", p)
 	}
-	f := s.fabric()
+	f := s.rt.Fabric()
 	if f == nil {
 		return fmt.Errorf("repro: SetLoss requires an in-memory fabric (TCP shapes carry real traffic)")
 	}
 	f.SetDropProbability(p)
 	return nil
-}
-
-// fabric returns the in-memory message fabric, nil on TCP shapes.
-func (s *System) fabric() *transport.Fabric {
-	switch {
-	case s.cluster != nil:
-		return s.cluster.Fabric()
-	case s.rt != nil:
-		return s.rt.Fabric()
-	default:
-		return nil
-	}
 }
 
 // Metrics returns the system's metric registry so module-local layers
@@ -1265,13 +1094,6 @@ func (s *System) Close() {
 		if s.ops != nil {
 			s.ops.stop()
 		}
-		switch {
-		case s.cluster != nil:
-			s.cluster.Stop()
-		case s.rt != nil:
-			s.rt.Stop()
-		default:
-			s.node.Stop()
-		}
+		s.rt.Stop()
 	})
 }

@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 	"time"
 )
@@ -26,46 +27,43 @@ func TestOpenValidatesOptions(t *testing.T) {
 	}
 }
 
-// TestOpenWatchReduceGoroutineAndHeap: both schedulers behind Open
-// converge and agree between Watch snapshots, Reduce folds and point
-// queries.
+// TestOpenWatchReduceGoroutineAndHeap: the runtime behind Open
+// converges, and Watch snapshots, Reduce folds and point queries
+// agree.
 func TestOpenWatchReduceGoroutineAndHeap(t *testing.T) {
-	for _, mode := range []RuntimeMode{ModeGoroutine, ModeHeap} {
-		t.Run(mode.String(), func(t *testing.T) {
-			sys, err := Open(
-				WithSize(24),
-				WithMode(mode),
-				WithValues(func(i int) float64 { return float64(i) }), // mean 11.5
-				WithCycleLength(2*time.Millisecond),
-				WithReplyTimeout(time.Second),
-				WithSeed(11),
-			)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sys.Close()
+	t.Run("heap", func(t *testing.T) {
+		sys, err := Open(
+			WithSize(24),
+			WithValues(func(i int) float64 { return float64(i) }), // mean 11.5
+			WithCycleLength(2*time.Millisecond),
+			WithReplyTimeout(time.Second),
+			WithSeed(11),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sys.Close()
 
-			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-			defer cancel()
-			est, err := sys.WaitConverged(ctx, "avg", 1e-9)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if est.Nodes != 24 || math.Abs(est.Mean-11.5) > 0.1 {
-				t.Fatalf("converged snapshot: %+v", est)
-			}
-			var run Running
-			if err := sys.Reduce(ctx, "avg", &run); err != nil {
-				t.Fatal(err)
-			}
-			if run.N() != 24 || math.Abs(run.Mean()-est.Mean) > 0.05 {
-				t.Fatalf("Reduce disagrees with Watch: n=%d mean=%g vs %g", run.N(), run.Mean(), est.Mean)
-			}
-			if _, err := sys.Query(ctx, "bogus"); err == nil {
-				t.Fatal("unknown field accepted")
-			}
-		})
-	}
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		defer cancel()
+		est, err := sys.WaitConverged(ctx, "avg", 1e-9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if est.Nodes != 24 || math.Abs(est.Mean-11.5) > 0.1 {
+			t.Fatalf("converged snapshot: %+v", est)
+		}
+		var run Running
+		if err := sys.Reduce(ctx, "avg", &run); err != nil {
+			t.Fatal(err)
+		}
+		if run.N() != 24 || math.Abs(run.Mean()-est.Mean) > 0.05 {
+			t.Fatalf("Reduce disagrees with Watch: n=%d mean=%g vs %g", run.N(), run.Mean(), est.Mean)
+		}
+		if _, err := sys.Query(ctx, "bogus"); err == nil {
+			t.Fatal("unknown field accepted")
+		}
+	})
 }
 
 // TestWatchCancellationWithinOneCycle: cancelling the watch context
@@ -300,17 +298,58 @@ func TestOpenTCPSingleNodePair(t *testing.T) {
 	}
 }
 
-// TestTransferMixedRuntimeMesh joins a single-node TCP system (a
-// goroutine Node) to a 64-node TCP heap runtime over loopback: the two
-// runtimes serve each other's pushes, so each must answer with the
+// TestOpenTCPSingleNodeShape pins the deployable single-node shape (the
+// aggnode default and every OpenCluster member) on the runtime: one
+// worker, one node at the endpoint's "#0" sub-address, the TCP and
+// membership families registered per shard, robust merge installable
+// (it gates what remote peers report) and adversaries refused (a lone
+// node cannot keep two honest ones).
+func TestOpenTCPSingleNodeShape(t *testing.T) {
+	sys, err := Open(WithTCP("127.0.0.1:0"), WithCycleLength(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if got := sys.Workers(); got != 1 {
+		t.Errorf("Workers() = %d, want 1", got)
+	}
+	if addr := sys.Nodes()[0].Addr(); !strings.HasSuffix(addr, "#0") || strings.Count(addr, "#") != 1 {
+		t.Errorf("node address %q, want the endpoint's #0 sub-address", addr)
+	}
+	exposition := string(sys.Metrics().AppendPrometheus(nil))
+	for _, family := range []string{
+		"repro_transport_tcp_dials_total",
+		"repro_transport_tcp_bytes_sent_total",
+		"repro_transport_tcp_bytes_received_total",
+		"repro_transport_tcp_inbox_dropped_total",
+		"repro_membership_view_entries",
+		"repro_membership_observed_total",
+		"repro_membership_forgotten_total",
+		"repro_membership_digest_dropped_total",
+	} {
+		if !strings.Contains(exposition, family+`{shard="0"}`) {
+			t.Errorf("registry lacks %s{shard=\"0\"}", family)
+		}
+	}
+	if err := sys.SetRobust(RobustConfig{Clamp: true, ClampMin: -1, ClampMax: 1}); err != nil {
+		t.Errorf("SetRobust on a single node: %v", err)
+	}
+	if err := sys.SetAdversaries("", 0.5, 0, 0); err == nil {
+		t.Error("SetAdversaries made the only node an adversary")
+	}
+}
+
+// TestTransferSingleNodeJoinsTCPPopulation joins a single-node TCP
+// system to a 64-node TCP system over loopback: the two serve each
+// other's pushes across the socket, so each must answer with the
 // transfer the other adds. An injection on either side mid-run must land
 // whole in the combined Σ, which every node converges on.
-func TestTransferMixedRuntimeMesh(t *testing.T) {
+func TestTransferSingleNodeJoinsTCPPopulation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real TCP sockets")
 	}
 	const n = 64
-	heap, err := Open(
+	pop, err := Open(
 		WithTCP("127.0.0.1:0"),
 		WithSize(n),
 		WithWorkers(2),
@@ -322,9 +361,9 @@ func TestTransferMixedRuntimeMesh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer heap.Close()
+	defer pop.Close()
 	single, err := Open(
-		WithTCP("127.0.0.1:0", heap.Nodes()[0].Addr()),
+		WithTCP("127.0.0.1:0", pop.Nodes()[0].Addr()),
 		WithValue(31),
 		WithCycleLength(5*time.Millisecond),
 		WithReplyTimeout(200*time.Millisecond),
@@ -334,21 +373,21 @@ func TestTransferMixedRuntimeMesh(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer single.Close()
-	nodes := append(append([]*Node(nil), heap.Nodes()...), single.Nodes()...)
+	nodes := append(append([]*Node(nil), pop.Nodes()...), single.Nodes()...)
 
 	// Let the single node join the exchanges, then inject on both sides
-	// while they run: +65 on the goroutine node, +130 on a heap node.
+	// while they run: +65 on the single node, +130 on a population node.
 	deadline := time.Now().Add(20 * time.Second)
 	for single.Nodes()[0].Stats().Served == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("no heap node ever pushed to the single node")
+			t.Fatal("no population node ever pushed to the single node")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	if err := single.SetValue(0, "avg", 31+65); err != nil {
 		t.Fatal(err)
 	}
-	if err := heap.SetValue(5, "avg", 5+130); err != nil {
+	if err := pop.SetValue(5, "avg", 5+130); err != nil {
 		t.Fatal(err)
 	}
 	want := float64(224+31+65+130) / (n + 1)
@@ -365,7 +404,7 @@ func TestTransferMixedRuntimeMesh(t *testing.T) {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("mixed mesh: worst estimate %g off the combined mean %g", worst, want)
+			t.Fatalf("single node and population: worst estimate %g off the combined mean %g", worst, want)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -379,7 +418,6 @@ func TestReduceDoesNotMaterialize(t *testing.T) {
 	const n = 100_000
 	sys, err := Open(
 		WithSize(n),
-		WithMode(ModeHeap),
 		WithValues(func(i int) float64 { return float64(i % 64) }),
 		// One-hour cycles: the workers stay parked, so the measurement
 		// sees Reduce itself, not concurrent exchanges.
@@ -423,7 +461,6 @@ func TestReduceDoesNotMaterialize(t *testing.T) {
 func BenchmarkSystemReduce(b *testing.B) {
 	sys, err := Open(
 		WithSize(100_000),
-		WithMode(ModeHeap),
 		WithValues(func(i int) float64 { return float64(i) }),
 		WithCycleLength(time.Hour),
 		WithSeed(10),

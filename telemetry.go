@@ -6,9 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/engine"
-	"repro/internal/transport"
 )
 
 // convergedTol is the variance threshold below which Telemetry reports
@@ -35,7 +32,7 @@ type Telemetry struct {
 	// Time is when the convergence fields were computed.
 	Time time.Time
 	// Nodes is how many locally hosted node states were folded; Workers
-	// is the heap scheduler's shard count (0 for unsharded shapes).
+	// is the scheduler's shard count.
 	Nodes, Workers int
 	// Mean, Variance, Min and Max reduce the tracked field across nodes.
 	Mean, Variance, Min, Max float64
@@ -70,7 +67,7 @@ type Telemetry struct {
 	Completion float64
 	// Steals counts scheduler rounds run by a non-owner worker;
 	// ShardInitiated is each shard's initiated-exchange counter, the
-	// per-worker balance view. Both zero/nil for unsharded shapes.
+	// per-worker balance view.
 	Steals         uint64
 	ShardInitiated []uint64
 	// ServeStreams is the service layer's live SSE stream count and
@@ -123,29 +120,17 @@ func (t *telemetryState) storeNaN() {
 // trackedField returns the schema field the convergence tracker watches.
 func (s *System) trackedField() string { return s.schema.FieldNames()[0] }
 
-// heapRuntime returns the sharded runtime behind the system, or nil for
-// unsharded shapes (goroutine mode, the single TCP node).
-func (s *System) heapRuntime() *engine.Runtime {
-	switch {
-	case s.rt != nil:
-		return s.rt
-	case s.cluster != nil:
-		return s.cluster.Runtime()
-	}
-	return nil
-}
-
 // trueMean folds the hosted nodes' local attribute values — the truth
 // the aggregate should track. ok is false on TCP shapes, where remote
 // peers hold part of the population and the local fold is not the
 // network mean.
 func (s *System) trueMean() (mean float64, ok bool) {
-	if s.cluster == nil {
+	if s.rt.Fabric() == nil {
 		return math.NaN(), false
 	}
 	var n int
 	var sum float64
-	s.cluster.ReduceValues(func(v float64) { n++; sum += v })
+	s.rt.ReduceValues(func(v float64) { n++; sum += v })
 	if n == 0 {
 		return math.NaN(), false
 	}
@@ -287,10 +272,8 @@ func (s *System) buildTelemetry(seq int, at time.Time, nodes int,
 	} else {
 		tel.Completion = math.NaN()
 	}
-	if rt := s.heapRuntime(); rt != nil {
-		tel.Steals = rt.Steals()
-		tel.ShardInitiated = rt.ShardInitiated()
-	}
+	tel.Steals = s.rt.Steals()
+	tel.ShardInitiated = s.rt.ShardInitiated()
 	if fn := s.serveStats.Load(); fn != nil {
 		tel.ServeStreams, tel.ServeDropped = (*fn)()
 	}
@@ -359,20 +342,13 @@ func (s *System) WatchTelemetry(ctx context.Context) <-chan Telemetry {
 
 // Trace returns up to max recent trace-sampled exchanges across all
 // shards, oldest first (max ≤ 0 returns everything retained). Nil
-// unless WithTraceSampling enabled sampling on a heap-runtime system.
-func (s *System) Trace(max int) []TraceRecord {
-	rt := s.heapRuntime()
-	if rt == nil {
-		return nil
-	}
-	return rt.Trace(max)
-}
+// unless WithTraceSampling enabled sampling.
+func (s *System) Trace(max int) []TraceRecord { return s.rt.Trace(max) }
 
 // registerSystemMetrics adds the system-level series: uptime, watch
-// reduction count, the convergence gauges, and — for shapes whose
-// engine did not self-register (goroutine mode, the single TCP node) —
-// aggregate protocol counters folded over Stats at scrape time.
-func (s *System) registerSystemMetrics(tcpEP *transport.TCPEndpoint) {
+// reduction count and the convergence gauges. The runtime registered
+// its own engine, transport and membership series.
+func (s *System) registerSystemMetrics() {
 	reg := s.metrics
 	s.tele.storeNaN()
 	reg.GaugeFunc("repro_system_uptime_seconds", "Seconds since Open.",
@@ -393,56 +369,5 @@ func (s *System) registerSystemMetrics(tcpEP *transport.TCPEndpoint) {
 		reg.GaugeFunc(g.name, g.help, func() float64 {
 			return math.Float64frombits(bits.Load())
 		})
-	}
-	if s.heapRuntime() != nil {
-		return // the runtime registered its own engine/transport series
-	}
-
-	// Fallback shapes: aggregate (unlabeled) engine counters folded over
-	// the per-node atomics at scrape time.
-	reg.GaugeFunc("repro_engine_nodes", "Hosted nodes.",
-		func() float64 { return float64(len(s.nodes)) })
-	reg.GaugeFunc("repro_adversary_nodes", "Hosted nodes currently acting as Byzantine adversaries.",
-		func() float64 { return float64(s.AdversaryCount()) })
-	reg.CounterFunc("repro_robust_rejected_total",
-		"Exchange halves rejected by the robust trim gate.", s.RobustRejected)
-	for _, c := range []struct {
-		name, help string
-		v          func(NodeStats) uint64
-	}{
-		{"repro_engine_exchanges_initiated_total", "Exchanges started by hosted nodes.", func(st NodeStats) uint64 { return st.Initiated }},
-		{"repro_engine_exchanges_completed_total", "Exchanges whose pull reply was merged.", func(st NodeStats) uint64 { return st.Replies }},
-		{"repro_engine_exchange_deadline_missed_total", "Exchanges reaped by the reply deadline.", func(st NodeStats) uint64 { return st.Timeouts }},
-		{"repro_engine_late_replies_absorbed_total", "Replies applied after their exchange's deadline fired (the transfer the peer already gave).", func(st NodeStats) uint64 { return st.LateReplies }},
-		{"repro_engine_exchanges_nacked_total", "Exchanges declined by a busy peer.", func(st NodeStats) uint64 { return st.PeerBusy }},
-		{"repro_engine_pushes_served_total", "Inbound pushes merged and replied to.", func(st NodeStats) uint64 { return st.Served }},
-		{"repro_engine_pushes_declined_total", "Inbound pushes nacked while busy.", func(st NodeStats) uint64 { return st.BusyDropped }},
-		{"repro_engine_messages_stale_dropped_total", "Messages dropped for an out-of-sync epoch.", func(st NodeStats) uint64 { return st.StaleDropped }},
-		{"repro_engine_epoch_restarts_total", "Node state reinitializations at epoch boundaries.", func(st NodeStats) uint64 { return st.EpochSwitches }},
-		{"repro_engine_send_errors_total", "Sends that failed synchronously or via batch feedback.", func(st NodeStats) uint64 { return st.SendErrors }},
-	} {
-		field := c.v
-		reg.CounterFunc(c.name, c.help, func() uint64 { return field(s.Stats()) })
-	}
-	if s.cluster != nil {
-		if fab := s.cluster.Fabric(); fab != nil {
-			reg.CounterFunc("repro_transport_fabric_loss_dropped_total",
-				"Messages dropped by the fabric loss model or a partition filter.", fab.LossDropped)
-			reg.CounterFunc("repro_transport_fabric_inbox_dropped_total",
-				"Messages dropped on a full in-memory inbox.", fab.InboxDropped)
-		}
-	}
-	if g := s.gsampler; g != nil {
-		reg.GaugeFunc("repro_membership_view_entries", "Live entries in the gossip membership view.",
-			func() float64 { return float64(g.ViewSize()) })
-		reg.CounterFunc("repro_membership_observed_total", "Membership observations folded from inbound traffic.", g.ObservedTotal)
-		reg.CounterFunc("repro_membership_forgotten_total", "Peers dropped from the view after failed exchanges.", g.ForgottenTotal)
-		reg.CounterFunc("repro_membership_digest_dropped_total", "Digest entries refused by the per-sender insertion budget (eclipse hardening).", g.InsertsDroppedTotal)
-	}
-	if tcpEP != nil {
-		reg.CounterFunc("repro_transport_tcp_dials_total", "Outbound TCP connections established.", tcpEP.Dials)
-		reg.CounterFunc("repro_transport_tcp_bytes_sent_total", "Bytes written to TCP peers.", tcpEP.BytesSent)
-		reg.CounterFunc("repro_transport_tcp_bytes_received_total", "Bytes read from TCP peers.", tcpEP.BytesReceived)
-		reg.CounterFunc("repro_transport_tcp_inbox_dropped_total", "Inbound frames dropped on a full inbox.", tcpEP.InboxDropped)
 	}
 }

@@ -132,7 +132,6 @@ func TestTelemetryRhoMatchesTheory(t *testing.T) {
 	const n = 1024
 	sys, err := Open(
 		WithSize(n),
-		WithMode(ModeHeap),
 		WithValues(func(i int) float64 { return float64(i) }),
 		WithCycleLength(30*time.Millisecond),
 		WithReplyTimeout(time.Second),
@@ -226,7 +225,6 @@ func TestOpsEndpointEndToEnd(t *testing.T) {
 	}
 	sys, err := Open(
 		WithSize(64),
-		WithMode(ModeHeap),
 		WithValues(func(i int) float64 { return float64(i % 7) }),
 		WithCycleLength(5*time.Millisecond),
 		WithReplyTimeout(time.Second),
@@ -347,7 +345,6 @@ func TestOpsScrapeLiveLargeSystem(t *testing.T) {
 	}
 	sys, err := Open(
 		WithSize(100_000),
-		WithMode(ModeHeap),
 		WithValues(func(i int) float64 { return float64(i % 100) }),
 		WithCycleLength(time.Second),
 		WithOps("127.0.0.1:0"),
@@ -396,7 +393,6 @@ func TestOpsScrapeLiveLargeSystem(t *testing.T) {
 func TestMetricsNamesGolden(t *testing.T) {
 	sys, err := Open(
 		WithSize(16),
-		WithMode(ModeHeap),
 		WithGossipMembership(),     // registers the membership families too
 		WithCycleLength(time.Hour), // parked: names, not values
 		WithTraceSampling(8),
