@@ -269,9 +269,10 @@ type rcold struct {
 // seqRecord is a node's record of its last timed-out exchange, whose
 // reply may still arrive: its seq, 0 when none. take strikes it out, so
 // a late reply applies at most once; a newer timeout overwrites it and
-// gives the older reply up (counted as LateGivenUp). One slot is what the measured traffic needs:
-// no late reply in the instrumented runs of ROADMAP item 16(a) belonged
-// to any but the node's newest timed-out exchange.
+// gives the older reply up (counted as LateGivenUp). One slot is what
+// the measured traffic needs: no late reply in the instrumented runs of
+// ROADMAP item 16(a) belonged to any but the node's newest timed-out
+// exchange.
 type seqRecord uint64
 
 // take reports whether seq is the recorded one, and strikes it out.
@@ -1562,8 +1563,8 @@ func (s *rshard) handleWake(w wake, now float64) {
 	} else if at <= now {
 		// A wake that finds an exchange still in flight initiates
 		// nothing: a node has one exchange in flight at a time, and the
-		// reply deadline is the only reaper (it records the seq,
-		// so a late reply still lands). A backlogged no-op wake skips
+		// reply deadline is the only reaper (it records the seq, so a
+		// late reply still lands). A backlogged no-op wake skips
 		// ahead to its first slot past real time: when the shard runs L
 		// behind schedule, re-pushing at w.at+Δt would be a treadmill —
 		// N·L/Δt no-op wakes ground through in stale virtual time before
@@ -1953,10 +1954,10 @@ func (s *rshard) servePush(li int, from int32, m *transport.Message) {
 	n := &s.nodes[li]
 	if !s.rt.cfg.PushOnly && n.pendingSeq != 0 {
 		// An own exchange is in flight: decline with a nack. Σ would
-		// hold either way (the reply is
-		// a transfer); the nack keeps each node in one exchange at a
-		// time, the model the convergence factor of §3.3 is derived
-		// under. ROADMAP item 17 measures whether it can go.
+		// hold either way (the reply is a transfer); the nack keeps each
+		// node in one exchange at a time, the model the convergence
+		// factor of §3.3 is derived under. ROADMAP item 17 measures
+		// whether it can go.
 		s.cold[li].busyDropped++
 		s.ctr.busyDropped.Add(1)
 		s.free.put(m.Fields)

@@ -447,8 +447,7 @@ type System struct {
 	// median-of-means estimator (WithMedianOfMeans).
 	momBuckets int
 
-	rt    *engine.Runtime
-	nodes []*Node
+	rt *engine.Runtime
 
 	// watchMu guards the per-field fan-out hubs; reduceCount counts
 	// snapshot reductions (observability for the fan-out sharing tests).
@@ -643,7 +642,6 @@ func Open(opts ...Option) (*System, error) {
 		return nil, err
 	}
 	sys.rt = rt
-	sys.nodes = rt.Nodes()
 	sys.registerSystemMetrics()
 	// Adversaries before robust countermeasures, and both before the
 	// engine starts: the trim gate seeds its acceptance band from the
@@ -783,11 +781,11 @@ func openTCPRuntime(cfg sysConfig, clock *epoch.Clock) (*engine.Runtime, error) 
 }
 
 // Size returns the number of locally hosted nodes.
-func (s *System) Size() int { return len(s.nodes) }
+func (s *System) Size() int { return s.rt.Size() }
 
 // Nodes returns per-node handles in index order (point queries,
 // SetValue, Addr).
-func (s *System) Nodes() []*Node { return s.nodes }
+func (s *System) Nodes() []*Node { return s.rt.Nodes() }
 
 // Workers returns the scheduler's parallel worker (shard) count: 1 for
 // the single TCP node.
@@ -966,10 +964,10 @@ func (s *System) SetValue(node int, field string, v float64) error {
 	if err != nil {
 		return err
 	}
-	if node < 0 || node >= len(s.nodes) {
-		return fmt.Errorf("repro: SetValue node %d out of range [0,%d)", node, len(s.nodes))
+	if node < 0 || node >= s.Size() {
+		return fmt.Errorf("repro: SetValue node %d out of range [0,%d)", node, s.Size())
 	}
-	s.nodes[node].InjectValue(idx, v)
+	s.rt.InjectValue(node, idx, v)
 	return nil
 }
 
@@ -978,8 +976,8 @@ func (s *System) SetValue(node int, field string, v float64) error {
 // peers observe only missed reply deadlines, exactly like a process
 // crash. Live fault injection for a running system (POST /v1/scenario).
 func (s *System) FailNode(node int) error {
-	if node < 0 || node >= len(s.nodes) {
-		return fmt.Errorf("repro: FailNode node %d out of range [0,%d)", node, len(s.nodes))
+	if node < 0 || node >= s.Size() {
+		return fmt.Errorf("repro: FailNode node %d out of range [0,%d)", node, s.Size())
 	}
 	s.rt.FailNode(node)
 	return nil
@@ -989,8 +987,8 @@ func (s *System) FailNode(node int) error {
 // reinitializes from its current local value and it resumes gossiping
 // on its existing cadence. A no-op for nodes that are not failed.
 func (s *System) ReviveNode(node int) error {
-	if node < 0 || node >= len(s.nodes) {
-		return fmt.Errorf("repro: ReviveNode node %d out of range [0,%d)", node, len(s.nodes))
+	if node < 0 || node >= s.Size() {
+		return fmt.Errorf("repro: ReviveNode node %d out of range [0,%d)", node, s.Size())
 	}
 	s.rt.ReviveNode(node)
 	return nil
@@ -1018,7 +1016,7 @@ func (s *System) SetAdversaries(behavior string, fraction, magnitude, target flo
 	if magnitude == 0 {
 		magnitude = 1000
 	}
-	n := len(s.nodes)
+	n := s.Size()
 	var idx []int
 	if fraction > 0 {
 		count := int(fraction * float64(n))

@@ -173,7 +173,7 @@ func (s *System) trackConvergence(ch <-chan Estimate) {
 		// second; both would misattribute the variance drop). Per-tick
 		// skew between the reduce snapshot and this counter read
 		// telescopes away in the RhoGeo aggregate.
-		dc := float64(tel.Stats.Initiated-t.prevInit) / float64(len(s.nodes))
+		dc := float64(tel.Stats.Initiated-t.prevInit) / float64(s.Size())
 		if t.have && dc > 0 &&
 			t.prevVar > varianceFloor && est.Variance > varianceFloor {
 			logRho := math.Log(est.Variance/t.prevVar) / dc
