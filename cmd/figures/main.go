@@ -30,6 +30,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -50,13 +51,14 @@ func main() {
 	// mid-flight sweep within one cycle per in-flight run.
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
-	if err := run(ctx, *fig, *scale, *seed, *shards); err != nil {
+	if err := run(ctx, os.Stdout, *fig, *scale, *seed, *shards); err != nil {
 		fmt.Fprintln(os.Stderr, "figures:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ctx context.Context, fig, scale string, seed uint64, shards int) error {
+// run regenerates one artifact and writes its TSV to w.
+func run(ctx context.Context, w io.Writer, fig, scale string, seed uint64, shards int) error {
 	quick := scale == "quick"
 	if !quick && scale != "paper" {
 		return fmt.Errorf("unknown scale %q (want paper or quick)", scale)
@@ -76,9 +78,9 @@ func run(ctx context.Context, fig, scale string, seed uint64, shards int) error 
 		if err != nil {
 			return err
 		}
-		fmt.Println("# Figure 3(a): variance reduction after one AVG cycle vs network size")
-		printRateReferences()
-		printSeries(series)
+		fmt.Fprintln(w, "# Figure 3(a): variance reduction after one AVG cycle vs network size")
+		printRateReferences(w)
+		printSeries(w, series)
 	case "3b":
 		cfg := experiments.DefaultFig3b()
 		if quick {
@@ -93,9 +95,9 @@ func run(ctx context.Context, fig, scale string, seed uint64, shards int) error 
 		if err != nil {
 			return err
 		}
-		fmt.Printf("# Figure 3(b): per-cycle variance reduction while iterating AVG, N = %d\n", cfg.Size)
-		printRateReferences()
-		printSeries(series)
+		fmt.Fprintf(w, "# Figure 3(b): per-cycle variance reduction while iterating AVG, N = %d\n", cfg.Size)
+		printRateReferences(w)
+		printSeries(w, series)
 	case "4":
 		cfg := experiments.DefaultFig4()
 		if quick {
@@ -109,9 +111,9 @@ func run(ctx context.Context, fig, scale string, seed uint64, shards int) error 
 		if err != nil {
 			return err
 		}
-		fmt.Print(experiments.Fig4TSV(reports))
+		fmt.Fprint(w, experiments.Fig4TSV(reports))
 	case "rates":
-		return printRatesTable(quick, seed)
+		return printRatesTable(w, quick, seed)
 	case "cycles":
 		cfg := experiments.DefaultCyclesToAccuracy()
 		if quick {
@@ -125,8 +127,8 @@ func run(ctx context.Context, fig, scale string, seed uint64, shards int) error 
 		if err != nil {
 			return err
 		}
-		fmt.Printf("# E5: cycles until variance ratio ≤ %g (paper §5: ln(1000) ≈ 7 for rand)\n", cfg.Target)
-		printSeries(series)
+		fmt.Fprintf(w, "# E5: cycles until variance ratio ≤ %g (paper §5: ln(1000) ≈ 7 for rand)\n", cfg.Target)
+		printSeries(w, series)
 	case "loss":
 		cfg := experiments.DefaultLossAblation()
 		if quick {
@@ -140,10 +142,10 @@ func run(ctx context.Context, fig, scale string, seed uint64, shards int) error 
 		if err != nil {
 			return err
 		}
-		fmt.Println("# E6 (loss): getPair_seq under message loss")
-		fmt.Println("# loss_prob\treduction_rate\tmean_drift_sd_units")
+		fmt.Fprintln(w, "# E6 (loss): getPair_seq under message loss")
+		fmt.Fprintln(w, "# loss_prob\treduction_rate\tmean_drift_sd_units")
 		for _, r := range res {
-			fmt.Printf("%.2f\t%.4f\t%.5f\n", r.LossProb, r.ReductionRate, r.MeanDrift)
+			fmt.Fprintf(w, "%.2f\t%.4f\t%.5f\n", r.LossProb, r.ReductionRate, r.MeanDrift)
 		}
 	case "crash":
 		cfg := experiments.DefaultCrashAblation()
@@ -158,10 +160,10 @@ func run(ctx context.Context, fig, scale string, seed uint64, shards int) error 
 		if err != nil {
 			return err
 		}
-		fmt.Println("# E6 (crash): estimate error after crashing a fraction of nodes at cycle 0")
-		fmt.Println("# crash_fraction\tmean_error_sd_units\tfinal_variance_ratio")
+		fmt.Fprintln(w, "# E6 (crash): estimate error after crashing a fraction of nodes at cycle 0")
+		fmt.Fprintln(w, "# crash_fraction\tmean_error_sd_units\tfinal_variance_ratio")
 		for _, r := range res {
-			fmt.Printf("%.2f\t%.5f\t%.3g\n", r.Fraction, r.MeanError, r.FinalVarianceRatio)
+			fmt.Fprintf(w, "%.2f\t%.5f\t%.3g\n", r.Fraction, r.MeanError, r.FinalVarianceRatio)
 		}
 	case "topology":
 		cfg := experiments.DefaultTopologySweep()
@@ -176,8 +178,8 @@ func run(ctx context.Context, fig, scale string, seed uint64, shards int) error 
 		if err != nil {
 			return err
 		}
-		fmt.Printf("# Overlay ablation: geometric-mean per-cycle rate over %d cycles (lower = faster)\n", cfg.Cycles)
-		printSeries(series)
+		fmt.Fprintf(w, "# Overlay ablation: geometric-mean per-cycle rate over %d cycles (lower = faster)\n", cfg.Cycles)
+		printSeries(w, series)
 	case "viewsize":
 		cfg := experiments.DefaultViewSizeSweep()
 		if quick {
@@ -191,8 +193,8 @@ func run(ctx context.Context, fig, scale string, seed uint64, shards int) error 
 		if err != nil {
 			return err
 		}
-		fmt.Println("# View-size ablation: per-cycle rate on k-regular overlays")
-		fmt.Print(series.TSV())
+		fmt.Fprintln(w, "# View-size ablation: per-cycle rate on k-regular overlays")
+		fmt.Fprint(w, series.TSV())
 	default:
 		return fmt.Errorf("unknown figure %q", fig)
 	}
@@ -201,23 +203,23 @@ func run(ctx context.Context, fig, scale string, seed uint64, shards int) error 
 
 // printSeries renders each series as a TSV block separated by blank
 // lines (gnuplot index-style).
-func printSeries(series []*stats.Series) {
+func printSeries(w io.Writer, series []*stats.Series) {
 	for _, s := range series {
-		fmt.Println()
-		fmt.Print(s.TSV())
+		fmt.Fprintln(w)
+		fmt.Fprint(w, s.TSV())
 	}
 }
 
 // printRateReferences echoes the dotted reference lines of Figure 3.
-func printRateReferences() {
+func printRateReferences(w io.Writer) {
 	randRate, _ := avg.TheoreticalRate("rand")
 	seqRate, _ := avg.TheoreticalRate("seq")
-	fmt.Printf("# theory: 1/e = %.4f (rand), 1/(2*sqrt(e)) = %.4f (seq)\n", randRate, seqRate)
+	fmt.Fprintf(w, "# theory: 1/e = %.4f (rand), 1/(2*sqrt(e)) = %.4f (seq)\n", randRate, seqRate)
 }
 
 // printRatesTable measures the one-cycle reduction of every selector on
 // the complete graph and prints it against the closed forms of §3.3.
-func printRatesTable(quick bool, seed uint64) error {
+func printRatesTable(w io.Writer, quick bool, seed uint64) error {
 	n, runs := 20000, 20
 	if quick {
 		n, runs = 4000, 10
@@ -225,8 +227,8 @@ func printRatesTable(quick bool, seed uint64) error {
 	if seed == 0 {
 		seed = 99
 	}
-	fmt.Println("# E4: measured one-cycle variance reduction vs theory (complete graph)")
-	fmt.Printf("# selector\ttheory\tmeasured\tstderr\truns (N=%d)\n", n)
+	fmt.Fprintln(w, "# E4: measured one-cycle variance reduction vs theory (complete graph)")
+	fmt.Fprintf(w, "# selector\ttheory\tmeasured\tstderr\truns (N=%d)\n", n)
 	for _, sel := range []string{"pm", "rand", "seq", "pmrand"} {
 		theory, _ := avg.TheoreticalRate(sel)
 		var acc stats.Running
@@ -238,7 +240,7 @@ func printRatesTable(quick bool, seed uint64) error {
 			}
 			acc.Add(ratio)
 		}
-		fmt.Printf("%s\t%.4f\t%.4f\t%.4f\t%d\n", sel, theory, acc.Mean(), acc.StdErr(), runs)
+		fmt.Fprintf(w, "%s\t%.4f\t%.4f\t%.4f\t%d\n", sel, theory, acc.Mean(), acc.StdErr(), runs)
 	}
 	return nil
 }

@@ -92,6 +92,55 @@ func TestRunReproducesLegacySimulate(t *testing.T) {
 			}
 		})
 	}
+	// The event-driven path (a Wait policy instead of a selector),
+	// pinned through the deprecated SimulateAsync wrapper and Run.
+	waits := []struct {
+		name                  string
+		cfg                   AsyncSimulationConfig
+		varHash, mean, values string
+		exchanges             int
+	}{
+		{"wait-constant", AsyncSimulationConfig{Size: 200, Cycles: 6, Seed: 17},
+			"63f2b6f419f16825", "3fb10dbb25e3eea3", "70a9e0c18e752762", 1200},
+		{"wait-exponential", AsyncSimulationConfig{Size: 200, Exponential: true, Cycles: 6, Seed: 18},
+			"7ba3b11756334b1b", "3f6e741166ab8db6", "6b26d7d7cae4d2c3", 1225},
+		{"wait-loss", AsyncSimulationConfig{Size: 150, Exponential: true, LossProbability: 0.3, Cycles: 5, Seed: 19},
+			"5f115c762708eef1", "3fc3c886d0aa41c0", "758675634469654b", 557},
+		{"wait-kregular", AsyncSimulationConfig{Size: 300, Topology: "kregular", ViewSize: 10, Cycles: 5, Seed: 20},
+			"77b7f6f9c0f08727", "bfa0a6e51ef0e493", "1c6ed5a901ad7b98", 1500},
+	}
+	for _, tc := range waits {
+		t.Run(tc.name, func(t *testing.T) {
+			legacy, err := SimulateAsync(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec, err := tc.cfg.Spec()
+			if err != nil {
+				t.Fatal(err)
+			}
+			front, err := Run(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, probe := range []struct {
+				what, got, want string
+			}{
+				{"SimulateAsync variances", fpHash(legacy.Variances), tc.varHash},
+				{"SimulateAsync mean", fpBits(legacy.FinalMean), tc.mean},
+				{"Run variances", fpHash(front.Variances), tc.varHash},
+				{"Run mean", fpBits(front.FinalMean), tc.mean},
+				{"Run values", fpHash(front.Values), tc.values},
+			} {
+				if probe.got != probe.want {
+					t.Errorf("%s = %s, want %s", probe.what, probe.got, probe.want)
+				}
+			}
+			if legacy.Exchanges != tc.exchanges || front.Exchanges != tc.exchanges {
+				t.Errorf("exchanges: SimulateAsync %d, Run %d, want %d", legacy.Exchanges, front.Exchanges, tc.exchanges)
+			}
+		})
+	}
 	// Supplied values skip the normal draws in both paths.
 	vals := make([]float64, 64)
 	for i := range vals {
