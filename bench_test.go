@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/avg"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/sim"
@@ -28,6 +27,20 @@ import (
 //	theory-delta  |measured − closed form|
 //	relerr        mean relative error of the size estimate (Figure 4)
 //	cycles        cycles to reach the §5 accuracy target
+
+// benchAVG loads values into a single-average kernel that iterates AVG
+// (Figure 2) with cfg's selector on cfg's overlay.
+func benchAVG(b *testing.B, cfg sim.Config, values []float64) *sim.Kernel {
+	b.Helper()
+	kern, err := sim.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := kern.SetValues(0, values); err != nil {
+		b.Fatal(err)
+	}
+	return kern
+}
 
 // benchGaussian returns a fresh iid standard normal vector.
 func benchGaussian(n int, rng *xrand.Rand) []float64 {
@@ -57,21 +70,18 @@ func BenchmarkFig3a(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
-					selector, err := avg.NewSelector(sel)
+					selector, err := sim.NewSelector(sel)
 					if err != nil {
 						b.Fatal(err)
 					}
-					runner, err := avg.NewRunner(g, selector, benchGaussian(n, rng), rng)
-					if err != nil {
-						b.Fatal(err)
-					}
-					before := runner.Variance()
+					kern := benchAVG(b, sim.Config{Graph: g, Selector: selector, RNG: rng}, benchGaussian(n, rng))
+					before := stats.Variance(kern.Column(0))
 					b.StartTimer()
-					after := runner.Cycle()
-					acc.Add(after / before)
+					kern.Cycle()
+					acc.Add(stats.Variance(kern.Column(0)) / before)
 				}
 				b.ReportMetric(acc.Mean(), "reduction")
-				if theory, ok := avg.TheoreticalRate(sel); ok {
+				if theory, ok := sim.TheoreticalRate(sel); ok {
 					b.ReportMetric(math.Abs(acc.Mean()-theory), "theory-delta")
 				}
 			})
@@ -96,16 +106,13 @@ func BenchmarkFig3b(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
-					selector, err := avg.NewSelector(sel)
+					selector, err := sim.NewSelector(sel)
 					if err != nil {
 						b.Fatal(err)
 					}
-					runner, err := avg.NewRunner(g, selector, benchGaussian(n, rng), rng)
-					if err != nil {
-						b.Fatal(err)
-					}
+					kern := benchAVG(b, sim.Config{Graph: g, Selector: selector, RNG: rng}, benchGaussian(n, rng))
 					b.StartTimer()
-					variances := runner.Run(cycles)
+					variances := kern.Run(cycles)
 					first, last := variances[0], variances[len(variances)-1]
 					if first > 0 && last > 0 {
 						acc.Add(math.Pow(last/first, 1/float64(cycles)))
@@ -120,24 +127,23 @@ func BenchmarkFig3b(b *testing.B) {
 // BenchmarkFig4 runs the size-estimation-under-churn scenario (Figure 4)
 // at bench scale (9k–11k oscillation; paper runs 90k–110k).
 func BenchmarkFig4(b *testing.B) {
-	cfg := SizeEstimationConfig{
-		MinSize:           9000,
-		MaxSize:           11000,
-		OscillationPeriod: 400,
-		Fluctuation:       10,
-		EpochCycles:       30,
-		TotalCycles:       300,
-		Instances:         1,
+	spec := scenario.Spec{
+		Size:   10000,
+		Cycles: 300,
+		Churn: &scenario.ChurnSpec{
+			Model: "oscillating", Min: 9000, Max: 11000, Period: 400, Fluctuation: 10,
+		},
+		SizeEstimation: &scenario.SizeEstimationSpec{EpochCycles: 30, Instances: 1},
 	}
 	var relErr stats.Running
 	lostEpochs := 0
 	for i := 0; i < b.N; i++ {
-		cfg.Seed = uint64(i + 1)
-		reports, err := EstimateSizeUnderChurn(cfg)
+		spec.Seed = scenario.RawSeed(uint64(i + 1))
+		res, err := Run(context.Background(), spec)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, r := range reports {
+		for _, r := range res.Epochs {
 			if math.IsNaN(r.EstimateMean) {
 				// The single leader crashed before spreading any
 				// indicator mass — the known single-instance failure
@@ -166,19 +172,17 @@ func BenchmarkRates(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				selector, err := avg.NewSelector(sel)
+				selector, err := sim.NewSelector(sel)
 				if err != nil {
 					b.Fatal(err)
 				}
-				runner, err := avg.NewRunner(g, selector, benchGaussian(n, rng), rng)
-				if err != nil {
-					b.Fatal(err)
-				}
-				before := runner.Variance()
+				kern := benchAVG(b, sim.Config{Graph: g, Selector: selector, RNG: rng}, benchGaussian(n, rng))
+				before := stats.Variance(kern.Column(0))
 				b.StartTimer()
-				acc.Add(runner.Cycle() / before)
+				kern.Cycle()
+				acc.Add(stats.Variance(kern.Column(0)) / before)
 			}
-			theory, _ := avg.TheoreticalRate(sel)
+			theory, _ := sim.TheoreticalRate(sel)
 			b.ReportMetric(acc.Mean(), "reduction")
 			b.ReportMetric(theory, "theory")
 			b.ReportMetric(math.Abs(acc.Mean()-theory), "theory-delta")
@@ -200,19 +204,16 @@ func BenchmarkFig5Claim(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				selector, err := avg.NewSelector(sel)
+				selector, err := sim.NewSelector(sel)
 				if err != nil {
 					b.Fatal(err)
 				}
-				runner, err := avg.NewRunner(g, selector, benchGaussian(n, rng), rng)
-				if err != nil {
-					b.Fatal(err)
-				}
-				initial := runner.Variance()
+				kern := benchAVG(b, sim.Config{Graph: g, Selector: selector, RNG: rng}, benchGaussian(n, rng))
+				initial := stats.Variance(kern.Column(0))
 				b.StartTimer()
 				cycles := 0
-				for runner.Variance() > 1e-3*initial && cycles < 50 {
-					runner.Cycle()
+				for stats.Variance(kern.Column(0)) > 1e-3*initial && cycles < 50 {
+					kern.Cycle()
 					cycles++
 				}
 				cyclesAcc.Add(float64(cycles))
@@ -239,21 +240,18 @@ func BenchmarkAblationLoss(b *testing.B) {
 				values := benchGaussian(n, rng)
 				trueMean := stats.Mean(values)
 				sd := math.Sqrt(stats.Variance(values))
-				var opts []avg.Option
+				var loss sim.LossModel
 				if p > 0 {
-					opts = append(opts, avg.WithLossProbability(p))
+					loss = sim.ReplyLoss{P: p}
 				}
-				runner, err := avg.NewRunner(g, avg.NewSeq(), values, rng, opts...)
-				if err != nil {
-					b.Fatal(err)
-				}
+				kern := benchAVG(b, sim.Config{Graph: g, Selector: sim.NewSeq(), Loss: loss, RNG: rng}, values)
 				b.StartTimer()
-				variances := runner.Run(cycles)
+				variances := kern.Run(cycles)
 				first, last := variances[0], variances[len(variances)-1]
 				if first > 0 && last > 0 {
 					rate.Add(math.Pow(last/first, 1/float64(cycles)))
 				}
-				drift.Add(math.Abs(runner.Mean()-trueMean) / sd)
+				drift.Add(math.Abs(stats.Mean(kern.Column(0))-trueMean) / sd)
 			}
 			b.ReportMetric(rate.Mean(), "rate")
 			b.ReportMetric(drift.Mean(), "drift-sd")
@@ -284,13 +282,10 @@ func BenchmarkAblationCrash(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				runner, err := avg.NewRunner(g, avg.NewSeq(), kept, rng)
-				if err != nil {
-					b.Fatal(err)
-				}
+				kern := benchAVG(b, sim.Config{Graph: g, Selector: sim.NewSeq(), RNG: rng}, kept)
 				b.StartTimer()
-				runner.Run(cycles)
-				errAcc.Add(math.Abs(runner.Mean()-trueMean) / sd)
+				kern.Run(cycles)
+				errAcc.Add(math.Abs(stats.Mean(kern.Column(0))-trueMean) / sd)
 			}
 			b.ReportMetric(errAcc.Mean(), "error-sd")
 		})
@@ -315,12 +310,9 @@ func BenchmarkAblationTopology(b *testing.B) {
 			var rate stats.Running
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				runner, err := avg.NewRunner(g, avg.NewSeq(), benchGaussian(n, rng), rng)
-				if err != nil {
-					b.Fatal(err)
-				}
+				kern := benchAVG(b, sim.Config{Graph: g, Selector: sim.NewSeq(), RNG: rng}, benchGaussian(n, rng))
 				b.StartTimer()
-				variances := runner.Run(cycles)
+				variances := kern.Run(cycles)
 				first, last := variances[0], variances[len(variances)-1]
 				if first > 0 && last > 0 {
 					rate.Add(math.Pow(last/first, 1/float64(cycles)))
@@ -345,12 +337,9 @@ func BenchmarkAblationViewSize(b *testing.B) {
 			var rate stats.Running
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				runner, err := avg.NewRunner(g, avg.NewSeq(), benchGaussian(n, rng), rng)
-				if err != nil {
-					b.Fatal(err)
-				}
+				kern := benchAVG(b, sim.Config{Graph: g, Selector: sim.NewSeq(), RNG: rng}, benchGaussian(n, rng))
 				b.StartTimer()
-				variances := runner.Run(cycles)
+				variances := kern.Run(cycles)
 				first, last := variances[0], variances[len(variances)-1]
 				if first > 0 && last > 0 {
 					rate.Add(math.Pow(last/first, 1/float64(cycles)))
@@ -366,19 +355,15 @@ func BenchmarkAblationViewSize(b *testing.B) {
 // regimes (constant ≈ seq's 1/(2√e), exponential ≈ rand's 1/e).
 func BenchmarkWaitingPolicy(b *testing.B) {
 	const n, cycles = 20000, 10
-	for _, exp := range []bool{false, true} {
-		name := "wait=constant"
-		if exp {
-			name = "wait=exponential"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, wait := range []scenario.Wait{scenario.WaitConstant, scenario.WaitExponential} {
+		b.Run("wait="+wait.String(), func(b *testing.B) {
 			var rate stats.Running
 			for i := 0; i < b.N; i++ {
-				res, err := SimulateAsync(AsyncSimulationConfig{
-					Size:        n,
-					Exponential: exp,
-					Cycles:      cycles,
-					Seed:        uint64(52 + i),
+				res, err := Run(context.Background(), scenario.Spec{
+					Size:   n,
+					Cycles: cycles,
+					Wait:   wait,
+					Seed:   scenario.RawSeed(uint64(52 + i)),
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -403,13 +388,10 @@ func BenchmarkCycleThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	runner, err := avg.NewRunner(g, avg.NewSeq(), benchGaussian(n, rng), rng)
-	if err != nil {
-		b.Fatal(err)
-	}
+	kern := benchAVG(b, sim.Config{Graph: g, Selector: sim.NewSeq(), RNG: rng}, benchGaussian(n, rng))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runner.Cycle()
+		kern.Cycle()
 	}
 	b.ReportMetric(float64(n), "steps/cycle")
 }

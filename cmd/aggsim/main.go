@@ -111,8 +111,8 @@ func runScenario(ctx context.Context, path, format, outPath string, workers int,
 }
 
 // run executes a single flag-assembled spec through repro.Run. The
-// spec carries scenario.RawSeed(seed) so -seed N prints exactly what
-// the historical Simulate-based CLI printed for the same seed.
+// spec carries scenario.RawSeed(seed), so -seed N draws exactly the
+// stream xrand.New(N).
 func run(ctx context.Context, size int, selector, topo string, view, cycles int, loss float64, shards int, seed uint64) error {
 	sel, err := scenario.ParseSelector(selector)
 	if err != nil {

@@ -35,8 +35,8 @@ import (
 	"os/signal"
 	"syscall"
 
-	"repro/internal/avg"
 	"repro/internal/experiments"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/xrand"
 )
@@ -212,8 +212,8 @@ func printSeries(w io.Writer, series []*stats.Series) {
 
 // printRateReferences echoes the dotted reference lines of Figure 3.
 func printRateReferences(w io.Writer) {
-	randRate, _ := avg.TheoreticalRate("rand")
-	seqRate, _ := avg.TheoreticalRate("seq")
+	randRate, _ := sim.TheoreticalRate("rand")
+	seqRate, _ := sim.TheoreticalRate("seq")
 	fmt.Fprintf(w, "# theory: 1/e = %.4f (rand), 1/(2*sqrt(e)) = %.4f (seq)\n", randRate, seqRate)
 }
 
@@ -230,7 +230,7 @@ func printRatesTable(w io.Writer, quick bool, seed uint64) error {
 	fmt.Fprintln(w, "# E4: measured one-cycle variance reduction vs theory (complete graph)")
 	fmt.Fprintf(w, "# selector\ttheory\tmeasured\tstderr\truns (N=%d)\n", n)
 	for _, sel := range []string{"pm", "rand", "seq", "pmrand"} {
-		theory, _ := avg.TheoreticalRate(sel)
+		theory, _ := sim.TheoreticalRate(sel)
 		var acc stats.Running
 		for run := 0; run < runs; run++ {
 			rng := xrand.New(seed + uint64(run)*7919)
@@ -252,7 +252,7 @@ func measureOnce(sel string, n int, rng *xrand.Rand) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	selector, err := avg.NewSelector(sel)
+	selector, err := sim.NewSelector(sel)
 	if err != nil {
 		return 0, err
 	}
@@ -260,11 +260,14 @@ func measureOnce(sel string, n int, rng *xrand.Rand) (float64, error) {
 	for i := range values {
 		values[i] = rng.NormFloat64()
 	}
-	runner, err := avg.NewRunner(g, selector, values, rng)
+	kern, err := sim.New(sim.Config{Graph: g, Selector: selector, RNG: rng})
 	if err != nil {
 		return 0, err
 	}
-	before := runner.Variance()
-	after := runner.Cycle()
-	return after / before, nil
+	if err := kern.SetValues(0, values); err != nil {
+		return 0, err
+	}
+	before := stats.Variance(kern.Column(0))
+	kern.Cycle()
+	return stats.Variance(kern.Column(0)) / before, nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/xrand"
 )
@@ -247,9 +248,81 @@ func TestSizeEstimate(t *testing.T) {
 	}
 }
 
+// testNetwork runs the Figure 1 protocol for a schema on the
+// simulation kernel: node i's state is row i of the kernel's field
+// columns, and each cycle every node exchanges with a uniformly random
+// other node (GETPAIR_SEQ dynamics).
+type testNetwork struct {
+	schema *Schema
+	kern   *sim.Kernel
+	values []float64 // the local values a_i
+}
+
+// newTestNetwork builds n nodes whose local values are value(i) and
+// whose states the schema initializes from them.
+func newTestNetwork(schema *Schema, n int, value func(i int) float64, rng *xrand.Rand) (*testNetwork, error) {
+	ops := make([]sim.Op, schema.Len())
+	for f := range ops {
+		switch schema.Agg(f) {
+		case Min:
+			ops[f] = sim.OpMin
+		case Max:
+			ops[f] = sim.OpMax
+		default:
+			ops[f] = sim.OpAvg
+		}
+	}
+	kern, err := sim.New(sim.Config{Size: n, Ops: ops, RNG: rng})
+	if err != nil {
+		return nil, err
+	}
+	nw := &testNetwork{schema: schema, kern: kern, values: make([]float64, n)}
+	for i := range nw.values {
+		nw.values[i] = value(i)
+		for f, x := range schema.InitState(nw.values[i]) {
+			kern.Column(f)[i] = x
+		}
+	}
+	return nw, nil
+}
+
+func (nw *testNetwork) Cycle() { nw.kern.Cycle() }
+
+// State returns a copy of node i's approximations.
+func (nw *testNetwork) State(i int) State {
+	st := make(State, nw.schema.Len())
+	for f := range st {
+		st[f] = nw.kern.Column(f)[i]
+	}
+	return st
+}
+
+// FieldValues returns a copy of every node's approximation of the named
+// field.
+func (nw *testNetwork) FieldValues(name string) ([]float64, error) {
+	idx, err := nw.schema.Index(name)
+	if err != nil {
+		return nil, err
+	}
+	return append([]float64(nil), nw.kern.Column(idx)...), nil
+}
+
+// FieldVariance returns the empirical variance (paper eq. 3) of the
+// named field's approximations.
+func (nw *testNetwork) FieldVariance(name string) (float64, error) {
+	vals, err := nw.FieldValues(name)
+	if err != nil {
+		return 0, err
+	}
+	return stats.Variance(vals), nil
+}
+
+// TrueMean returns the mean of the local values.
+func (nw *testNetwork) TrueMean() float64 { return stats.Mean(nw.values) }
+
 func TestNetworkConvergesToTrueMean(t *testing.T) {
 	rng := xrand.New(300)
-	nw, err := NewNetwork(AverageSchema(), 500, func(i int) float64 { return float64(i) }, rng)
+	nw, err := newTestNetwork(AverageSchema(), 500, func(i int) float64 { return float64(i) }, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +344,7 @@ func TestNetworkConvergesToTrueMean(t *testing.T) {
 func TestNetworkSummaryConverges(t *testing.T) {
 	rng := xrand.New(301)
 	schema := SummarySchema()
-	nw, err := NewNetwork(schema, 256, func(i int) float64 { return float64(i%7) + 1 }, rng)
+	nw, err := newTestNetwork(schema, 256, func(i int) float64 { return float64(i%7) + 1 }, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,11 +353,11 @@ func TestNetworkSummaryConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw.Nodes()[0].State[idx] = 1
+	nw.kern.Column(idx)[0] = 1
 	for c := 0; c < 40; c++ {
 		nw.Cycle()
 	}
-	sum, err := DecodeSummary(schema, nw.Nodes()[17].State)
+	sum, err := DecodeSummary(schema, nw.State(17))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +378,7 @@ func TestNetworkVarianceReductionRate(t *testing.T) {
 	rng := xrand.New(302)
 	var acc stats.Running
 	for run := 0; run < 10; run++ {
-		nw, err := NewNetwork(AverageSchema(), 2000, func(int) float64 { return rng.NormFloat64() }, rng)
+		nw, err := newTestNetwork(AverageSchema(), 2000, func(int) float64 { return rng.NormFloat64() }, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,7 +397,7 @@ func TestNetworkVarianceReductionRate(t *testing.T) {
 
 func TestNetworkMassConservation(t *testing.T) {
 	rng := xrand.New(303)
-	nw, err := NewNetwork(AverageSchema(), 200, func(int) float64 { return rng.NormFloat64() }, rng)
+	nw, err := newTestNetwork(AverageSchema(), 200, func(int) float64 { return rng.NormFloat64() }, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,85 +409,6 @@ func TestNetworkMassConservation(t *testing.T) {
 	after, _ := nw.FieldValues("avg")
 	if diff := math.Abs(stats.Sum(after) - sumBefore); diff > 1e-9 {
 		t.Fatalf("sum drifted by %g", diff)
-	}
-}
-
-func TestNetworkJoinAndRemove(t *testing.T) {
-	rng := xrand.New(304)
-	nw, err := NewNetwork(AverageSchema(), 10, func(int) float64 { return 1 }, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := nw.Join(5)
-	if nw.Size() != 11 {
-		t.Fatalf("size = %d after join", nw.Size())
-	}
-	if n.State[0] != 5 {
-		t.Fatalf("joiner state = %v", n.State)
-	}
-	removed := nw.RemoveRandom(4)
-	if removed != 4 || nw.Size() != 7 {
-		t.Fatalf("removed %d, size %d", removed, nw.Size())
-	}
-	// Never shrinks below 2.
-	removed = nw.RemoveRandom(100)
-	if nw.Size() != 2 {
-		t.Fatalf("size = %d, want floor of 2", nw.Size())
-	}
-	if removed != 5 {
-		t.Fatalf("removed = %d, want 5", removed)
-	}
-}
-
-func TestNetworkIDsNeverReused(t *testing.T) {
-	rng := xrand.New(305)
-	nw, err := NewNetwork(AverageSchema(), 5, func(int) float64 { return 0 }, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := make(map[int64]bool)
-	for _, n := range nw.Nodes() {
-		seen[n.ID] = true
-	}
-	nw.RemoveRandom(3)
-	for i := 0; i < 10; i++ {
-		n := nw.Join(0)
-		if seen[n.ID] {
-			t.Fatalf("ID %d reused", n.ID)
-		}
-		seen[n.ID] = true
-	}
-}
-
-func TestNetworkRestart(t *testing.T) {
-	rng := xrand.New(306)
-	nw, err := NewNetwork(AverageSchema(), 50, func(i int) float64 { return float64(i) }, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := 0; c < 20; c++ {
-		nw.Cycle()
-	}
-	// Change local values, restart, converge to the new mean.
-	for _, n := range nw.Nodes() {
-		n.Value = 42
-	}
-	nw.Restart()
-	for c := 0; c < 20; c++ {
-		nw.Cycle()
-	}
-	vals, _ := nw.FieldValues("avg")
-	for _, v := range vals {
-		if math.Abs(v-42) > 1e-9 {
-			t.Fatalf("after restart estimate = %g, want 42", v)
-		}
-	}
-}
-
-func TestNetworkRejectsTiny(t *testing.T) {
-	rng := xrand.New(307)
-	if _, err := NewNetwork(AverageSchema(), 1, func(int) float64 { return 0 }, rng); err == nil {
-		t.Fatal("1-node network accepted")
 	}
 }
 

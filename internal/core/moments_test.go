@@ -44,7 +44,7 @@ func TestDecodeMomentsGaussian(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw, err := NewNetwork(schema, 4000, func(int) float64 {
+	nw, err := newTestNetwork(schema, 4000, func(int) float64 {
 		return 5 + 2*rng.NormFloat64()
 	}, rng)
 	if err != nil {
@@ -53,7 +53,7 @@ func TestDecodeMomentsGaussian(t *testing.T) {
 	for c := 0; c < 40; c++ {
 		nw.Cycle()
 	}
-	m, err := DecodeMoments(schema, nw.Nodes()[0].State)
+	m, err := DecodeMoments(schema, nw.State(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestDecodeMomentsSkewedDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw, err := NewNetwork(schema, 8000, func(int) float64 {
+	nw, err := newTestNetwork(schema, 8000, func(int) float64 {
 		return rng.ExpFloat64()
 	}, rng)
 	if err != nil {
@@ -87,7 +87,7 @@ func TestDecodeMomentsSkewedDistribution(t *testing.T) {
 	for c := 0; c < 40; c++ {
 		nw.Cycle()
 	}
-	m, err := DecodeMoments(schema, nw.Nodes()[0].State)
+	m, err := DecodeMoments(schema, nw.State(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestGeometricMeanConverges(t *testing.T) {
 	rng := xrand.New(402)
 	schema := GeometricSchema()
 	// Values 1, 2, 4, 8 repeated: geometric mean = (1·2·4·8)^{1/4} = 2√2.
-	nw, err := NewNetwork(schema, 400, func(i int) float64 {
+	nw, err := newTestNetwork(schema, 400, func(i int) float64 {
 		return float64(int(1) << (i % 4))
 	}, rng)
 	if err != nil {
@@ -144,7 +144,7 @@ func TestGeometricMeanConverges(t *testing.T) {
 	for c := 0; c < 30; c++ {
 		nw.Cycle()
 	}
-	gm, err := DecodeGeometricMean(schema, nw.Nodes()[5].State)
+	gm, err := DecodeGeometricMean(schema, nw.State(5))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/avg"
+	"repro/internal/sim"
 	"repro/internal/xrand"
 	"repro/scenario"
 )
@@ -358,8 +358,18 @@ func TestScenarioOneCycleReductionMatchesTheory(t *testing.T) {
 		acc += r.Variance / before
 		n++
 	}
-	want, ok := avg.TheoreticalRate("pm")
+	want, ok := sim.TheoreticalRate("pm")
 	if got := acc / float64(n); !ok || math.Abs(got-want) > 0.05 {
 		t.Fatalf("pm one-cycle = %.4f, want ≈ %.4f", got, want)
+	}
+}
+
+func TestDefaultSizeEstimationConfigMatchesPaper(t *testing.T) {
+	cfg := DefaultFig4()
+	if cfg.MinSize != 90000 || cfg.MaxSize != 110000 {
+		t.Errorf("size band %d..%d", cfg.MinSize, cfg.MaxSize)
+	}
+	if cfg.EpochCycles != 30 || cfg.TotalCycles != 1000 || cfg.Fluctuation != 100 {
+		t.Errorf("cfg = %+v", cfg)
 	}
 }

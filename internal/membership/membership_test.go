@@ -180,11 +180,18 @@ func TestStaticSamplerCopiesInput(t *testing.T) {
 }
 
 func TestGossipSamplerBootstrap(t *testing.T) {
-	if _, err := NewGossipSampler("self", 5, nil); err != ErrNoPeers {
-		t.Fatalf("err = %v, want ErrNoPeers", err)
+	// No seed but self: an empty view that finds no peer until an
+	// inbound message is observed.
+	lone, err := NewGossipSampler("self", 5, []string{"self"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewGossipSampler("self", 5, []string{"self"}); err != ErrNoPeers {
-		t.Fatalf("self-only seed err = %v, want ErrNoPeers", err)
+	if addr, ok := lone.Sample(xrand.New(5)); ok {
+		t.Fatalf("empty view sampled %q", addr)
+	}
+	lone.Observe("peer", nil, nil)
+	if addr, ok := lone.Sample(xrand.New(5)); !ok || addr != "peer" {
+		t.Fatalf("after Observe sampled %q, %v; want peer", addr, ok)
 	}
 	g, err := NewGossipSampler("self", 5, []string{"seed1"})
 	if err != nil {

@@ -174,8 +174,8 @@ type GossipSampler struct {
 var _ Sampler = (*GossipSampler)(nil)
 
 // NewGossipSampler returns a sampler for the node at self, bootstrapped
-// from seeds (at least one seed is required so the node can reach the
-// network).
+// from seeds. With no seed other than self the view starts empty: Sample
+// finds no peer until an inbound message's Observe fills the view.
 func NewGossipSampler(self string, capacity int, seeds []string) (*GossipSampler, error) {
 	v := NewView(capacity)
 	for _, s := range seeds {
@@ -185,9 +185,6 @@ func NewGossipSampler(self string, capacity int, seeds []string) (*GossipSampler
 		}
 	}
 	v.settle()
-	if v.Len() == 0 {
-		return nil, ErrNoPeers
-	}
 	insertCap := capacity / 2
 	if insertCap < 1 {
 		insertCap = 1

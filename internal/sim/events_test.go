@@ -1,51 +1,72 @@
-package eventsim
+package sim_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/xrand"
 )
 
-func gaussian(n int, rng *xrand.Rand) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = rng.NormFloat64()
-	}
-	return out
+// Tests of the asynchronous protocol (Figure 1) on the kernel's
+// event-driven path: every node wakes after its own waiting time and
+// exchanges with a random neighbor, with no global cycles.
+
+// events parameterizes one event-driven run; time is in units of Δt,
+// so variance snapshots land at integer times.
+type events struct {
+	Graph    topology.Graph
+	Values   []float64
+	Wait     sim.WaitPolicy // nil means constant Δt
+	Cycles   int
+	LossProb float64 // drops whole exchanges
+	Seed     uint64
 }
 
-func mustComplete(t testing.TB, n int) topology.Graph {
-	t.Helper()
-	g, err := topology.NewComplete(n)
+// eventResult reports one event-driven run.
+type eventResult struct {
+	Variances []float64 // σ² at t = 0, Δt, 2Δt, …
+	Exchanges int
+	FinalMean float64
+}
+
+// run executes the configuration on a fresh kernel seeded with Seed.
+func (cfg events) run() (*eventResult, error) {
+	if cfg.Wait == nil {
+		cfg.Wait = sim.ConstantWait{}
+	}
+	k, err := sim.New(sim.Config{
+		Graph: cfg.Graph,
+		Wait:  cfg.Wait,
+		Loss:  sim.SymmetricLoss{P: cfg.LossProb},
+		RNG:   xrand.New(cfg.Seed),
+	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	return g
-}
-
-func TestValidation(t *testing.T) {
-	rng := xrand.New(1)
-	g := mustComplete(t, 10)
-	if _, err := Run(Config{Values: gaussian(10, rng)}); err == nil {
-		t.Error("nil graph accepted")
+	if err := k.SetValues(0, cfg.Values); err != nil {
+		return nil, err
 	}
-	if _, err := Run(Config{Graph: g, Values: gaussian(5, rng)}); err == nil {
-		t.Error("length mismatch accepted")
+	res := &eventResult{Variances: []float64{stats.Variance(k.Column(0))}}
+	res.Exchanges, err = k.RunEvents(context.Background(), cfg.Cycles, func() {
+		res.Variances = append(res.Variances, stats.Variance(k.Column(0)))
+	})
+	if err != nil {
+		return nil, err
 	}
-	if _, err := Run(Config{Graph: g, Values: gaussian(10, rng), Wait: WaitKind(9)}); err == nil {
-		t.Error("unknown wait kind accepted")
-	}
+	res.FinalMean = stats.Mean(k.Column(0))
+	return res, nil
 }
 
 func TestDeterministicForSeed(t *testing.T) {
 	rng := xrand.New(2)
 	g := mustComplete(t, 100)
 	values := gaussian(100, rng)
-	run := func() *Result {
-		r, err := Run(Config{Graph: g, Values: values, Cycles: 10, Seed: 7})
+	run := func() *eventResult {
+		r, err := events{Graph: g, Values: values, Cycles: 10, Seed: 7}.run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,13 +88,13 @@ func TestMassConservation(t *testing.T) {
 	g := mustComplete(t, 500)
 	values := gaussian(500, rng)
 	wantMean := stats.Mean(values)
-	for _, wait := range []WaitKind{ConstantWait, ExponentialWait} {
-		res, err := Run(Config{Graph: g, Values: values, Wait: wait, Cycles: 15, Seed: 4})
+	for _, wait := range []sim.WaitPolicy{sim.ConstantWait{}, sim.ExponentialWait{}} {
+		res, err := events{Graph: g, Values: values, Wait: wait, Cycles: 15, Seed: 4}.run()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if math.Abs(res.FinalMean-wantMean) > 1e-12*math.Max(1, math.Abs(wantMean))+1e-12 {
-			t.Errorf("%v: mean drifted %.15g → %.15g", wait, wantMean, res.FinalMean)
+			t.Errorf("%s: mean drifted %.15g → %.15g", wait.Name(), wantMean, res.FinalMean)
 		}
 	}
 }
@@ -81,7 +102,7 @@ func TestMassConservation(t *testing.T) {
 func TestVarianceSnapshotCount(t *testing.T) {
 	rng := xrand.New(5)
 	g := mustComplete(t, 50)
-	res, err := Run(Config{Graph: g, Values: gaussian(50, rng), Cycles: 12, Seed: 6})
+	res, err := events{Graph: g, Values: gaussian(50, rng), Cycles: 12, Seed: 6}.run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,21 +111,21 @@ func TestVarianceSnapshotCount(t *testing.T) {
 	}
 }
 
-// measureRate returns the mean per-Δt variance reduction over the first
-// cycles of repeated runs.
-func measureRate(t *testing.T, wait WaitKind, n, runs int, seed uint64) float64 {
+// measureWaitRate returns the mean per-Δt variance reduction over the
+// first cycles of repeated runs.
+func measureWaitRate(t *testing.T, wait sim.WaitPolicy, n, runs int, seed uint64) float64 {
 	t.Helper()
 	var acc stats.Running
 	for run := 0; run < runs; run++ {
 		rng := xrand.New(seed + uint64(run)*104729)
 		g := mustComplete(t, n)
-		res, err := Run(Config{
+		res, err := events{
 			Graph:  g,
 			Values: gaussian(n, rng),
 			Wait:   wait,
 			Cycles: 8,
 			Seed:   seed + uint64(run)*7919,
-		})
+		}.run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +141,7 @@ func measureRate(t *testing.T, wait WaitKind, n, runs int, seed uint64) float64 
 func TestConstantWaitMatchesSeqRate(t *testing.T) {
 	// §1.1: constant Δt ⇒ every node initiates exactly once per unit
 	// time ⇒ GETPAIR_SEQ dynamics ⇒ rate ≈ 1/(2√e).
-	got := measureRate(t, ConstantWait, 5000, 8, 10)
+	got := measureWaitRate(t, sim.ConstantWait{}, 5000, 8, 10)
 	if got < 0.28 || got > 0.33 {
 		t.Fatalf("constant-wait rate %.4f, want ≈ 0.30", got)
 	}
@@ -129,7 +150,7 @@ func TestConstantWaitMatchesSeqRate(t *testing.T) {
 func TestExponentialWaitMatchesRandRate(t *testing.T) {
 	// §3.3.2: exponential waiting times reproduce GETPAIR_RAND ⇒ rate
 	// ≈ 1/e.
-	got := measureRate(t, ExponentialWait, 5000, 8, 11)
+	got := measureWaitRate(t, sim.ExponentialWait{}, 5000, 8, 11)
 	if math.Abs(got-1/math.E) > 0.02 {
 		t.Fatalf("exponential-wait rate %.4f, want ≈ %.4f", got, 1/math.E)
 	}
@@ -138,8 +159,8 @@ func TestExponentialWaitMatchesRandRate(t *testing.T) {
 func TestWaitingPolicyOrdering(t *testing.T) {
 	// Constant waits must beat exponential waits — the practical
 	// protocol's advantage over fully random activation.
-	constant := measureRate(t, ConstantWait, 3000, 6, 12)
-	exponential := measureRate(t, ExponentialWait, 3000, 6, 13)
+	constant := measureWaitRate(t, sim.ConstantWait{}, 3000, 6, 12)
+	exponential := measureWaitRate(t, sim.ExponentialWait{}, 3000, 6, 13)
 	if constant >= exponential {
 		t.Fatalf("constant %.4f not faster than exponential %.4f", constant, exponential)
 	}
@@ -151,7 +172,7 @@ func TestExchangeCountMatchesRate(t *testing.T) {
 	rng := xrand.New(14)
 	n, cycles := 1000, 10
 	g := mustComplete(t, n)
-	res, err := Run(Config{Graph: g, Values: gaussian(n, rng), Cycles: cycles, Seed: 15})
+	res, err := events{Graph: g, Values: gaussian(n, rng), Cycles: cycles, Seed: 15}.run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +187,11 @@ func TestLossReducesExchangesAndSlows(t *testing.T) {
 	n := 2000
 	g := mustComplete(t, n)
 	values := gaussian(n, rng)
-	lossless, err := Run(Config{Graph: g, Values: values, Cycles: 10, Seed: 17})
+	lossless, err := events{Graph: g, Values: values, Cycles: 10, Seed: 17}.run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	lossy, err := Run(Config{Graph: g, Values: values, Cycles: 10, LossProb: 0.5, Seed: 17})
+	lossy, err := events{Graph: g, Values: values, Cycles: 10, LossProb: 0.5, Seed: 17}.run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +215,7 @@ func TestRunsOnRandomGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{Graph: g, Values: gaussian(2000, rng), Cycles: 10, Seed: 19})
+	res, err := events{Graph: g, Values: gaussian(2000, rng), Cycles: 10, Seed: 19}.run()
 	if err != nil {
 		t.Fatal(err)
 	}

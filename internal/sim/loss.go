@@ -76,7 +76,7 @@ type ReplyLoss struct {
 var _ LossModel = ReplyLoss{}
 
 // Draw implements LossModel (up to two Bool draws when P > 0, in the
-// historical order of avg.Runner: request first, then reply).
+// historical order: request first, then reply).
 func (l ReplyLoss) Draw(rng *xrand.Rand) Outcome {
 	if rng.Bool(l.P) {
 		return Dropped

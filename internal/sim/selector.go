@@ -61,6 +61,23 @@ func NewSelector(name string) (Selector, error) {
 	}
 }
 
+// TheoreticalRate returns the closed-form per-cycle variance reduction
+// rate E(2^{-φ}) the paper derives for each selector on the complete
+// graph: 1/4 for pm (eq. 8), 1/e for rand (eq. 10) and 1/(2√e) for seq
+// and pmrand (eq. 12). ok is false for selectors without a closed form.
+func TheoreticalRate(name string) (rate float64, ok bool) {
+	switch name {
+	case "pm":
+		return 0.25, true
+	case "rand":
+		return 0.36787944117144233, true // 1/e
+	case "seq", "pmrand":
+		return 0.3032653298563167, true // 1/(2√e)
+	default:
+		return 0, false
+	}
+}
+
 // Rand selects a uniformly random edge of the overlay each step
 // (GETPAIR_RAND, §3.3.2). On the complete graph every unordered pair is
 // equally likely; on a regular graph, sampling a random node and then a

@@ -18,11 +18,11 @@
 //     graph over the current live node set (ideal peer sampling),
 //     which is the only topology that composes with churn.
 //
-// The historical entry points — avg.Runner, eventsim.Run,
-// core.Network and epoch's size simulation — are thin adapters over
-// this kernel. In single-shard mode the kernel consumes its RNG in
-// exactly the order those layers historically did, so fixed seeds
-// reproduce the pre-refactor trajectories bit for bit.
+// Every simulation runs on this kernel: the scenario engine builds it
+// from a Spec, and epoch's size simulation adapts it to §4's epochs. In
+// single-shard mode the kernel consumes its RNG in exactly the order
+// the pre-kernel exchange loops did, so fixed seeds reproduce their
+// trajectories bit for bit.
 //
 // For throughput, Config.Shards > 1 switches Cycle to a sharded
 // executor that partitions the N elementary steps of a cycle across
@@ -538,8 +538,8 @@ func (k *Kernel) Cycle() {
 	k.cycle++
 }
 
-// seqCycle is the exact sequential path: selector-driven, one RNG,
-// the historical draw order of avg.Runner and core.Network.
+// seqCycle is the exact sequential path: selector-driven, one RNG, in
+// the pre-kernel loops' draw order.
 func (k *Kernel) seqCycle() {
 	k.sel.BeginCycle()
 	if k.phi != nil {

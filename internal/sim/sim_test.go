@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/avg"
 	"repro/internal/churn"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -54,12 +53,11 @@ func newKernel(t testing.TB, n int, sel sim.Selector, shards int, seed uint64) *
 // TestKernelReproducesTheoreticalRates is the cross-backend anchor: the
 // unified kernel must show the paper's closed-form one-cycle variance
 // reduction E(2^{-φ}) for every §3.3 selector — ≈1/4 for pm, ≈1/e for
-// rand, ≈1/(2√e) for seq and pmrand (avg.TheoreticalRate) — exactly as
-// the historical avg.Runner did.
+// rand, ≈1/(2√e) for seq and pmrand (sim.TheoreticalRate).
 func TestKernelReproducesTheoreticalRates(t *testing.T) {
 	for _, name := range []string{"pm", "rand", "seq", "pmrand"} {
 		t.Run(name, func(t *testing.T) {
-			want, ok := avg.TheoreticalRate(name)
+			want, ok := sim.TheoreticalRate(name)
 			if !ok {
 				t.Fatalf("no theoretical rate for %q", name)
 			}
@@ -77,36 +75,13 @@ func TestKernelReproducesTheoreticalRates(t *testing.T) {
 			tol := 0.015
 			if name == "seq" {
 				// The paper observes seq slightly better than its pmrand
-				// proxy predicts; match avg_test's wider band.
+				// proxy predicts; match TestTheorem1RateSeq's wider band.
 				tol = 0.035
 			}
 			if got := acc.Mean(); math.Abs(got-want) > tol {
 				t.Fatalf("%s one-cycle reduction = %.4f, want %.4f ± %.3f", name, got, want, tol)
 			}
 		})
-	}
-}
-
-// TestKernelMatchesRunnerBitForBit pins the adapter seam: avg.Runner is
-// a veneer over the kernel, so driving the kernel directly with the
-// same seed must give the identical trajectory.
-func TestKernelMatchesRunnerBitForBit(t *testing.T) {
-	const n, cycles, seed = 300, 8, 777
-
-	rng := xrand.New(seed)
-	runner, err := avg.NewRunner(mustComplete(t, n), avg.NewSeq(), gaussian(n, rng), rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromRunner := runner.Run(cycles)
-
-	k := newKernel(t, n, sim.NewSeq(), 1, seed)
-	fromKernel := k.Run(cycles)
-
-	for i := range fromRunner {
-		if fromRunner[i] != fromKernel[i] {
-			t.Fatalf("trajectories diverge at cycle %d: runner %g vs kernel %g", i, fromRunner[i], fromKernel[i])
-		}
 	}
 }
 
@@ -156,7 +131,7 @@ func TestShardedStatisticallyEquivalent(t *testing.T) {
 		seqAcc.Add(rate(1, 1000+uint64(r)*104729))
 		shardAcc.Add(rate(4, 2000+uint64(r)*104729))
 	}
-	want, _ := avg.TheoreticalRate("seq")
+	want, _ := sim.TheoreticalRate("seq")
 	if got := seqAcc.Mean(); math.Abs(got-want) > 0.02 {
 		t.Fatalf("single-shard rate %.4f strayed from theory %.4f", got, want)
 	}
@@ -191,7 +166,7 @@ func TestShardedRates(t *testing.T) {
 				v := k.Run(cycles)
 				acc.Add(math.Pow(v[len(v)-1]/v[0], 1/float64(cycles)))
 			}
-			want, _ := avg.TheoreticalRate(tc.name)
+			want, _ := sim.TheoreticalRate(tc.name)
 			if got := acc.Mean(); math.Abs(got-want) > 0.02 {
 				t.Fatalf("sharded %s rate %.4f strayed from theory %.4f", tc.name, got, want)
 			}
@@ -306,6 +281,27 @@ func TestKernelReseedReusesAsFresh(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestKernelSetValuesChecksLengthAndCopies: SetValues rejects a vector
+// of the wrong length and copies the one it accepts, so cycles never
+// write through to the caller's slice.
+func TestKernelSetValuesChecksLengthAndCopies(t *testing.T) {
+	k, err := sim.New(sim.Config{Graph: mustComplete(t, 4), RNG: xrand.New(247)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.SetValues(0, make([]float64, 5)); err == nil {
+		t.Fatal("length mismatch accepted")
+	}
+	input := []float64{1, 2, 3, 4}
+	if err := k.SetValues(0, input); err != nil {
+		t.Fatal(err)
+	}
+	k.Cycle()
+	if input[0] != 1 || input[3] != 4 {
+		t.Fatal("the kernel mutated the caller's slice")
 	}
 }
 
@@ -431,8 +427,8 @@ func TestKernelWaitPoliciesMatchSelectorRegimes(t *testing.T) {
 		constAcc.Add(rate(sim.ConstantWait{}, 30+uint64(r)*7919))
 		expAcc.Add(rate(sim.ExponentialWait{}, 60+uint64(r)*7919))
 	}
-	seqRate, _ := avg.TheoreticalRate("seq")
-	randRate, _ := avg.TheoreticalRate("rand")
+	seqRate, _ := sim.TheoreticalRate("seq")
+	randRate, _ := sim.TheoreticalRate("rand")
 	if got := constAcc.Mean(); math.Abs(got-seqRate) > 0.03 {
 		t.Fatalf("constant-wait rate %.4f, want ≈ %.4f", got, seqRate)
 	}

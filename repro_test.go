@@ -5,10 +5,16 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"repro/internal/membership"
+	"repro/scenario"
 )
 
+// run executes spec through Run with a background context.
+func run(spec scenario.Spec) (*Result, error) { return Run(context.Background(), spec) }
+
 func TestSimulateDefaults(t *testing.T) {
-	res, err := Simulate(SimulationConfig{Size: 1000, Seed: 1})
+	res, err := run(scenario.Spec{Size: 1000, Seed: scenario.RawSeed(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +38,7 @@ func TestSimulateMassConservation(t *testing.T) {
 	for i := range values {
 		values[i] = float64(i)
 	}
-	res, err := Simulate(SimulationConfig{Size: 100, Values: values, Cycles: 40, Seed: 2})
+	res, err := run(scenario.Spec{Size: 100, Values: values, Cycles: 40, Seed: scenario.RawSeed(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,13 +55,16 @@ func TestSimulateMassConservation(t *testing.T) {
 }
 
 func TestSimulateSelectorAndTopologyOptions(t *testing.T) {
-	for _, sel := range []string{"pm", "rand", "seq", "pmrand"} {
-		if _, err := Simulate(SimulationConfig{Size: 500, Selector: sel, Cycles: 3, Seed: 3}); err != nil {
+	for _, sel := range []scenario.Selector{scenario.SelectorPM, scenario.SelectorRand, scenario.SelectorSeq, scenario.SelectorPMRand} {
+		if _, err := run(scenario.Spec{Size: 500, Selector: sel, Cycles: 3, Seed: scenario.RawSeed(3)}); err != nil {
 			t.Errorf("selector %s: %v", sel, err)
 		}
 	}
-	for _, topo := range []string{"complete", "kregular", "view", "ring", "smallworld", "scalefree"} {
-		if _, err := Simulate(SimulationConfig{Size: 500, Topology: topo, Cycles: 3, Seed: 4}); err != nil {
+	for _, topo := range []scenario.Topology{
+		scenario.TopologyComplete, scenario.TopologyKRegular, scenario.TopologyView,
+		scenario.TopologyRing, scenario.TopologySmallWorld, scenario.TopologyScaleFree,
+	} {
+		if _, err := run(scenario.Spec{Size: 500, Topology: topo, Cycles: 3, Seed: scenario.RawSeed(4)}); err != nil {
 			t.Errorf("topology %s: %v", topo, err)
 		}
 	}
@@ -65,7 +74,7 @@ func TestSimulateSharded(t *testing.T) {
 	// The sharded executor must converge at the seq rate, conserve
 	// mass, and — with the pm selector — reproduce the sequential
 	// trajectory bit for bit.
-	res, err := Simulate(SimulationConfig{Size: 2000, Shards: 4, Cycles: 20, Seed: 6})
+	res, err := run(scenario.Spec{Size: 2000, Shards: 4, Cycles: 20, Seed: scenario.RawSeed(6)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +82,11 @@ func TestSimulateSharded(t *testing.T) {
 	if math.Abs(res.ReductionRate-want) > 0.03 {
 		t.Fatalf("sharded reduction rate %.4f, want ≈ %.4f", res.ReductionRate, want)
 	}
-	seqPM, err := Simulate(SimulationConfig{Size: 2000, Selector: "pm", Cycles: 10, Seed: 7})
+	seqPM, err := run(scenario.Spec{Size: 2000, Selector: scenario.SelectorPM, Cycles: 10, Seed: scenario.RawSeed(7)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	shardPM, err := Simulate(SimulationConfig{Size: 2000, Selector: "pm", Shards: 4, Cycles: 10, Seed: 7})
+	shardPM, err := run(scenario.Spec{Size: 2000, Selector: scenario.SelectorPM, Shards: 4, Cycles: 10, Seed: scenario.RawSeed(7)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +95,7 @@ func TestSimulateSharded(t *testing.T) {
 			t.Fatalf("pm cycle %d: sharded %g vs sequential %g", i, shardPM.Variances[i], seqPM.Variances[i])
 		}
 	}
-	shardRand, err := Simulate(SimulationConfig{Size: 2000, Selector: "rand", Shards: 4, Cycles: 20, Seed: 9})
+	shardRand, err := run(scenario.Spec{Size: 2000, Selector: scenario.SelectorRand, Shards: 4, Cycles: 20, Seed: scenario.RawSeed(9)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,35 +103,35 @@ func TestSimulateSharded(t *testing.T) {
 	if math.Abs(shardRand.ReductionRate-wantRand) > 0.03 {
 		t.Fatalf("sharded rand reduction rate %.4f, want ≈ %.4f", shardRand.ReductionRate, wantRand)
 	}
-	if _, err := Simulate(SimulationConfig{Size: 500, Shards: 4, Topology: "ring"}); err == nil {
+	if _, err := run(scenario.Spec{Size: 500, Shards: 4, Topology: scenario.TopologyRing}); err == nil {
 		t.Error("sharded non-complete topology accepted")
 	}
-	if _, err := Simulate(SimulationConfig{Size: 500, Shards: AutoShards, Cycles: 2, Seed: 8}); err != nil {
+	if _, err := run(scenario.Spec{Size: 500, Shards: AutoShards, Cycles: 2, Seed: scenario.RawSeed(8)}); err != nil {
 		t.Errorf("AutoShards rejected: %v", err)
 	}
 }
 
 func TestSimulateValidation(t *testing.T) {
-	if _, err := Simulate(SimulationConfig{Size: 1}); err == nil {
+	if _, err := run(scenario.Spec{Size: 1}); err == nil {
 		t.Error("size 1 accepted")
 	}
-	if _, err := Simulate(SimulationConfig{Size: 100, Selector: "bogus"}); err == nil {
+	if _, err := run(scenario.Spec{Size: 100, Selector: scenario.Selector(99)}); err == nil {
 		t.Error("unknown selector accepted")
 	}
-	if _, err := Simulate(SimulationConfig{Size: 100, Topology: "bogus"}); err == nil {
+	if _, err := run(scenario.Spec{Size: 100, Topology: scenario.Topology(99)}); err == nil {
 		t.Error("unknown topology accepted")
 	}
 }
 
 func TestSimulateWithLossStillConverges(t *testing.T) {
-	res, err := Simulate(SimulationConfig{Size: 1000, LossProbability: 0.2, Cycles: 30, Seed: 5})
+	res, err := run(scenario.Spec{Size: 1000, LossProb: 0.2, Cycles: 30, Seed: scenario.RawSeed(5)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Variances[30] > 1e-6*res.Variances[0] {
 		t.Fatalf("lossy run did not converge: ratio %g", res.Variances[30]/res.Variances[0])
 	}
-	lossless, _ := Simulate(SimulationConfig{Size: 1000, Cycles: 30, Seed: 5})
+	lossless, _ := run(scenario.Spec{Size: 1000, Cycles: 30, Seed: scenario.RawSeed(5)})
 	if res.ReductionRate <= lossless.ReductionRate {
 		t.Fatal("loss did not slow convergence")
 	}
@@ -178,24 +187,22 @@ func TestSummarySchemaEndToEnd(t *testing.T) {
 }
 
 func TestEstimateSizeUnderChurnSmall(t *testing.T) {
-	cfg := SizeEstimationConfig{
-		MinSize:           450,
-		MaxSize:           550,
-		OscillationPeriod: 100,
-		Fluctuation:       5,
-		EpochCycles:       30,
-		TotalCycles:       150,
-		Instances:         1,
-		Seed:              7,
-	}
-	reports, err := EstimateSizeUnderChurn(cfg)
+	res, err := run(scenario.Spec{
+		Size:   500,
+		Cycles: 150,
+		Churn: &scenario.ChurnSpec{
+			Model: "oscillating", Min: 450, Max: 550, Period: 100, Fluctuation: 5,
+		},
+		SizeEstimation: &scenario.SizeEstimationSpec{EpochCycles: 30, Instances: 1},
+		Seed:           scenario.RawSeed(7),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reports) != 5 {
-		t.Fatalf("got %d epochs", len(reports))
+	if len(res.Epochs) != 5 {
+		t.Fatalf("got %d epochs", len(res.Epochs))
 	}
-	for _, r := range reports {
+	for _, r := range res.Epochs {
 		relErr := math.Abs(r.EstimateMean-float64(r.SizeAtStart)) / float64(r.SizeAtStart)
 		if relErr > 0.2 {
 			t.Errorf("epoch %d: estimate %.0f vs %d", r.Epoch, r.EstimateMean, r.SizeAtStart)
@@ -203,13 +210,15 @@ func TestEstimateSizeUnderChurnSmall(t *testing.T) {
 	}
 }
 
-func TestDefaultSizeEstimationConfigMatchesPaper(t *testing.T) {
-	cfg := DefaultSizeEstimationConfig()
-	if cfg.MinSize != 90000 || cfg.MaxSize != 110000 {
-		t.Errorf("size band %d..%d", cfg.MinSize, cfg.MaxSize)
+// TestGossipSamplerBootstrap: the public constructor still needs a
+// seed other than self, although the internal one accepts an empty
+// view for a lone TCP node.
+func TestGossipSamplerBootstrap(t *testing.T) {
+	if _, err := NewGossipSampler("self", 5, nil); err != membership.ErrNoPeers {
+		t.Fatalf("err = %v, want ErrNoPeers", err)
 	}
-	if cfg.EpochCycles != 30 || cfg.TotalCycles != 1000 || cfg.Fluctuation != 100 {
-		t.Errorf("cfg = %+v", cfg)
+	if _, err := NewGossipSampler("self", 5, []string{"self"}); err != membership.ErrNoPeers {
+		t.Fatalf("self-only seed err = %v, want ErrNoPeers", err)
 	}
 }
 
@@ -265,12 +274,12 @@ func TestTCPNodeFacade(t *testing.T) {
 }
 
 func TestSimulateAsyncWaitingPolicies(t *testing.T) {
-	run := func(exponential bool) float64 {
-		res, err := SimulateAsync(AsyncSimulationConfig{
-			Size:        5000,
-			Exponential: exponential,
-			Cycles:      10,
-			Seed:        20,
+	rate := func(wait scenario.Wait) float64 {
+		res, err := run(scenario.Spec{
+			Size:   5000,
+			Wait:   wait,
+			Cycles: 10,
+			Seed:   scenario.RawSeed(20),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -278,7 +287,7 @@ func TestSimulateAsyncWaitingPolicies(t *testing.T) {
 		first, last := res.Variances[0], res.Variances[len(res.Variances)-1]
 		return math.Pow(last/first, 0.1)
 	}
-	constant, exponential := run(false), run(true)
+	constant, exponential := rate(scenario.WaitConstant), rate(scenario.WaitExponential)
 	seqRate, _ := TheoreticalRate("seq")
 	randRate, _ := TheoreticalRate("rand")
 	if math.Abs(constant-seqRate) > 0.03 {
@@ -290,10 +299,10 @@ func TestSimulateAsyncWaitingPolicies(t *testing.T) {
 }
 
 func TestSimulateAsyncValidation(t *testing.T) {
-	if _, err := SimulateAsync(AsyncSimulationConfig{Size: 1}); err == nil {
+	if _, err := run(scenario.Spec{Size: 1, Wait: scenario.WaitConstant}); err == nil {
 		t.Error("size 1 accepted")
 	}
-	if _, err := SimulateAsync(AsyncSimulationConfig{Size: 100, Topology: "bogus"}); err == nil {
+	if _, err := run(scenario.Spec{Size: 100, Wait: scenario.WaitConstant, Topology: scenario.Topology(99)}); err == nil {
 		t.Error("unknown topology accepted")
 	}
 }

@@ -9,9 +9,8 @@ import (
 )
 
 // Result is the materialized outcome of Run: the streamed reduction
-// rows plus the repeat-0 artifacts the historical one-shot entry
-// points returned (variance trajectory, final vector, exchange count,
-// epoch reports).
+// rows plus repeat 0's artifacts (variance trajectory, final vector,
+// exchange count, epoch reports).
 type Result struct {
 	// Spec is the executed spec with defaults applied (including any
 	// AutoShards fallback to sequential execution).
@@ -47,10 +46,6 @@ type Result struct {
 // and the §4 size estimator, routed by the spec's axes — and
 // materializes the outcome. Cancelling ctx stops the run within one
 // cycle and returns the context's error.
-//
-// The deprecated one-shot entry points (Simulate, SimulateAsync,
-// EstimateSizeUnderChurn) are thin wrappers over Run; their config
-// types expose Spec() for migration.
 func Run(ctx context.Context, spec scenario.Spec) (*Result, error) {
 	res, err := scenario.RunSpec(ctx, spec)
 	if err != nil {

@@ -27,126 +27,80 @@ func fpHash(vs []float64) string {
 	return fmt.Sprintf("%016x", h)
 }
 
-// TestRunReproducesLegacySimulate pins Run — and the deprecated
-// Simulate wrapper over it — to bit-exact outputs captured from the
-// pre-redesign tree (the historical avg.Runner / sharded-kernel
-// implementations), for every selector, several topologies, loss,
-// supplied values and both executors. This is the equivalence contract
-// of the API redesign: one declarative front door, byte-identical
-// trajectories per fixed seed.
+// TestRunReproducesLegacySimulate pins Run to bit-exact outputs
+// captured from the pre-redesign tree (the historical avg.Runner,
+// sharded-kernel and event-simulator implementations behind the
+// retired Simulate and SimulateAsync), for every selector, several
+// topologies, loss, supplied values, both executors and both waiting
+// policies. Every spec carries scenario.RawSeed, the seed derivation
+// those entry points used, so the trajectories stay byte-identical per
+// fixed seed.
 func TestRunReproducesLegacySimulate(t *testing.T) {
+	raw := scenario.RawSeed
 	cases := []struct {
 		name                  string
-		cfg                   SimulationConfig
+		spec                  scenario.Spec
 		varHash, mean, values string
+		exchanges             int // wait mode only
 	}{
-		{"seq", SimulationConfig{Size: 200, Cycles: 8, Seed: 42},
-			"8d95e947df84200f", "bf99ee9f3cb6ca24", "9ba6cf85fa1bdd67"},
-		{"pm", SimulationConfig{Size: 100, Selector: "pm", Cycles: 5, Seed: 9},
-			"b8cf08996e4f27e6", "3fc0a7e6049fc531", "a4cd386fbf0ea3bf"},
-		{"rand", SimulationConfig{Size: 150, Selector: "rand", Cycles: 6, Seed: 11},
-			"7666694a4055b065", "3facd937fc35ae68", "b3d9000baf69baac"},
-		{"pmrand", SimulationConfig{Size: 80, Selector: "pmrand", Cycles: 4, Seed: 12},
-			"c96d93cfc2b403c8", "3faea7ea99e56618", "61a488d9fc4102a1"},
-		{"kregular", SimulationConfig{Size: 300, Topology: "kregular", ViewSize: 10, Cycles: 7, Seed: 13},
-			"dc487e3eed30baa2", "3f930023f1ebcf62", "a717ce1bc26022a4"},
-		{"ring-loss", SimulationConfig{Size: 120, Topology: "ring", LossProbability: 0.2, Cycles: 5, Seed: 14},
-			"7d93196cd2dd2cc4", "bf96e2ffcfd3331d", "8283761748b08f9b"},
-		{"sharded-seq", SimulationConfig{Size: 512, Shards: 4, Cycles: 5, Seed: 3},
-			"c5245e4c22dbc6d8", "bfba5120058f6fd0", "8da15842d40d6779"},
-		{"sharded-pm", SimulationConfig{Size: 512, Selector: "pm", Shards: 4, Cycles: 5, Seed: 3},
-			"794dff1c3a88c1e4", "bfba5120058f6fcd", "5ed2d6e5fb84c53b"},
-		{"scalefree", SimulationConfig{Size: 200, Topology: "scalefree", Cycles: 5, Seed: 16},
-			"0267f7a80d0d581f", "3f8f3cc576defb5d", "ec41c8471a838a05"},
+		{"seq", scenario.Spec{Size: 200, Cycles: 8, Seed: raw(42)},
+			"8d95e947df84200f", "bf99ee9f3cb6ca24", "9ba6cf85fa1bdd67", 0},
+		{"pm", scenario.Spec{Size: 100, Selector: scenario.SelectorPM, Cycles: 5, Seed: raw(9)},
+			"b8cf08996e4f27e6", "3fc0a7e6049fc531", "a4cd386fbf0ea3bf", 0},
+		{"rand", scenario.Spec{Size: 150, Selector: scenario.SelectorRand, Cycles: 6, Seed: raw(11)},
+			"7666694a4055b065", "3facd937fc35ae68", "b3d9000baf69baac", 0},
+		{"pmrand", scenario.Spec{Size: 80, Selector: scenario.SelectorPMRand, Cycles: 4, Seed: raw(12)},
+			"c96d93cfc2b403c8", "3faea7ea99e56618", "61a488d9fc4102a1", 0},
+		{"kregular", scenario.Spec{Size: 300, Topology: scenario.TopologyKRegular, ViewSize: 10, Cycles: 7, Seed: raw(13)},
+			"dc487e3eed30baa2", "3f930023f1ebcf62", "a717ce1bc26022a4", 0},
+		{"ring-loss", scenario.Spec{Size: 120, Topology: scenario.TopologyRing, LossProb: 0.2, Cycles: 5, Seed: raw(14)},
+			"7d93196cd2dd2cc4", "bf96e2ffcfd3331d", "8283761748b08f9b", 0},
+		{"sharded-seq", scenario.Spec{Size: 512, Shards: 4, Cycles: 5, Seed: raw(3)},
+			"c5245e4c22dbc6d8", "bfba5120058f6fd0", "8da15842d40d6779", 0},
+		{"sharded-pm", scenario.Spec{Size: 512, Selector: scenario.SelectorPM, Shards: 4, Cycles: 5, Seed: raw(3)},
+			"794dff1c3a88c1e4", "bfba5120058f6fcd", "5ed2d6e5fb84c53b", 0},
+		{"scalefree", scenario.Spec{Size: 200, Topology: scenario.TopologyScaleFree, Cycles: 5, Seed: raw(16)},
+			"0267f7a80d0d581f", "3f8f3cc576defb5d", "ec41c8471a838a05", 0},
+		{"wait-constant", scenario.Spec{Size: 200, Wait: scenario.WaitConstant, Cycles: 6, Seed: raw(17)},
+			"63f2b6f419f16825", "3fb10dbb25e3eea3", "70a9e0c18e752762", 1200},
+		{"wait-exponential", scenario.Spec{Size: 200, Wait: scenario.WaitExponential, Cycles: 6, Seed: raw(18)},
+			"7ba3b11756334b1b", "3f6e741166ab8db6", "6b26d7d7cae4d2c3", 1225},
+		{"wait-loss", scenario.Spec{Size: 150, Wait: scenario.WaitExponential, LossProb: 0.3, Cycles: 5, Seed: raw(19)},
+			"5f115c762708eef1", "3fc3c886d0aa41c0", "758675634469654b", 557},
+		{"wait-kregular", scenario.Spec{Size: 300, Topology: scenario.TopologyKRegular, ViewSize: 10, Wait: scenario.WaitConstant, Cycles: 5, Seed: raw(20)},
+			"77b7f6f9c0f08727", "bfa0a6e51ef0e493", "1c6ed5a901ad7b98", 1500},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			legacy, err := Simulate(tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			spec, err := tc.cfg.Spec()
-			if err != nil {
-				t.Fatal(err)
-			}
-			front, err := Run(context.Background(), spec)
+			res, err := Run(context.Background(), tc.spec)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, probe := range []struct {
 				what, got, want string
 			}{
-				{"Simulate variances", fpHash(legacy.Variances), tc.varHash},
-				{"Simulate mean", fpBits(legacy.FinalMean), tc.mean},
-				{"Simulate values", fpHash(legacy.Values), tc.values},
-				{"Run variances", fpHash(front.Variances), tc.varHash},
-				{"Run mean", fpBits(front.FinalMean), tc.mean},
-				{"Run values", fpHash(front.Values), tc.values},
+				{"variances", fpHash(res.Variances), tc.varHash},
+				{"mean", fpBits(res.FinalMean), tc.mean},
+				{"values", fpHash(res.Values), tc.values},
 			} {
 				if probe.got != probe.want {
 					t.Errorf("%s = %s, want %s (pre-redesign capture)", probe.what, probe.got, probe.want)
 				}
 			}
-			if wantSharded := tc.cfg.Shards != 0; front.Sharded != wantSharded {
-				t.Errorf("Sharded = %v, want %v", front.Sharded, wantSharded)
+			if wantSharded := tc.spec.Shards != 0; res.Sharded != wantSharded {
+				t.Errorf("Sharded = %v, want %v", res.Sharded, wantSharded)
+			}
+			if tc.spec.Wait != scenario.WaitNone && res.Exchanges != tc.exchanges {
+				t.Errorf("exchanges = %d, want %d", res.Exchanges, tc.exchanges)
 			}
 		})
 	}
-	// The event-driven path (a Wait policy instead of a selector),
-	// pinned through the deprecated SimulateAsync wrapper and Run.
-	waits := []struct {
-		name                  string
-		cfg                   AsyncSimulationConfig
-		varHash, mean, values string
-		exchanges             int
-	}{
-		{"wait-constant", AsyncSimulationConfig{Size: 200, Cycles: 6, Seed: 17},
-			"63f2b6f419f16825", "3fb10dbb25e3eea3", "70a9e0c18e752762", 1200},
-		{"wait-exponential", AsyncSimulationConfig{Size: 200, Exponential: true, Cycles: 6, Seed: 18},
-			"7ba3b11756334b1b", "3f6e741166ab8db6", "6b26d7d7cae4d2c3", 1225},
-		{"wait-loss", AsyncSimulationConfig{Size: 150, Exponential: true, LossProbability: 0.3, Cycles: 5, Seed: 19},
-			"5f115c762708eef1", "3fc3c886d0aa41c0", "758675634469654b", 557},
-		{"wait-kregular", AsyncSimulationConfig{Size: 300, Topology: "kregular", ViewSize: 10, Cycles: 5, Seed: 20},
-			"77b7f6f9c0f08727", "bfa0a6e51ef0e493", "1c6ed5a901ad7b98", 1500},
-	}
-	for _, tc := range waits {
-		t.Run(tc.name, func(t *testing.T) {
-			legacy, err := SimulateAsync(tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			spec, err := tc.cfg.Spec()
-			if err != nil {
-				t.Fatal(err)
-			}
-			front, err := Run(context.Background(), spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, probe := range []struct {
-				what, got, want string
-			}{
-				{"SimulateAsync variances", fpHash(legacy.Variances), tc.varHash},
-				{"SimulateAsync mean", fpBits(legacy.FinalMean), tc.mean},
-				{"Run variances", fpHash(front.Variances), tc.varHash},
-				{"Run mean", fpBits(front.FinalMean), tc.mean},
-				{"Run values", fpHash(front.Values), tc.values},
-			} {
-				if probe.got != probe.want {
-					t.Errorf("%s = %s, want %s", probe.what, probe.got, probe.want)
-				}
-			}
-			if legacy.Exchanges != tc.exchanges || front.Exchanges != tc.exchanges {
-				t.Errorf("exchanges: SimulateAsync %d, Run %d, want %d", legacy.Exchanges, front.Exchanges, tc.exchanges)
-			}
-		})
-	}
-	// Supplied values skip the normal draws in both paths.
+	// Supplied values skip the normal draws.
 	vals := make([]float64, 64)
 	for i := range vals {
 		vals[i] = float64(i * i)
 	}
-	res, err := Simulate(SimulationConfig{Size: 64, Values: vals, Cycles: 5, Seed: 15})
+	res, err := Run(context.Background(), scenario.Spec{Size: 64, Values: vals, Cycles: 5, Seed: raw(15)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,13 +109,18 @@ func TestRunReproducesLegacySimulate(t *testing.T) {
 	}
 }
 
-// TestRunReproducesLegacySizeEstimation pins the §4 wrapper (and its
-// Run equivalent) to bit-exact per-epoch reports captured from the
-// pre-redesign tree.
+// TestRunReproducesLegacySizeEstimation pins the §4 size-estimation
+// path to bit-exact per-epoch reports captured from the pre-redesign
+// tree (the retired EstimateSizeUnderChurn).
 func TestRunReproducesLegacySizeEstimation(t *testing.T) {
-	cfg := SizeEstimationConfig{
-		MinSize: 450, MaxSize: 550, OscillationPeriod: 100, Fluctuation: 5,
-		EpochCycles: 30, TotalCycles: 150, Instances: 2, Seed: 7,
+	spec := scenario.Spec{
+		Size:   500,
+		Cycles: 150,
+		Churn: &scenario.ChurnSpec{
+			Model: "oscillating", Min: 450, Max: 550, Period: 100, Fluctuation: 5,
+		},
+		SizeEstimation: &scenario.SizeEstimationSpec{EpochCycles: 30, Instances: 2},
+		Seed:           scenario.RawSeed(7),
 	}
 	wantMeans := []string{
 		"407e48d907a1b6df", "40808675c15953f6", "407c9749beac4a91",
@@ -169,57 +128,20 @@ func TestRunReproducesLegacySizeEstimation(t *testing.T) {
 	}
 	wantSizes := []int{548, 473, 468, 546, 503}
 
-	legacy, err := EstimateSizeUnderChurn(cfg)
+	res, err := Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := cfg.Spec()
-	spec.Seed = scenario.RawSeed(cfg.Seed)
-	front, err := Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
+	if len(res.Epochs) != len(wantMeans) {
+		t.Fatalf("%d epochs, want %d", len(res.Epochs), len(wantMeans))
 	}
-	for name, reports := range map[string][]EpochReport{"EstimateSizeUnderChurn": legacy, "Run": front.Epochs} {
-		if len(reports) != len(wantMeans) {
-			t.Fatalf("%s: %d epochs, want %d", name, len(reports), len(wantMeans))
+	for i, r := range res.Epochs {
+		if got := fpBits(r.EstimateMean); got != wantMeans[i] {
+			t.Errorf("epoch %d mean = %s, want %s", i, got, wantMeans[i])
 		}
-		for i, r := range reports {
-			if got := fpBits(r.EstimateMean); got != wantMeans[i] {
-				t.Errorf("%s epoch %d mean = %s, want %s", name, i, got, wantMeans[i])
-			}
-			if r.SizeAtEnd != wantSizes[i] {
-				t.Errorf("%s epoch %d size = %d, want %d", name, i, r.SizeAtEnd, wantSizes[i])
-			}
+		if r.SizeAtEnd != wantSizes[i] {
+			t.Errorf("epoch %d size = %d, want %d", i, r.SizeAtEnd, wantSizes[i])
 		}
-	}
-}
-
-// TestSimulateAsyncEquivalentToRun: the async wrapper is a thin veneer
-// over Run — same variances, exchanges and mean — and both policies
-// still hit their §3.3 rates (the seed-unification satellite changed
-// the exact trajectory, not the statistics).
-func TestSimulateAsyncEquivalentToRun(t *testing.T) {
-	cfg := AsyncSimulationConfig{Size: 3000, Cycles: 8, Seed: 21, Exponential: true}
-	legacy, err := SimulateAsync(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := cfg.Spec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	front, err := Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fpHash(legacy.Variances) != fpHash(front.Variances) {
-		t.Error("wrapper variances diverge from Run")
-	}
-	if legacy.Exchanges != front.Exchanges || legacy.Exchanges == 0 {
-		t.Errorf("exchanges: wrapper %d vs Run %d", legacy.Exchanges, front.Exchanges)
-	}
-	if fpBits(legacy.FinalMean) != fpBits(front.FinalMean) {
-		t.Error("wrapper final mean diverges from Run")
 	}
 }
 
@@ -245,14 +167,6 @@ func TestAutoShardsFallsBackToSequential(t *testing.T) {
 			t.Errorf("%s: normalized spec kept shards=%d", name, res.Spec.Shards)
 		}
 	}
-	// The fallback also covers the deprecated wrapper.
-	res, err := Simulate(SimulationConfig{Size: 400, Topology: "ring", Cycles: 2, Shards: AutoShards, Seed: 5})
-	if err != nil {
-		t.Fatalf("Simulate with AutoShards on the ring topology: %v", err)
-	}
-	if res.Sharded {
-		t.Error("Simulate reported sharded execution after fallback")
-	}
 	// Shardable combinations still shard under an explicit count (and
 	// under AutoShards whenever GOMAXPROCS > 1 — not asserted here so
 	// single-core CI stays green). Every built-in selector shards.
@@ -270,9 +184,6 @@ func TestAutoShardsFallsBackToSequential(t *testing.T) {
 	// ...and explicit shard counts on unsupported combinations error.
 	if _, err := Run(ctx, scenario.Spec{Size: 401, Cycles: 2, Selector: scenario.SelectorPMRand, Shards: 4}); err == nil {
 		t.Error("explicit shards with pmrand selector at odd size accepted")
-	}
-	if _, err := Simulate(SimulationConfig{Size: 401, Selector: "pmrand", Shards: 4}); err == nil {
-		t.Error("Simulate with explicit shards and odd-size pmrand accepted")
 	}
 }
 

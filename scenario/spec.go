@@ -21,7 +21,7 @@
 // derivation of the experiment harness, so the rewritten figure
 // drivers reproduce their pre-scenario output byte for byte. RawSeed
 // inverts the derivation for repeat 0, giving the exact stream the
-// historical one-shot entry points (repro.Simulate and friends) used.
+// retired one-shot entry points (repro.Simulate and friends) used.
 package scenario
 
 import (
@@ -544,10 +544,10 @@ func repSeed(seed uint64, rep int) uint64 {
 
 // RawSeed returns the Spec.Seed under which repeat 0 consumes exactly
 // the random stream xrand.New(seed) — the seed vocabulary of the
-// historical one-shot entry points (repro.Simulate, SimulateAsync,
-// EstimateSizeUnderChurn). The deprecated wrappers use it to stay
-// byte-identical across the Run redesign; new callers should treat
-// Spec.Seed as opaque and simply pick one.
+// retired one-shot entry points (repro.Simulate, SimulateAsync,
+// EstimateSizeUnderChurn). Specs seeded with it reproduce their output
+// byte for byte; new callers should treat Spec.Seed as opaque and
+// simply pick one.
 func RawSeed(seed uint64) uint64 {
 	return seed - seedStep // repSeed(·, 0) adds one stride back
 }

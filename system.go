@@ -717,9 +717,8 @@ func openRuntime(cfg sysConfig, clock *epoch.Clock) (*engine.Runtime, error) {
 // endpoint per worker (the first on the configured listen address, the
 // rest on ephemeral ports of the same host) and gossip membership
 // bootstrapped from the remote seeds plus a local sibling. A single node
-// (the aggnode shape) runs one worker; with no seeds it has no peer at
-// all, so its view starts from a placeholder that names no real peer,
-// and it waits to be contacted.
+// (the aggnode shape) runs one worker; with no seeds its view starts
+// empty, so it initiates nothing until a peer contacts it.
 func openTCPRuntime(cfg sysConfig, clock *epoch.Clock) (*engine.Runtime, error) {
 	workers := cfg.workers
 	if workers <= 0 {
@@ -771,9 +770,6 @@ func openTCPRuntime(cfg sysConfig, clock *epoch.Clock) (*engine.Runtime, error) 
 			boot := append([]string{}, seeds...)
 			if sib := local[(i+1)%len(local)]; sib != self {
 				boot = append(boot, sib)
-			}
-			if len(boot) == 0 {
-				boot = []string{self + "#boot"} // a lone self-seed is rejected
 			}
 			return membership.NewGossipSampler(self, cfg.view, boot)
 		},

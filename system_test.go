@@ -303,9 +303,12 @@ func TestOpenTCPSingleNodePair(t *testing.T) {
 // worker, one node at the endpoint's "#0" sub-address, the TCP and
 // membership families registered per shard, robust merge installable
 // (it gates what remote peers report) and adversaries refused (a lone
-// node cannot keep two honest ones).
+// node cannot keep two honest ones). With no seeds its view is empty,
+// so over several cycles it initiates nothing and dials nobody, itself
+// included.
 func TestOpenTCPSingleNodeShape(t *testing.T) {
-	sys, err := Open(WithTCP("127.0.0.1:0"), WithCycleLength(time.Hour))
+	const cycle = 10 * time.Millisecond
+	sys, err := Open(WithTCP("127.0.0.1:0"), WithCycleLength(cycle))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,6 +339,16 @@ func TestOpenTCPSingleNodeShape(t *testing.T) {
 	}
 	if err := sys.SetAdversaries("", 0.5, 0, 0); err == nil {
 		t.Error("SetAdversaries made the only node an adversary")
+	}
+	time.Sleep(5 * cycle)
+	if st := sys.Stats(); st.Initiated != 0 || st.PeerBusy != 0 {
+		t.Errorf("lone node initiated %d exchanges (%d nacked), want none", st.Initiated, st.PeerBusy)
+	}
+	const dials = `repro_transport_tcp_dials_total{shard="0"} `
+	for _, line := range strings.Split(string(sys.Metrics().AppendPrometheus(nil)), "\n") {
+		if strings.HasPrefix(line, dials) && line != dials+"0" {
+			t.Errorf("lone node dialled: %s", line)
+		}
 	}
 }
 
