@@ -152,8 +152,9 @@ func TestLookAheadListsDueEvents(t *testing.T) {
 
 // TestArmedPeerDrivesTheExchange pins the partner armed with a wake. On
 // an unstarted two-worker runtime, scripted handleWake steps must fuse
-// with exactly w.peer − 1 when it shares the shard and post a push
-// letter to it otherwise, and the re-armed wake must carry a fresh
+// with exactly w.peer − 1 when it shares the shard or its shard's round
+// lock is free, and post a push letter to it when that lock is held (on
+// every other cross-shard step), and the re-armed wake must carry a fresh
 // partner that is never the node itself. On one worker, the partners one
 // node's successive wakes carry over 126 000 draws must pass a χ²
 // uniformity check over the other 63 nodes. A failed node must re-arm
@@ -169,11 +170,21 @@ func TestArmedPeerDrivesTheExchange(t *testing.T) {
 			p := completePeer(script, size, i)
 			ps := rt.shardOf(p)
 			before := rt.NodeStats(p)
+			held := ps != s && k%2 == 1
+			if held {
+				ps.mu.Lock()
+			}
 			s.handleWake(wake{at: float64(k), node: int32(i), peer: 1 + int32(p)}, float64(k))
+			if held {
+				ps.mu.Unlock()
+			}
 			after := rt.NodeStats(p)
-			if ps == s {
+			if !held {
 				if got := after.Served + after.BusyDropped - before.Served - before.BusyDropped; got != 1 {
 					t.Fatalf("step %d: node %d's wake armed with %d fused %d times with it", k, i, p, got)
+				}
+				if out := s.outbox[ps.id]; len(out) != 0 {
+					t.Fatalf("step %d: node %d's fused wake posted %+v", k, i, out)
 				}
 			} else {
 				out := s.outbox[ps.id]

@@ -315,7 +315,10 @@ type letter struct {
 // mailbox is one shard's inbound queue for in-process messages from its
 // sibling shards: a mutex-guarded slice that a sender appends a whole
 // round's worth of letters to under one lock, and the owner swaps out
-// once per round. notify (one slot) is signalled only when the slice
+// once per round. A cross-shard exchange comes through it only when fuse
+// declined to run it in place — the shard's round lock was held, or a
+// gate condition asked for the letters — so it carries those pushes and
+// their answers. notify (one slot) is signalled only when the slice
 // goes from empty to non-empty, so a busy receiver is woken at most
 // once per drain, not once per message. The slice is capped at the
 // receiving endpoint's inbox capacity; overflow is dropped and counted,
@@ -396,9 +399,12 @@ type shardCounters struct {
 //
 // Everything under mu is owned by whichever goroutine holds the round
 // lock — normally the shard's own worker, occasionally a sibling
-// stealing a round (see Runtime.trySteal). The lock is taken once per
-// scheduler round, not per message, so the hot path pays one
-// uncontended Lock/Unlock per eventBudget of work.
+// stealing a round (see Runtime.trySteal) or fusing one exchange with a
+// node of this shard (see fuse), or an observer. A sibling worker takes
+// it only with TryLock, never Lock, so no worker ever waits on a second
+// shard while holding its own, and no lock-order deadlock can form. The
+// lock is taken once per scheduler round, not per message, so the hot
+// path pays one Lock/Unlock per eventBudget of work.
 type rshard struct {
 	rt     *Runtime
 	id     int
@@ -439,10 +445,11 @@ type rshard struct {
 	// shards during a round; postLocked hands each non-empty one to its
 	// shard's mailbox under one lock at the end of the round. inmail is
 	// the spare slice swapped against the own mailbox's contents.
-	// localDelivered counts every in-process delivery, same-shard and
-	// mailbox alike (published via pub once per round). fused counts the
-	// deliveries fused exchanges stood in for since the last drainLocal,
-	// which charges them like the letters they replace.
+	// localDelivered counts every in-process delivery — same-shard,
+	// mailbox, and the pushes a sibling's fused exchanges delivered here
+	// (published via pub once per round). fused counts the deliveries
+	// this shard's fused exchanges stood in for since the last
+	// drainLocal, which charges them like the letters they replace.
 	local          []letter
 	outbox         [][]letter
 	inmail         []letter
@@ -1624,8 +1631,9 @@ func (s *rshard) restart(li int) {
 // initiate performs the active half of one exchange for local node li:
 // take the peer armed with the wake (peer is 1 + its index, 0 for none)
 // or sample one, then either run the whole exchange in place when the
-// peer lives in this shard and fuse accepts it, or send the push and arm
-// the reply deadline. Caller holds s.mu and has checked that no exchange
+// peer is hosted in process — in this shard, or in a sibling whose round
+// lock TryLock gets — and fuse accepts it, or send the push and arm the
+// reply deadline. Caller holds s.mu and has checked that no exchange
 // is in flight. The push's Fields buffer is drawn from the shard's free
 // list; ownership passes with the send (and on every in-process path,
 // or a lossless fabric, the same buffer eventually returns via the pull
@@ -1651,8 +1659,14 @@ func (s *rshard) initiate(li int, now float64, peer int32) {
 		to = int32(completePeer(&s.rng, len(s.rt.addrs), idx))
 	}
 	r := s.routeTo(to)
-	if r == viaLocal && s.fuse(li, int(to)-s.lo) {
-		return
+	if r != viaWire {
+		t := s
+		if r == viaMail {
+			t = s.rt.shardOf(int(to))
+		}
+		if s.fuse(li, t, int(to)-t.lo) {
+			return
+		}
 	}
 	fields := s.free.get()
 	copy(fields, s.state(li))
@@ -1696,41 +1710,64 @@ func (s *rshard) initiate(li int, now float64, peer int32) {
 	s.send(li, to, addr, r, msg)
 }
 
-// fuse runs a same-shard exchange from local node li to local node pi
-// as one in-place step: the letter path would deliver the push and its
-// answer inside this same hold of the round lock (drainLocal), so the
-// merge of the two state rows needs no letter, no Fields buffer and no
-// reply deadline. It bumps exactly the counters the letters would — a
-// busy partner (its own exchange out to another shard) counts a nack on
-// both sides and changes no state — and charges the two deliveries to
-// the round like two letters. It declines, touching nothing, whenever
-// the letters would do more than merge and count: push-only runs, a live
-// robust gate, a failed partner, sampler gossip to observe, an
-// adversary on either side, an epoch mismatch, or a trace-sampled seq.
-// Caller holds s.mu.
-func (s *rshard) fuse(li, pi int) bool {
+// fuse runs one exchange from local node li to local node pi of shard t
+// as one in-place step when the letters would do nothing but merge the
+// two state rows and count: no letter, no Fields buffer, no reply
+// deadline. t is this shard, whose letters would be delivered inside
+// this same hold of the round lock anyway (drainLocal), or a sibling,
+// whose round lock fuse takes only with TryLock, never Lock: a worker
+// never waits on a second shard while holding its own, so no lock-order
+// deadlock can form between workers, stealers and observers. A held
+// sibling lock declines the exchange, and so does every condition under
+// which the letters do more than merge and count — the initiator's
+// checked before any lock is taken, the partner's under both locks. A
+// declined exchange touches nothing and takes the letter path. An
+// accepted one bumps exactly the counters the letters would: the
+// partner's shard counts the push (recv, localDelivered, served — or
+// busyDropped for a partner with its own exchange out, which changes no
+// state), this shard the answer (recv, initiated, replies or peerBusy),
+// and s.seq advances as for the push. The round's budget is charged the
+// deliveries it would have handled: both of a same-shard pair, the
+// answer of a cross-shard one. Caller holds s.mu.
+func (s *rshard) fuse(li int, t *rshard, pi int) bool {
 	// The initiator's own line and the shard's settings first: a
-	// gossiping shard declines before touching the partner's line.
-	n, p := &s.nodes[li], &s.nodes[pi]
-	if s.rt.cfg.PushOnly || s.robustOn || n.observes || n.adv != 0 || s.traceSampled(s.seq+1) ||
-		p.failed || p.observes || p.adv != 0 || n.tracker.Current() != p.tracker.Current() {
+	// gossiping shard declines before touching the partner's lock or line.
+	n := &s.nodes[li]
+	if s.rt.cfg.PushOnly || s.robustOn || n.observes || n.adv != 0 || s.traceSampled(s.seq+1) {
+		return false
+	}
+	if t != s {
+		if !t.mu.TryLock() {
+			return false
+		}
+		defer t.mu.Unlock()
+	}
+	// SetRobust switches shards one at a time: t's gate may differ.
+	p := &t.nodes[pi]
+	if t.robustOn || p.failed || p.observes || p.adv != 0 || n.tracker.Current() != p.tracker.Current() {
 		return false
 	}
 	s.seq++
 	n.initiated++
 	s.ctr.initiated.Add(1)
-	s.recv += 2
-	s.fused += 2
+	s.recv++
+	t.recv++
+	s.fused++ // the answer
+	if t == s {
+		s.fused++ // the push
+	} else {
+		t.localDelivered++
+	}
 	if p.pendingSeq != 0 {
-		s.cold[pi].busyDropped++
-		s.ctr.busyDropped.Add(1)
+		t.cold[pi].busyDropped++
+		t.ctr.busyDropped.Add(1)
 		s.cold[li].peerBusy++
 		s.ctr.peerBusy.Add(1)
 		return true
 	}
-	s.rt.schema.MergeInto(core.State(s.state(li)), core.State(s.state(pi)))
+	s.rt.schema.MergeInto(core.State(s.state(li)), core.State(t.state(pi)))
 	p.served++
-	s.ctr.served.Add(1)
+	t.ctr.served.Add(1)
 	n.replies++
 	s.ctr.replies.Add(1)
 	return true

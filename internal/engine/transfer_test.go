@@ -13,7 +13,9 @@ import (
 // the shards moves only when the script posts its sender's outbox
 // (postLocked) and has the receiver handle its mailbox (handleMail), so
 // the script decides exactly what interleaves with an exchange in
-// flight. Values are dyadic, so every sum is exact.
+// flight. Values are dyadic, so every sum is exact. A cross-shard push
+// fuses in place when its partner's round lock is free (fuse), so the
+// scripts that need the letter initiate through initiateByLetter.
 
 // newScriptedShards builds the two-shard runtime with the given node
 // values (four of them).
@@ -36,7 +38,23 @@ func handleMail(s *rshard) int {
 		s.handleMessage(&got[i].m, got[i].from, got[i].to)
 		s.drainLocal()
 	}
+	s.localDelivered += uint64(len(got))
 	return len(got)
+}
+
+// initiateByLetter runs shard s's initiate for local node li with the
+// armed partner peer − 1, a node of a sibling shard, while that shard's
+// round lock is held — as when its owner is mid-round — so fuse's
+// TryLock fails and the push goes out as a letter.
+func initiateByLetter(tb testing.TB, s *rshard, li int, now float64, peer int32) {
+	tb.Helper()
+	t := s.rt.shardOf(int(peer - 1))
+	if t == s {
+		tb.Fatalf("node %d shares shard %d with node %d", peer-1, s.id, s.lo+li)
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	s.initiate(li, now, peer)
 }
 
 // timeOut fires shard s's earliest reply deadline.
@@ -66,7 +84,7 @@ func mass(rt *Runtime) float64 {
 func TestTransferInjectMidExchangeMovesMassByDelta(t *testing.T) {
 	rt := newScriptedShards(t, []float64{4, 12, 20, 12}, nil)
 	s0, s1 := rt.shards[0], rt.shards[1]
-	s0.initiate(0, 0, 1+2)
+	initiateByLetter(t, s0, 0, 0, 1+2)
 	rt.InjectValue(0, 0, 20)
 	s0.postLocked()
 	handleMail(s1)
@@ -87,9 +105,9 @@ func TestTransferInjectMidExchangeMovesMassByDelta(t *testing.T) {
 func TestTransferLateReplyAfterServedPush(t *testing.T) {
 	rt := newScriptedShards(t, []float64{4, 12, 20, 12}, nil)
 	s0, s1 := rt.shards[0], rt.shards[1]
-	s0.initiate(0, 0, 1+2)
+	initiateByLetter(t, s0, 0, 0, 1+2)
 	timeOut(t, s0)
-	s1.initiate(1, 0, 1+0)
+	initiateByLetter(t, s1, 1, 0, 1+0)
 	s1.postLocked()
 	handleMail(s0) // node 0 serves node 3's push
 	s0.postLocked()
@@ -111,7 +129,7 @@ func TestTransferLateReplyAfterServedPush(t *testing.T) {
 func TestTransferLateReplyAfterReinitiation(t *testing.T) {
 	rt := newScriptedShards(t, []float64{4, 12, 20, 12}, nil)
 	s0, s1 := rt.shards[0], rt.shards[1]
-	s0.initiate(0, 0, 1+2)
+	initiateByLetter(t, s0, 0, 0, 1+2)
 	s0.postLocked()
 	handleMail(s1)
 	timeOut(t, s0)
@@ -169,7 +187,7 @@ func TestTransferLateReplyAtMostOnce(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			rt := newScriptedShards(t, []float64{4, 12, 20, 12}, nil)
 			s0, s1 := rt.shards[0], rt.shards[1]
-			s0.initiate(0, 0, 1+2)
+			initiateByLetter(t, s0, 0, 0, 1+2)
 			s0.postLocked()
 			handleMail(s1)
 			if tc.late {
@@ -204,9 +222,9 @@ func TestTransferLateReplyAtMostOnce(t *testing.T) {
 func TestTransferLateReplyGivenUp(t *testing.T) {
 	rt := newScriptedShards(t, []float64{4, 12, 20, 12}, nil)
 	s0, s1 := rt.shards[0], rt.shards[1]
-	s0.initiate(0, 0, 1+2)
+	initiateByLetter(t, s0, 0, 0, 1+2)
 	timeOut(t, s0)
-	s0.initiate(0, 0, 1+2)
+	initiateByLetter(t, s0, 0, 0, 1+2)
 	timeOut(t, s0)
 	s0.postLocked()
 	handleMail(s1)

@@ -392,10 +392,6 @@ func (k *Kernel) SetLoss(l LossModel) {
 // Fields returns the number of gossiped fields.
 func (k *Kernel) Fields() int { return len(k.ops) }
 
-// Ops returns the per-field merge operators (shared; treat as
-// read-only).
-func (k *Kernel) Ops() []Op { return k.ops }
-
 // Column returns field f's live value column, indexed by node. Callers
 // may read and write it between cycles; the kernel operates on the
 // same backing array (mutating it models externally changing local
