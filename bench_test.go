@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/topology"
@@ -56,13 +55,13 @@ func benchGaussian(n int, rng *xrand.Rand) []float64 {
 func BenchmarkFig3a(b *testing.B) {
 	const n, view = 10000, 20
 	for _, sel := range []string{"rand", "seq"} {
-		for _, topo := range []experiments.TopologyKind{experiments.Complete, experiments.KRegular} {
+		for _, topo := range []topology.Kind{topology.KindComplete, topology.KindKRegular} {
 			b.Run(fmt.Sprintf("selector=%s/topology=%s/n=%d", sel, topo, n), func(b *testing.B) {
 				rng := xrand.New(42)
 				// One overlay per sub-bench: graph construction is the
 				// dominant setup cost and does not affect the measured
 				// reduction statistics.
-				g, err := experiments.BuildTopology(topo, n, view, rng)
+				g, err := topology.Build(topo, n, view, rng)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -95,10 +94,10 @@ func BenchmarkFig3a(b *testing.B) {
 func BenchmarkFig3b(b *testing.B) {
 	const n, view, cycles = 20000, 20, 30
 	for _, sel := range []string{"rand", "seq"} {
-		for _, topo := range []experiments.TopologyKind{experiments.Complete, experiments.KRegular} {
+		for _, topo := range []topology.Kind{topology.KindComplete, topology.KindKRegular} {
 			b.Run(fmt.Sprintf("selector=%s/topology=%s/n=%d", sel, topo, n), func(b *testing.B) {
 				rng := xrand.New(43)
-				g, err := experiments.BuildTopology(topo, n, view, rng)
+				g, err := topology.Build(topo, n, view, rng)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -296,14 +295,14 @@ func BenchmarkAblationCrash(b *testing.B) {
 // the sensitivity study for the paper's "random enough" assumption.
 func BenchmarkAblationTopology(b *testing.B) {
 	const n, view, cycles = 5000, 20, 15
-	kinds := []experiments.TopologyKind{
-		experiments.Complete, experiments.KRegular, experiments.RandomView,
-		experiments.SmallWorld, experiments.ScaleFree, experiments.Ring,
+	kinds := []topology.Kind{
+		topology.KindComplete, topology.KindKRegular, topology.KindRandomView,
+		topology.KindSmallWorld, topology.KindScaleFree, topology.KindRing,
 	}
 	for _, kind := range kinds {
 		b.Run("topology="+string(kind), func(b *testing.B) {
 			rng := xrand.New(48)
-			g, err := experiments.BuildTopology(kind, n, view, rng)
+			g, err := topology.Build(kind, n, view, rng)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -57,7 +57,7 @@ func main() {
 	if *scenarioPath != "" {
 		err = runScenario(ctx, *scenarioPath, *format, *outPath, *workers, os.Stdout)
 	} else {
-		err = run(ctx, *size, *selector, *topo, *view, *cycles, *loss, *shards, *seed)
+		err = run(ctx, os.Stdout, *size, *selector, *topo, *view, *cycles, *loss, *shards, *seed)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "aggsim:", err)
@@ -110,10 +110,10 @@ func runScenario(ctx context.Context, path, format, outPath string, workers int,
 	return err
 }
 
-// run executes a single flag-assembled spec through repro.Run. The
-// spec carries scenario.RawSeed(seed), so -seed N draws exactly the
-// stream xrand.New(N).
-func run(ctx context.Context, size int, selector, topo string, view, cycles int, loss float64, shards int, seed uint64) error {
+// run executes a single flag-assembled spec through repro.Run and
+// writes its trajectory to w. The spec carries scenario.RawSeed(seed),
+// so -seed N draws exactly the stream xrand.New(N).
+func run(ctx context.Context, w io.Writer, size int, selector, topo string, view, cycles int, loss float64, shards int, seed uint64) error {
 	sel, err := scenario.ParseSelector(selector)
 	if err != nil {
 		return err
@@ -135,25 +135,25 @@ func run(ctx context.Context, size int, selector, topo string, view, cycles int,
 	if err != nil {
 		return err
 	}
-	fmt.Printf("# anti-entropy averaging: n=%d selector=%s topology=%s loss=%.2f shards=%d sharded=%v seed=%d\n",
+	fmt.Fprintf(w, "# anti-entropy averaging: n=%d selector=%s topology=%s loss=%.2f shards=%d sharded=%v seed=%d\n",
 		size, res.Spec.Selector, res.Spec.Topology, loss, shards, res.Sharded, seed)
-	fmt.Println("# cycle\tvariance\treduction")
+	fmt.Fprintln(w, "# cycle\tvariance\treduction")
 	for i, v := range res.Variances {
 		if i == 0 {
-			fmt.Printf("%d\t%.6g\t-\n", i, v)
+			fmt.Fprintf(w, "%d\t%.6g\t-\n", i, v)
 			continue
 		}
 		prev := res.Variances[i-1]
 		if prev > 0 {
-			fmt.Printf("%d\t%.6g\t%.4f\n", i, v, v/prev)
+			fmt.Fprintf(w, "%d\t%.6g\t%.4f\n", i, v, v/prev)
 		} else {
-			fmt.Printf("%d\t%.6g\t-\n", i, v)
+			fmt.Fprintf(w, "%d\t%.6g\t-\n", i, v)
 		}
 	}
-	fmt.Printf("\nfinal mean estimate : %.6g\n", res.FinalMean)
-	fmt.Printf("per-cycle reduction : %.4f (geometric mean)\n", res.ReductionRate)
+	fmt.Fprintf(w, "\nfinal mean estimate : %.6g\n", res.FinalMean)
+	fmt.Fprintf(w, "per-cycle reduction : %.4f (geometric mean)\n", res.ReductionRate)
 	if theory, ok := repro.TheoreticalRate(res.Spec.Selector.String()); ok && loss == 0 {
-		fmt.Printf("theory (§3.3)       : %.4f on the complete graph\n", theory)
+		fmt.Fprintf(w, "theory (§3.3)       : %.4f on the complete graph\n", theory)
 	}
 	return nil
 }

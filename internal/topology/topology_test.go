@@ -358,3 +358,20 @@ func TestRandomNeighborInRangeQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestBuildTopologyAllKinds(t *testing.T) {
+	rng := xrand.New(1)
+	for _, k := range Kinds() {
+		g, err := Build(k, 100, 10, rng)
+		if err != nil {
+			t.Errorf("Build(%s): %v", k, err)
+			continue
+		}
+		if g.Size() != 100 {
+			t.Errorf("%s: size = %d", k, g.Size())
+		}
+	}
+	if _, err := Build("bogus", 100, 10, rng); err == nil {
+		t.Error("unknown topology accepted")
+	}
+}

@@ -207,9 +207,11 @@ func (g Grid) Expand() ([]Spec, error) {
 
 // SeedTag hashes label fragments into a 64-bit seed offset (FNV-1a
 // over the fragments joined with "|"), so every grid cell — and every
-// experiment-driver combination — draws an independent random stream.
-// This is the exact hash the historical figure drivers used, which is
-// what keeps their rewritten output byte-identical.
+// figure combination — draws an independent random stream. Grid cells
+// tag their "param=value" fragments; cmd/figures tags raw values
+// ("rand", "complete", "1000"), the historical figure drivers'
+// derivation, so the same sweep seeded both ways draws different
+// streams.
 func SeedTag(parts ...string) uint64 {
 	h := uint64(1469598103934665603) // FNV offset basis
 	mix := func(s string) {

@@ -103,6 +103,9 @@ func TestGridExpandRejectsInvalid(t *testing.T) {
 		{Base: scenario.Spec{Size: 64}, Axes: []scenario.Axis{{Param: "size"}}},
 		{Base: scenario.Spec{Size: 64}, Axes: []scenario.Axis{{Param: "selector", Strings: []string{"nope"}}}},
 		{Base: scenario.Spec{Size: 1}},
+		{Base: scenario.Spec{Size: 100, CrashFraction: 1.5}},
+		{Base: scenario.Spec{Size: 100, TargetRatio: 2}},
+		{Base: scenario.Spec{Size: 100, Churn: &scenario.ChurnSpec{Model: "oscillating", Min: 2, Max: 1, Period: 10}}},
 	}
 	for i, g := range cases {
 		if _, err := g.Expand(); err == nil {

@@ -11,9 +11,9 @@
 // Most callers want the repro package's front door instead:
 // repro.Run(ctx, spec) executes one Spec and materializes the outcome,
 // repro.RunGrid(ctx, grid, opts) streams a sweep. Every paper figure
-// and ablation in internal/experiments is a thin Spec builder over this
-// engine, and cmd/aggsim -scenario runs user-authored JSON scenarios
-// without recompiling.
+// and ablation in cmd/figures is a table of Specs over this engine,
+// and cmd/aggsim -scenario runs user-authored JSON scenarios without
+// recompiling.
 //
 // Determinism contract: a run's trajectory depends only on the concrete
 // Spec and the repeat index — per-repeat generators are derived as
