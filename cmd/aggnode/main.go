@@ -17,10 +17,10 @@
 //
 // Every process runs the sharded runtime. With -local N > 1 one process
 // hosts N nodes on it: -workers sets the parallel pool size (default
-// one per core), -batch the message coalescing window. This is the
-// shape that scales a single process to 10⁵+ protocol participants:
+// one per core). This is the shape that scales a single process to
+// 10⁵+ protocol participants:
 //
-//	aggnode -local 10000 -workers 4 -batch 2ms \
+//	aggnode -local 10000 -workers 4 \
 //	        -listen 127.0.0.1:7001 -peers otherhost:7001
 //
 // Observability: -ops ADDR starts the operational HTTP endpoint
@@ -30,8 +30,8 @@
 // package repro/serve and cmd/aggload), -trace N
 // samples every N-th exchange per shard into a trace ring printed with
 // each report, and the periodic report itself includes completion
-// percentage, the observed convergence factor ρ̂, steal counts and
-// per-worker balance:
+// percentage, the observed convergence factor ρ̂ and per-worker
+// balance:
 //
 //	aggnode -local 100000 -listen 127.0.0.1:7001 \
 //	        -ops 127.0.0.1:9090 -trace 1000
@@ -69,7 +69,6 @@ func run() error {
 	report := flag.Duration("report", 2*time.Second, "interval between printed estimates")
 	local := flag.Int("local", 1, "number of nodes hosted by this process")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "parallel worker pool size (at most one worker per two nodes; 1 for a single node)")
-	batch := flag.Duration("batch", 0, "message coalescing window (0: flush every scheduler round)")
 	ops := flag.String("ops", "", "ops HTTP listen address serving /metrics, /healthz, /varz and /debug/pprof/ (empty disables)")
 	trace := flag.Int("trace", 0, "record every n-th exchange per shard into the trace ring; each report prints the most recent records (0 disables)")
 	flag.Parse()
@@ -97,9 +96,6 @@ func run() error {
 	if *workers > 0 {
 		opts = append(opts, repro.WithWorkers(*workers))
 	}
-	if *batch > 0 {
-		opts = append(opts, repro.WithBatchWindow(*batch))
-	}
 	if *ops != "" {
 		opts = append(opts, repro.WithOps(*ops))
 	}
@@ -118,8 +114,8 @@ func run() error {
 	}
 
 	probe := sys.Nodes()[0]
-	fmt.Printf("aggnode hosting %d node(s) on %d worker(s), first endpoint %s (value %g, Δt %v, batch window %v)\n",
-		sys.Size(), sys.Workers(), probe.Addr(), *value, *cycle, *batch)
+	fmt.Printf("aggnode hosting %d node(s) on %d worker(s), first endpoint %s (value %g, Δt %v)\n",
+		sys.Size(), sys.Workers(), probe.Addr(), *value, *cycle)
 	if addr := sys.OpsAddr(); addr != "" {
 		fmt.Printf("ops endpoint on http://%s (/metrics /healthz /varz /debug/pprof/ /v1/)\n", addr)
 	}
@@ -144,10 +140,10 @@ func run() error {
 			rate := float64(s.Initiated-lastInitiated) / now.Sub(lastReport).Seconds()
 			lastInitiated, lastReport = s.Initiated, now
 			perWorker := rate / float64(sys.Workers())
-			fmt.Printf("epoch=%d avg=%.4f min=%.4f max=%.4f exchanges=%d/%d (%s) rate=%.0f/s (%.0f/s/worker) rho=%s timeouts=%d busy=%d steals=%d balance=%s\n",
+			fmt.Printf("epoch=%d avg=%.4f min=%.4f max=%.4f exchanges=%d/%d (%s) rate=%.0f/s (%.0f/s/worker) rho=%s timeouts=%d busy=%d balance=%s\n",
 				probe.Epoch(), summary.Mean, summary.Min, summary.Max,
 				s.Replies, s.Initiated, percent(tel.Completion), rate, perWorker,
-				rho(tel.Rho), s.Timeouts, s.PeerBusy, tel.Steals,
+				rho(tel.Rho), s.Timeouts, s.PeerBusy,
 				balance(tel.ShardInitiated))
 			if *trace > 0 {
 				for _, r := range sys.Trace(3) {

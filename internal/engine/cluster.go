@@ -79,17 +79,12 @@ type ClusterConfig struct {
 	Mode RuntimeMode
 	// Workers is the worker/shard count (default GOMAXPROCS).
 	Workers int
-	// BatchWindow bounds message coalescing delay (0 flushes once per
-	// scheduler round).
-	BatchWindow time.Duration
 	// Seed makes the cluster deterministic-ish (scheduling still varies).
 	Seed uint64
 	// Metrics, when non-nil, registers the runtime's instrumentation.
 	Metrics *metrics.Registry
-	// TraceSample/TraceRing configure exchange tracing; see
-	// RuntimeConfig.
+	// TraceSample configures exchange tracing; see RuntimeConfig.
 	TraceSample int
-	TraceRing   int
 }
 
 // Cluster is a Runtime over an in-memory fabric, plus the variance
@@ -120,11 +115,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		Samplers:     cfg.Samplers,
 		GossipFanout: cfg.GossipFanout,
 		Workers:      cfg.Workers,
-		BatchWindow:  cfg.BatchWindow,
 		Seed:         cfg.Seed,
 		Metrics:      cfg.Metrics,
 		TraceSample:  cfg.TraceSample,
-		TraceRing:    cfg.TraceRing,
 	})
 	if err != nil {
 		return nil, err

@@ -241,7 +241,7 @@ func awaitTCPReady(t *testing.T, epA, epB transport.Endpoint) {
 		deadline := time.Now().Add(10 * time.Second)
 		msg := transport.Message{Kind: transport.KindNack, Seq: ^uint64(0)}
 		for {
-			err := from.Send(to.Addr(), msg)
+			err := from.SendBatch(to.Addr(), []transport.Message{msg})
 			if err == nil {
 				select {
 				case m := <-to.Inbox():

@@ -156,9 +156,8 @@ func runEquivCase(t *testing.T, tc equivCase, workers int, seed uint64) []float6
 // same aggregate within tolerance — the contract that lets callers pick
 // any worker count without revalidating the protocol. The runtime runs
 // twice: workers=1 (one shard, fully serialized) and workers=4
-// (parallel shard workers, cross-shard exchanges through mailboxes,
-// work stealing armed), so the fixed point is pinned independent of
-// GOMAXPROCS. The -race CI
+// (parallel shard workers, cross-shard exchanges fused or through
+// mailboxes), so the fixed point is pinned independent of GOMAXPROCS. The -race CI
 // job runs this test too, which exercises the parallel shards under
 // the race detector.
 func TestCrossRuntimeEquivalence(t *testing.T) {

@@ -9,9 +9,9 @@ import "sync"
 // ownership"):
 //
 //   - A sender draws a buffer from its pool, fills it and hands it to
-//     transport.Endpoint.Send (usually via a Batcher). From that moment
-//     the buffer belongs to the transport and, after delivery, to the
-//     receiver; the sender must not touch it again.
+//     the shard's transport.Batcher. From that moment the buffer
+//     belongs to the transport and, after delivery, to the receiver;
+//     the sender must not touch it again.
 //   - A receiver owns every Message.Fields it reads from an Inbox. It
 //     may mutate the buffer (Schema.MergeExchange turns an inbound push
 //     buffer into the outbound reply buffer in place) and must either

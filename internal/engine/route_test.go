@@ -300,7 +300,7 @@ func TestRouteWirePushWithoutSender(t *testing.T) {
 	}
 	defer conn.Close()
 	push := transport.Message{Kind: transport.KindPush, Seq: 1, To: rt.Addr(1), Fields: []float64{0.5}}
-	frame, err := push.AppendBinary(make([]byte, 4))
+	frame, err := transport.AppendBatch(make([]byte, 4), []transport.Message{push})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,16 +78,10 @@ type RuntimeConfig struct {
 	// Workers is the worker/shard count (default GOMAXPROCS, clamped so
 	// every shard owns at least two nodes).
 	Workers int
-	// BatchWindow bounds how long a coalesced message may wait before
-	// the batcher flushes on its own. 0 (the default) flushes once per
-	// scheduler round — lowest latency, still batch-framed.
-	BatchWindow time.Duration
-	// MaxBatch caps messages per batch frame (default 256).
-	MaxBatch int
 	// Seed makes node randomness reproducible.
 	Seed uint64
 	// Metrics, when non-nil, registers the runtime's instrumentation
-	// (per-shard exchange counters, rounds, steals, inbox depth, shard
+	// (per-shard exchange counters, rounds, inbox depth, shard
 	// lag, pool and batcher traffic) as scrape-time readers over the
 	// counters the runtime already maintains — attaching a registry
 	// adds no work to the exchange hot path.
@@ -98,9 +92,6 @@ type RuntimeConfig struct {
 	// not a division. 0 — the default — disables tracing; the hot path
 	// then pays one predictable branch.
 	TraceSample int
-	// TraceRing is the per-shard ring capacity (default 256 when
-	// sampling is enabled).
-	TraceRing int
 }
 
 // withDefaults validates and fills defaults.
@@ -150,9 +141,6 @@ func (c RuntimeConfig) withDefaults() (RuntimeConfig, error) {
 			c.Workers = max(c.Size/2, 1)
 		}
 	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 256
-	}
 	if c.TraceSample < 0 {
 		c.TraceSample = 0
 	}
@@ -161,9 +149,6 @@ func (c RuntimeConfig) withDefaults() (RuntimeConfig, error) {
 		// runs twice per exchange, and a mask is ~an order of magnitude
 		// cheaper than a 64-bit division on common hardware.
 		c.TraceSample = nextPow2(c.TraceSample)
-		if c.TraceRing <= 0 {
-			c.TraceRing = 256
-		}
 	}
 	return c, nil
 }
@@ -199,7 +184,6 @@ type Runtime struct {
 	stopOnce   sync.Once
 	started    atomic.Bool
 	stopped    atomic.Bool
-	steals     atomic.Uint64 // rounds run by a non-owner worker
 
 	// failedNodes mirrors the number of currently-failed (crashed,
 	// not-yet-revived) hosted nodes for lock-free scraping; maintained
@@ -398,9 +382,9 @@ type shardCounters struct {
 // batcher for everything that travels the transport.
 //
 // Everything under mu is owned by whichever goroutine holds the round
-// lock — normally the shard's own worker, occasionally a sibling
-// stealing a round (see Runtime.trySteal) or fusing one exchange with a
-// node of this shard (see fuse), or an observer. A sibling worker takes
+// lock — normally the shard's own worker, occasionally a sibling fusing
+// one exchange with a node of this shard (see fuse), or an observer.
+// Only the owner ever runs the shard's rounds. A sibling worker takes
 // it only with TryLock, never Lock, so no worker ever waits on a second
 // shard while holding its own, and no lock-order deadlock can form. The
 // lock is taken once per scheduler round, not per message, so the hot
@@ -501,9 +485,9 @@ type rshard struct {
 	}
 
 	// nextDue is the float64 bit pattern of the shard's earliest
-	// scheduled timer (+Inf when none is), published at
-	// the end of every round so idle siblings can spot a shard that has
-	// fallen behind schedule without touching its lock.
+	// scheduled timer (+Inf when none is), published at the end of
+	// every round so the lag gauge can read how far behind schedule the
+	// shard is without touching its lock.
 	nextDue atomic.Uint64
 
 	failMu   sync.Mutex
@@ -513,7 +497,7 @@ type rshard struct {
 }
 
 // publishNextDue records the shard's earliest pending event time for
-// the benefit of would-be stealers.
+// the lag gauge.
 func (s *rshard) publishNextDue(at float64) { s.nextDue.Store(math.Float64bits(at)) }
 
 // loadNextDue returns the shard's last published earliest event time.
@@ -603,14 +587,10 @@ func NewRuntime(cfg RuntimeConfig) (*Runtime, error) {
 		s.mail.limit = cap(endpoints[w].Inbox())
 		s.mail.notify = make(chan struct{}, 1)
 		if cfg.TraceSample > 0 {
-			s.trace.recs = make([]TraceRecord, cfg.TraceRing)
+			s.trace.recs = make([]TraceRecord, traceRingSize)
 			s.traceEvery = uint64(cfg.TraceSample)
 		}
-		s.out = transport.NewBatcher(endpoints[w],
-			transport.WithBatchWindow(cfg.BatchWindow),
-			transport.WithMaxBatch(cfg.MaxBatch),
-			transport.WithSendErrorHandler(s.noteFailures),
-		)
+		s.out = transport.NewBatcher(endpoints[w], transport.WithSendErrorHandler(s.noteFailures))
 		for i := lo; i < hi; i++ {
 			rt.addrs[i] = transport.SubAddr(endpoints[w].Addr(), i)
 		}
@@ -663,8 +643,6 @@ func (rt *Runtime) registerMetrics(reg *metrics.Registry) {
 		func() float64 { return float64(rt.failedNodes.Load()) })
 	reg.GaugeFunc("repro_adversary_nodes", "Hosted nodes currently acting as Byzantine adversaries.",
 		func() float64 { return float64(rt.advNodes.Load()) })
-	reg.CounterFunc("repro_engine_rounds_stolen_total",
-		"Scheduler rounds run by a non-owner worker.", rt.steals.Load)
 	for _, s := range rt.shards {
 		s := s
 		lbl := metrics.Label{Key: "shard", Value: strconv.Itoa(s.id)}
@@ -1274,8 +1252,7 @@ const sleepFloorDivisor = 1000
 // run is the worker loop: run one scheduler round (drain inbound
 // messages, fire due events — one lock acquisition for the whole
 // round), flush coalesced sends, then sleep until the next deadline or
-// message. An idle worker first offers a round of help to the most
-// behind sibling shard (work stealing) before sleeping.
+// message.
 func (s *rshard) run() {
 	defer close(s.done)
 	timer := time.NewTimer(time.Hour)
@@ -1290,13 +1267,8 @@ func (s *rshard) run() {
 		if !ok {
 			return
 		}
-		// With no batch window, everything generated this round leaves
-		// as batch frames now; with one, the batcher's own timer (or
-		// the size cap) flushes, trading up to BatchWindow of latency
-		// for coalescing across scheduler rounds.
-		if s.rt.cfg.BatchWindow == 0 {
-			s.out.Flush()
-		}
+		// Everything generated this round leaves as batch frames now.
+		s.out.Flush()
 		if sleep <= 0 {
 			// Behind schedule: keep processing without sleeping, but
 			// yield so inbound deliveries and other workers progress.
@@ -1307,11 +1279,7 @@ func (s *rshard) run() {
 			}
 			continue
 		}
-		// Idle until the next deadline. Spend the slack helping a shard
-		// that has fallen behind schedule, if there is one.
-		if s.rt.trySteal(s.id) {
-			continue
-		}
+		// Idle until the next deadline.
 		timer.Reset(max(sleep, floor))
 		select {
 		case <-s.rt.stop:
@@ -1447,64 +1415,6 @@ func (s *rshard) touch(i int32) uint64 {
 	row := s.state(li)
 	return s.nodes[li].pendingSeq + math.Float64bits(row[0]) + math.Float64bits(row[len(row)-1])
 }
-
-// stealLagFraction is how far behind schedule (as a fraction of the
-// cycle length Δt) a shard's earliest event must be before an idle
-// sibling steals a round for it. Small enough that help arrives well
-// within a cycle, large enough that ordinary scheduling jitter never
-// triggers cross-shard lock traffic.
-const stealLagFraction = 0.25
-
-// trySteal lets an idle worker run one scheduler round for the most
-// behind sibling shard. Shard state stays single-writer per round: the
-// stealer takes the victim's round lock (TryLock — if the owner is
-// mid-round, help isn't needed), so owner and stealer alternate whole
-// rounds rather than interleaving. The win is for skewed load (e.g.
-// scalefree hubs concentrated in one shard): an otherwise idle core
-// runs the hub shard's rounds and flushes its batches while the owner
-// is descheduled or busy flushing. Reports whether a round was stolen.
-func (rt *Runtime) trySteal(self int) bool {
-	if len(rt.shards) < 2 {
-		return false
-	}
-	now := rt.now()
-	worst := stealLagFraction * rt.cfg.CycleLength.Seconds()
-	var victim *rshard
-	for _, s := range rt.shards {
-		if s.id == self {
-			continue
-		}
-		if behind := now - s.loadNextDue(); behind > worst {
-			worst, victim = behind, s
-		}
-	}
-	if victim == nil {
-		return false
-	}
-	return victim.stealRound()
-}
-
-// stealRound runs one round on s from a non-owner goroutine.
-func (s *rshard) stealRound() bool {
-	if !s.mu.TryLock() {
-		return false
-	}
-	s.applyFailuresLocked()
-	_, ok := s.roundLocked(s.ep.Inbox())
-	s.mu.Unlock()
-	if !ok {
-		return false // inbox closed; the owner handles shutdown
-	}
-	s.rt.steals.Add(1)
-	if s.rt.cfg.BatchWindow == 0 {
-		s.out.Flush()
-	}
-	return true
-}
-
-// Steals reports how many scheduler rounds were run by a worker other
-// than the shard's owner (work stealing under skewed load).
-func (rt *Runtime) Steals() uint64 { return rt.steals.Load() }
 
 // handleDeadline reaps the exchange whose reply deadline d fell due —
 // unless it already resolved, which leaves d a dead entry that costs one
@@ -1717,7 +1627,7 @@ func (s *rshard) initiate(li int, now float64, peer int32) {
 // this same hold of the round lock anyway (drainLocal), or a sibling,
 // whose round lock fuse takes only with TryLock, never Lock: a worker
 // never waits on a second shard while holding its own, so no lock-order
-// deadlock can form between workers, stealers and observers. A held
+// deadlock can form between workers and observers. A held
 // sibling lock declines the exchange, and so does every condition under
 // which the letters do more than merge and count — the initiator's
 // checked before any lock is taken, the partner's under both locks. A

@@ -169,8 +169,7 @@ func TestHeapClusterSummarySchemaConverges(t *testing.T) {
 		Value:        func(i int) float64 { return float64(i%4) + 1 },
 		CycleLength:  2 * time.Millisecond,
 		ReplyTimeout: 200 * time.Millisecond,
-		Workers:      3,                // exercise cross-shard exchanges
-		BatchWindow:  time.Millisecond, // and timer-driven batch flushing
+		Workers:      3, // exercise cross-shard exchanges
 		Seed:         2,
 		InitState: func(i int) func(uint64, float64) core.State {
 			return func(_ uint64, value float64) core.State {
@@ -368,56 +367,6 @@ func TestHeapRuntimesBootstrapAcrossProcesses(t *testing.T) {
 	}
 }
 
-// TestTryStealRunsBehindShard pins the work-stealing mechanics without
-// relying on scheduler timing: a runtime is built but not started, one
-// shard's calendar is stocked with wakes that are a full second overdue,
-// and a sibling's trySteal must find it behind, take its round lock,
-// fire those events and advance its published deadline. A shard that
-// is on schedule must not be stolen from.
-func TestTryStealRunsBehindShard(t *testing.T) {
-	rt, err := NewRuntime(RuntimeConfig{
-		Size:        8,
-		Schema:      core.AverageSchema(),
-		CycleLength: 10 * time.Millisecond,
-		Workers:     2,
-		Seed:        7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Stop()
-	victim, helper := rt.shards[0], rt.shards[1]
-
-	// On schedule (next events at +Inf): nothing to steal.
-	rt.epochStart = time.Now()
-	victim.publishNextDue(math.Inf(1))
-	helper.publishNextDue(math.Inf(1))
-	if rt.trySteal(helper.id) {
-		t.Fatal("stole a round from a shard that is on schedule")
-	}
-
-	// A second behind schedule: the helper must run the victim's round.
-	rt.epochStart = time.Now().Add(-time.Second)
-	victim.mu.Lock()
-	for i := victim.lo; i < victim.hi; i++ {
-		victim.wakes.push(wake{at: 0, node: int32(i)})
-	}
-	victim.publishNextDue(0)
-	victim.mu.Unlock()
-	if !rt.trySteal(helper.id) {
-		t.Fatal("idle worker did not steal a round from the behind shard")
-	}
-	if got := rt.Steals(); got != 1 {
-		t.Fatalf("Steals() = %d after one stolen round, want 1", got)
-	}
-	if agg := rt.Stats(); agg.Initiated == 0 {
-		t.Fatal("the stolen round fired no due wakes")
-	}
-	if due := victim.loadNextDue(); due == 0 {
-		t.Fatal("the stolen round did not advance the victim's published deadline")
-	}
-}
-
 // hubSampler drives a deliberately skewed workload: with probability
 // 0.9 every push is aimed at one of the first hub sub-addresses (all
 // owned by shard 0), otherwise at a uniform peer — the scalefree-hub
@@ -451,15 +400,15 @@ func (h *hubSampler) AppendDigest(addrs []string, ages []uint32, _ *xrand.Rand, 
 func (h *hubSampler) Tick()         {}
 func (h *hubSampler) Forget(string) {}
 
-// TestRuntimeSkewedLoadStealRace hammers the cross-shard path under
-// hub skew: four parallel shard workers, 90% of all pushes aimed at
-// shard 0's four hub nodes, saturating Δt — the regime work stealing
-// exists for — while two observer goroutines spin on the lock-free
-// Stats fold and the shard-locked ReduceField. The assertions are
-// progress and mass conservation; under the race CI job's -race run
-// this doubles as the data-race gate for round stealing, batcher
-// handoff at shard boundaries and the atomic stats counters.
-func TestRuntimeSkewedLoadStealRace(t *testing.T) {
+// TestRuntimeSkewedLoadRace hammers the cross-shard path under hub
+// skew: four parallel shard workers, 90% of all pushes aimed at shard
+// 0's four hub nodes, saturating Δt, while two observer goroutines spin
+// on the lock-free Stats fold and the shard-locked ReduceField. The
+// assertions are progress and mass conservation; under the race CI
+// job's -race run this doubles as the data-race gate for cross-shard
+// fusing, mailbox handoff at shard boundaries and the atomic stats
+// counters.
+func TestRuntimeSkewedLoadRace(t *testing.T) {
 	const size, workers = 64, 4
 	rt, err := NewRuntime(RuntimeConfig{
 		Size:         size,
@@ -512,8 +461,8 @@ func TestRuntimeSkewedLoadStealRace(t *testing.T) {
 	if mean := run.Mean(); math.Abs(mean-0.5) > 0.15 {
 		t.Fatalf("mean drifted to %g under skewed load, want ≈ 0.5", mean)
 	}
-	t.Logf("skewed run: %d initiated, %d served, %d busy-nacked, %d rounds stolen",
-		agg.Initiated, agg.Served, agg.BusyDropped, rt.Steals())
+	t.Logf("skewed run: %d initiated, %d served, %d busy-nacked",
+		agg.Initiated, agg.Served, agg.BusyDropped)
 }
 
 // sustainedResult summarizes one sustained-throughput harness run.

@@ -63,6 +63,9 @@ func (r TraceRecord) String() string {
 		r.Seq, r.Src, r.Shard, dst, r.Outcome, r.Latency()*1e3)
 }
 
+// traceRingSize is each shard's trace ring capacity when sampling is on.
+const traceRingSize = 256
+
 // traceRing is a shard's fixed-size ring of sampled exchange records,
 // guarded by the shard's round lock. With sampling off the ring is nil
 // and the hot path pays a single predictable branch.
@@ -131,7 +134,7 @@ func (rt *Runtime) Trace(max int) []TraceRecord {
 	if rt.cfg.TraceSample <= 0 {
 		return nil
 	}
-	out := make([]TraceRecord, 0, len(rt.shards)*rt.cfg.TraceRing)
+	out := make([]TraceRecord, 0, len(rt.shards)*traceRingSize)
 	for _, s := range rt.shards {
 		s.mu.Lock()
 		out = s.trace.snapshotInto(out)

@@ -23,7 +23,6 @@ func TestTraceRingSamplesExchanges(t *testing.T) {
 		Workers:     2,
 		Seed:        7,
 		TraceSample: 4,
-		TraceRing:   64,
 	})
 	if err != nil {
 		t.Fatal(err)

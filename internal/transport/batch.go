@@ -5,25 +5,25 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // batchMarker is the first byte of a multi-message container frame. It is
 // deliberately outside the Kind range so a batch frame can never be
 // mistaken for a single message (UnmarshalBinary rejects it as an unknown
-// kind, and readers check IsBatchFrame first).
+// kind), nor a single message for a batch (UnmarshalBatchInto rejects any
+// other first byte).
 const batchMarker byte = 0x7F
 
 // maxBatchCount bounds what a malformed batch frame can make us allocate.
 const maxBatchCount = 1 << 14
 
-// BatchSender is implemented by endpoints that can deliver several
+// BatchSender is an endpoint's one send method: it delivers several
 // messages to one destination in a single operation — one framed packet
-// over TCP, one routing-table lookup on the in-memory fabric. The Batcher
-// uses it when available and falls back to message-at-a-time Send
-// otherwise. Delivery order within the batch must be preserved. The
-// callee must not retain ms (the slice) after returning; it may retain
-// the messages' Fields/Gossip, whose ownership travels with the message.
+// over TCP, one routing-table lookup on the in-memory fabric. A single
+// message travels as a batch of one. Delivery order within the batch
+// must be preserved. The callee must not retain ms (the slice) after
+// returning; it may retain the messages' Fields/Gossip, whose ownership
+// travels with the message.
 type BatchSender interface {
 	SendBatch(to string, ms []Message) error
 }
@@ -78,7 +78,7 @@ func UnmarshalBatchInto(b []byte, scratch []Message) ([]Message, error) {
 		return scratch[:0], fmt.Errorf("%w: not a batch frame", ErrMalformedMessage)
 	}
 	count := int(r.u16())
-	if count == 0 || count > maxBatchCount {
+	if count == 0 || count > maxBatchCount || 4*count > r.left() {
 		return scratch[:0], fmt.Errorf("%w: batch count %d", ErrMalformedMessage, count)
 	}
 	out := scratch[:0]
@@ -113,9 +113,6 @@ func UnmarshalBatch(b []byte) ([]Message, error) {
 	return ms, nil
 }
 
-// IsBatchFrame reports whether a wire frame is a multi-message container.
-func IsBatchFrame(b []byte) bool { return len(b) > 0 && b[0] == batchMarker }
-
 // u64from32 reads a big-endian u32 as an int-sized value.
 func (r *reader) u64from32() uint32 {
 	b := r.bytes(4)
@@ -128,22 +125,8 @@ func (r *reader) u64from32() uint32 {
 // BatcherOption configures a Batcher.
 type BatcherOption func(*Batcher)
 
-// WithBatchWindow bounds how long an enqueued message may wait before an
-// automatic flush (0, the default, disables the timer: the owner flushes
-// explicitly, e.g. once per scheduler round).
-func WithBatchWindow(d time.Duration) BatcherOption {
-	return func(b *Batcher) { b.window = d }
-}
-
-// WithMaxBatch caps per-destination queue length; reaching it flushes
-// immediately (default 64).
-func WithMaxBatch(n int) BatcherOption {
-	return func(b *Batcher) {
-		if n > 0 {
-			b.maxBatch = n
-		}
-	}
-}
+// maxBatch caps a destination's queue; reaching it flushes inline.
+const maxBatch = 256
 
 // WithSendErrorHandler installs a callback invoked for each destination
 // whose flush failed (dead peer, closed endpoint), with the undelivered
@@ -163,23 +146,19 @@ type destQueue struct {
 }
 
 // Batcher coalesces same-destination messages in front of an Endpoint:
-// Send enqueues, and a later Flush (explicit, size-triggered or
-// window-timed) delivers each destination's queue as one batch. It
-// guarantees that under any interleaving of Send and Flush calls every
-// accepted message is handed to the underlying endpoint exactly once and
-// that per-destination order is preserved. Batcher itself implements
-// Endpoint, so it can be dropped in front of any transport.
+// Send enqueues, and a later Flush (explicit or size-triggered) delivers
+// each destination's queue as one batch. It guarantees that under any
+// interleaving of Send and Flush calls every accepted message is handed
+// to the underlying endpoint exactly once and that per-destination order
+// is preserved.
 //
 // All queue storage — the destination index, the per-destination
 // message slices and the flush scratch — is recycled across flush
 // cycles, so a Batcher in steady state allocates nothing per message or
 // per flush.
 type Batcher struct {
-	ep       Endpoint
-	bs       BatchSender // non-nil when ep supports batch delivery
-	window   time.Duration
-	maxBatch int
-	onErr    func(to string, ms []Message, err error)
+	ep    Endpoint
+	onErr func(to string, ms []Message, err error)
 
 	// mu guards the queues; flushMu serializes deliveries so concurrent
 	// flushes cannot reorder one destination's batches.
@@ -188,7 +167,6 @@ type Batcher struct {
 	batches []destQueue    // pending queues in first-enqueue order
 	spare   [][]Message    // cleared message slices, ready for reuse
 	pending int
-	timer   *time.Timer
 	closed  bool
 
 	flushMu  sync.Mutex
@@ -202,37 +180,20 @@ type Batcher struct {
 	failures atomic.Uint64
 }
 
-var _ Endpoint = (*Batcher)(nil)
-
 // NewBatcher wraps an endpoint with a coalescing send queue.
 func NewBatcher(ep Endpoint, opts ...BatcherOption) *Batcher {
-	b := &Batcher{
-		ep:       ep,
-		maxBatch: 64,
-		index:    make(map[string]int),
-	}
-	if bs, ok := ep.(BatchSender); ok {
-		b.bs = bs
-	}
+	b := &Batcher{ep: ep, index: make(map[string]int)}
 	for _, opt := range opts {
 		opt(b)
 	}
 	return b
 }
 
-// Addr implements Endpoint.
-func (b *Batcher) Addr() string { return b.ep.Addr() }
-
-// Inbox implements Endpoint.
-func (b *Batcher) Inbox() <-chan Message { return b.ep.Inbox() }
-
-// Send implements Endpoint: it enqueues the message for its destination.
-// Messages are coalesced per base endpoint address, so sub-addressed
-// nodes multiplexed behind one endpoint ("ep#0", "ep#1", …) share a
-// batch; each message's own To keeps the full destination for receiver
-// demultiplexing. A queue reaching the batch-size cap is flushed inline;
-// with a batch window configured, the first message into an empty
-// batcher arms a timer that flushes everything when the window closes.
+// Send enqueues the message for its destination. Messages are coalesced
+// per base endpoint address, so sub-addressed nodes multiplexed behind
+// one endpoint ("ep#0", "ep#1", …) share a batch; each message's own To
+// keeps the full destination for receiver demultiplexing. A queue
+// reaching the batch-size cap is flushed inline.
 //
 // Ownership of m.Fields and m.Gossip passes to the Batcher (and onward
 // to the endpoint and receiver); the caller must not reuse them after
@@ -259,10 +220,7 @@ func (b *Batcher) Send(to string, m Message) error {
 	}
 	b.batches[qi].ms = append(b.batches[qi].ms, m)
 	b.pending++
-	full := len(b.batches[qi].ms) >= b.maxBatch
-	if b.window > 0 && b.timer == nil && !full {
-		b.timer = time.AfterFunc(b.window, func() { b.Flush() })
-	}
+	full := len(b.batches[qi].ms) >= maxBatch
 	b.mu.Unlock()
 	if full {
 		b.Flush()
@@ -286,10 +244,6 @@ func (b *Batcher) Flush() {
 	b.batches, b.flushing = b.flushing[:0], b.batches
 	clear(b.index)
 	b.pending = 0
-	if b.timer != nil {
-		b.timer.Stop()
-		b.timer = nil
-	}
 	b.mu.Unlock()
 
 	for i := range b.flushing {
@@ -312,24 +266,13 @@ func (b *Batcher) Flush() {
 
 // deliver hands one base destination's queue to the endpoint.
 func (b *Batcher) deliver(to string, ms []Message) {
-	var err error
-	undelivered := ms
-	if b.bs != nil {
-		err = b.bs.SendBatch(to, ms)
-	} else {
-		for i := range ms {
-			if err = b.ep.Send(ms[i].To, ms[i]); err != nil {
-				undelivered = ms[i:]
-				break
-			}
-		}
-	}
+	err := b.ep.SendBatch(to, ms)
 	b.frames.Add(1)
 	b.messages.Add(uint64(len(ms)))
 	if err != nil {
-		b.failures.Add(uint64(len(undelivered)))
+		b.failures.Add(uint64(len(ms)))
 		if b.onErr != nil {
-			b.onErr(to, undelivered, err)
+			b.onErr(to, ms, err)
 		}
 	}
 }
@@ -351,8 +294,8 @@ func (b *Batcher) Pending() int {
 	return b.pending
 }
 
-// Close implements Endpoint: it flushes the queues, rejects further
-// sends and closes the underlying endpoint. Idempotent.
+// Close flushes the queues, rejects further sends and closes the
+// underlying endpoint. Idempotent.
 func (b *Batcher) Close() error {
 	b.mu.Lock()
 	if b.closed {
@@ -360,10 +303,6 @@ func (b *Batcher) Close() error {
 		return nil
 	}
 	b.closed = true
-	if b.timer != nil {
-		b.timer.Stop()
-		b.timer = nil
-	}
 	b.mu.Unlock()
 	b.Flush()
 	return b.ep.Close()

@@ -22,8 +22,8 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !IsBatchFrame(buf) {
-		t.Fatal("batch frame not recognized")
+	if buf[0] != batchMarker {
+		t.Fatalf("batch frame starts with %#x, want the batch marker", buf[0])
 	}
 	out, err := UnmarshalBatch(buf)
 	if err != nil {
@@ -68,15 +68,13 @@ func TestBatchCodecRejectsMalformed(t *testing.T) {
 }
 
 // recordingEndpoint captures every delivered message in arrival order,
-// optionally via SendBatch, for the exactly-once/ordering properties.
+// for the exactly-once/ordering properties.
 type recordingEndpoint struct {
 	mu       sync.Mutex
 	byDest   map[string][]Message
 	batches  int
 	maxBatch int
 }
-
-type recordingBatchEndpoint struct{ *recordingEndpoint }
 
 func newRecordingEndpoint() *recordingEndpoint {
 	return &recordingEndpoint{byDest: make(map[string][]Message)}
@@ -85,14 +83,7 @@ func newRecordingEndpoint() *recordingEndpoint {
 func (r *recordingEndpoint) Addr() string          { return "rec" }
 func (r *recordingEndpoint) Inbox() <-chan Message { return nil }
 func (r *recordingEndpoint) Close() error          { return nil }
-func (r *recordingEndpoint) Send(to string, m Message) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.byDest[to] = append(r.byDest[to], m)
-	return nil
-}
-
-func (r *recordingBatchEndpoint) SendBatch(to string, ms []Message) error {
+func (r *recordingEndpoint) SendBatch(to string, ms []Message) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.byDest[to] = append(r.byDest[to], ms...)
@@ -104,25 +95,18 @@ func (r *recordingBatchEndpoint) SendBatch(to string, ms []Message) error {
 }
 
 // TestBatcherExactlyOnceInOrderQuick is the batching layer's core
-// property: under a randomized interleaving of enqueues and flushes,
-// with randomized batch windows and size caps, every message is
-// delivered exactly once and per-destination order is preserved.
+// property: under a randomized interleaving of enqueues, explicit
+// flushes and size-cap flushes, every message is delivered exactly once
+// and per-destination order is preserved.
 func TestBatcherExactlyOnceInOrderQuick(t *testing.T) {
-	check := func(seed uint64, useBatch bool, windowMs uint8, maxBatch uint8) bool {
+	check := func(seed uint64, flushPct uint8) bool {
 		rng := xrand.New(seed)
 		rec := newRecordingEndpoint()
-		var ep Endpoint = rec
-		if useBatch {
-			ep = &recordingBatchEndpoint{rec}
-		}
-		opts := []BatcherOption{WithMaxBatch(int(maxBatch%32) + 1)}
-		if windowMs > 0 {
-			opts = append(opts, WithBatchWindow(time.Duration(windowMs%4)*time.Millisecond))
-		}
-		b := NewBatcher(ep, opts...)
+		b := NewBatcher(rec)
+		flushP := float64(flushPct%20) / 100 // 0: only the cap and the hammer flush
 
 		dests := []string{"d0", "d1", "d2#7", "d2#9"}
-		const total = 200
+		total := 3*maxBatch + 1
 		var wg sync.WaitGroup
 		// Concurrent flusher hammering the batcher mid-enqueue.
 		stop := make(chan struct{})
@@ -144,7 +128,7 @@ func TestBatcherExactlyOnceInOrderQuick(t *testing.T) {
 				t.Errorf("send %d: %v", i, err)
 				return false
 			}
-			if rng.Bool(0.1) {
+			if rng.Bool(flushP) {
 				b.Flush()
 			}
 		}
@@ -193,8 +177,8 @@ func TestBatcherExactlyOnceInOrderQuick(t *testing.T) {
 }
 
 func TestBatcherCoalescesIntoBatchFrames(t *testing.T) {
-	rec := &recordingBatchEndpoint{newRecordingEndpoint()}
-	b := NewBatcher(rec, WithMaxBatch(1000))
+	rec := newRecordingEndpoint()
+	b := NewBatcher(rec)
 	for i := 0; i < 10; i++ {
 		// Two sub-addresses of one endpoint share a batch.
 		if err := b.Send(fmt.Sprintf("ep#%d", i%2), Message{Kind: KindPush, Seq: uint64(i)}); err != nil {
@@ -221,9 +205,12 @@ func TestBatcherCoalescesIntoBatchFrames(t *testing.T) {
 }
 
 func TestBatcherMaxBatchFlushesInline(t *testing.T) {
-	rec := &recordingBatchEndpoint{newRecordingEndpoint()}
-	b := NewBatcher(rec, WithMaxBatch(4))
-	for i := 0; i < 4; i++ {
+	rec := newRecordingEndpoint()
+	b := NewBatcher(rec)
+	for i := 0; i < maxBatch; i++ {
+		if got := b.Pending(); got != i {
+			t.Fatalf("pending %d before message %d, want %d", got, i, i)
+		}
 		if err := b.Send("x", Message{Seq: uint64(i)}); err != nil {
 			t.Fatal(err)
 		}
@@ -233,23 +220,8 @@ func TestBatcherMaxBatchFlushesInline(t *testing.T) {
 	}
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	if len(rec.byDest["x"]) != 4 {
-		t.Fatalf("delivered %d, want 4", len(rec.byDest["x"]))
-	}
-}
-
-func TestBatcherWindowFlushes(t *testing.T) {
-	rec := &recordingBatchEndpoint{newRecordingEndpoint()}
-	b := NewBatcher(rec, WithBatchWindow(5*time.Millisecond))
-	if err := b.Send("x", Message{Seq: 1}); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for b.Pending() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("window flush never fired")
-		}
-		time.Sleep(time.Millisecond)
+	if len(rec.byDest["x"]) != maxBatch || rec.batches != 1 {
+		t.Fatalf("delivered %d in %d batches, want %d in one", len(rec.byDest["x"]), rec.batches, maxBatch)
 	}
 }
 
@@ -296,10 +268,9 @@ func TestBatcherCloseRejectsSends(t *testing.T) {
 // measurements see only the Batcher's own work.
 type discardBatchEndpoint struct{ batches, messages int }
 
-func (d *discardBatchEndpoint) Addr() string               { return "discard" }
-func (d *discardBatchEndpoint) Inbox() <-chan Message      { return nil }
-func (d *discardBatchEndpoint) Close() error               { return nil }
-func (d *discardBatchEndpoint) Send(string, Message) error { return nil }
+func (d *discardBatchEndpoint) Addr() string          { return "discard" }
+func (d *discardBatchEndpoint) Inbox() <-chan Message { return nil }
+func (d *discardBatchEndpoint) Close() error          { return nil }
 func (d *discardBatchEndpoint) SendBatch(to string, ms []Message) error {
 	d.batches++
 	d.messages += len(ms)
@@ -312,7 +283,7 @@ func (d *discardBatchEndpoint) SendBatch(to string, ms []Message) error {
 // nothing — the map is cleared in place and every slice is recycled.
 func TestBatcherSteadyStateAllocs(t *testing.T) {
 	d := &discardBatchEndpoint{}
-	b := NewBatcher(d, WithMaxBatch(1024))
+	b := NewBatcher(d)
 	dests := []string{"a#0", "a#1", "b#7", "c#2"}
 	cycle := func() {
 		for i, to := range dests {

@@ -148,46 +148,13 @@ func (f *Fabric) Endpoints() []string {
 	return out
 }
 
-// deliver routes one message, applying filter, loss and latency. It
-// returns ErrPeerUnreachable when the destination does not exist (so the
-// caller can treat it like a timeout), and nil when the message was
-// dropped by the loss model — real networks don't report drops either.
-func (f *Fabric) deliver(from, to string, m Message) error {
-	f.mu.Lock()
-	if f.filter != nil && !f.filter(from, to) {
-		f.mu.Unlock()
-		f.lossDropped.Add(1)
-		return nil
-	}
-	if f.dropProb > 0 && f.rng.Bool(f.dropProb) {
-		f.mu.Unlock()
-		f.lossDropped.Add(1)
-		return nil
-	}
-	dst, ok := f.lookup(to)
-	var delay time.Duration
-	if ok && (f.latBase > 0 || f.latJitter > 0) {
-		delay = f.latBase
-		if f.latJitter > 0 {
-			delay += time.Duration(f.rng.Float64() * float64(f.latJitter))
-		}
-	}
-	f.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrPeerUnreachable, to)
-	}
-	if delay > 0 {
-		time.AfterFunc(delay, func() { dst.enqueue(m) })
-		return nil
-	}
-	dst.enqueue(m)
-	return nil
-}
-
 // deliverBatch routes several messages to one destination, applying the
 // filter once and the loss model per message (batching must not change
 // loss semantics). All survivors share one drawn latency so the batch
-// arrives in order, like one framed packet on a real network.
+// arrives in order, like one framed packet on a real network. It
+// returns ErrPeerUnreachable when the destination does not exist (so
+// the caller can treat it like a timeout), and nil when messages were
+// dropped by the loss model — real networks don't report drops either.
 //
 // The slice ms is never retained past the call (BatchSender contract:
 // callers recycle it), but the messages themselves — including their
@@ -283,36 +250,16 @@ type memEndpoint struct {
 	inbox  chan Message
 }
 
-var (
-	_ Endpoint    = (*memEndpoint)(nil)
-	_ BatchSender = (*memEndpoint)(nil)
-)
+var _ Endpoint = (*memEndpoint)(nil)
 
 // Addr implements Endpoint.
 func (e *memEndpoint) Addr() string { return e.addr }
 
-// Send implements Endpoint. From is stamped with the endpoint address
+// SendBatch implements Endpoint: one routing decision, per-message
+// loss, in-order delivery. From is stamped with the endpoint address
 // unless the caller already set a finer-grained sub-address (multiplexed
 // runtimes address individual nodes behind one endpoint); To records the
 // caller's destination so such runtimes can demultiplex.
-func (e *memEndpoint) Send(to string, m Message) error {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return ErrClosed
-	}
-	e.mu.Unlock()
-	if m.From == "" {
-		m.From = e.addr
-	}
-	if m.To == "" {
-		m.To = to
-	}
-	return e.fabric.deliver(e.addr, to, m)
-}
-
-// SendBatch implements BatchSender: one routing decision, per-message
-// loss, in-order delivery.
 func (e *memEndpoint) SendBatch(to string, ms []Message) error {
 	e.mu.Lock()
 	if e.closed {
@@ -334,24 +281,11 @@ func (e *memEndpoint) SendBatch(to string, ms []Message) error {
 // Inbox implements Endpoint.
 func (e *memEndpoint) Inbox() <-chan Message { return e.inbox }
 
-// enqueue appends to the inbox, dropping when full or closed.
-func (e *memEndpoint) enqueue(m Message) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return
-	}
-	select {
-	case e.inbox <- m:
-	default: // inbox overflow: drop, like a saturated socket buffer
-		e.fabric.inboxDropped.Add(1)
-	}
-}
-
 // enqueueAll appends a whole batch under one lock acquisition — the
 // receiving endpoint's cost of a cross-shard batch frame is one mutex
-// round-trip, not one per message. Per-message drop semantics (full
-// inbox, closed endpoint) are identical to enqueue.
+// round-trip, not one per message. A message finding the inbox full is
+// dropped, like on a saturated socket buffer; a closed endpoint drops
+// the whole batch.
 func (e *memEndpoint) enqueueAll(ms []Message) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

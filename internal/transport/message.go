@@ -194,8 +194,10 @@ func (m *Message) UnmarshalBinary(b []byte) error {
 		return fmt.Errorf("%w: to length %d", ErrMalformedMessage, toLen)
 	}
 	m.To = string(r.bytes(toLen))
+	// Every count is checked against the bytes left before anything is
+	// sized by it, so a decode allocates in proportion to its input.
 	nf := int(r.u16())
-	if nf > maxFields {
+	if nf > maxFields || 8*nf > r.left() {
 		return fmt.Errorf("%w: field count %d", ErrMalformedMessage, nf)
 	}
 	m.Fields = m.Fields[:0]
@@ -203,7 +205,7 @@ func (m *Message) UnmarshalBinary(b []byte) error {
 		m.Fields = append(m.Fields, math.Float64frombits(r.u64()))
 	}
 	ng := int(r.u16())
-	if ng > maxGossip {
+	if ng > maxGossip || 3*ng > r.left() {
 		return fmt.Errorf("%w: gossip count %d", ErrMalformedMessage, ng)
 	}
 	m.Gossip = m.Gossip[:0]
@@ -245,6 +247,9 @@ func (r *reader) bytes(n int) []byte {
 	r.pos += n
 	return out
 }
+
+// left returns how many bytes remain unread.
+func (r *reader) left() int { return len(r.buf) - r.pos }
 
 func (r *reader) u8() uint8 {
 	b := r.bytes(1)
@@ -289,14 +294,14 @@ func SubAddr(addr string, node int) string {
 }
 
 // Endpoint is one node's attachment to a transport: an address, a way to
-// send to other addresses and an inbox of received messages. The inbox
-// channel is closed when the endpoint is closed.
+// send batches to other addresses and an inbox of received messages.
+// The inbox channel is closed when the endpoint is closed.
 type Endpoint interface {
 	// Addr returns the endpoint's routable address.
 	Addr() string
-	// Send delivers (or drops, per the transport's loss model) a message
-	// to the given address. Send never blocks on the receiver.
-	Send(to string, m Message) error
+	// SendBatch delivers (or drops, per the transport's loss model) the
+	// messages to the given address. It never blocks on the receiver.
+	BatchSender
 	// Inbox returns the channel of received messages.
 	Inbox() <-chan Message
 	// Close releases the endpoint and closes the inbox.

@@ -66,10 +66,7 @@ type tcpConn struct {
 	armed time.Time
 }
 
-var (
-	_ Endpoint    = (*TCPEndpoint)(nil)
-	_ BatchSender = (*TCPEndpoint)(nil)
-)
+var _ Endpoint = (*TCPEndpoint)(nil)
 
 // NewTCPEndpoint listens on the given address ("127.0.0.1:0" for an
 // ephemeral loopback port) and starts accepting peers.
@@ -99,32 +96,16 @@ func (e *TCPEndpoint) Addr() string { return e.addr }
 // Inbox implements Endpoint.
 func (e *TCPEndpoint) Inbox() <-chan Message { return e.inbox }
 
-// Send implements Endpoint. The first send to a destination dials and
-// caches the connection; send errors evict the cached connection so the
-// next attempt redials. Sub-addresses ("host:port#node") dial the base
-// host:port and share its connection; To carries the full destination so
-// a multiplexed receiver can demultiplex.
-func (e *TCPEndpoint) Send(to string, m Message) error {
-	if m.From == "" {
-		m.From = e.Addr()
-	}
-	if m.To == "" {
-		m.To = to
-	}
-	conn, err := e.conn(to)
-	if err != nil {
-		return e.connErr(to, err)
-	}
-	conn.wmu.Lock()
-	buf, encErr := m.AppendBinary(append(conn.enc[:0], 0, 0, 0, 0))
-	return e.writeFramed(to, conn, buf, encErr)
-}
-
-// SendBatch implements BatchSender: the whole batch travels as one
-// framed multi-message packet, amortizing the header, the connection
-// lookup, the encode buffer and the kernel write across every coalesced
-// message. The slice ms is not retained past the call; the messages are
-// serialized, so the caller keeps ownership of their buffers.
+// SendBatch implements Endpoint: the whole batch travels as one framed
+// multi-message packet, amortizing the header, the connection lookup,
+// the encode buffer and the kernel write across every coalesced
+// message. The first send to a destination dials and caches the
+// connection; send errors evict the cached connection so the next
+// attempt redials. Sub-addresses ("host:port#node") dial the base
+// host:port and share its connection; each message's To carries the
+// full destination so a multiplexed receiver can demultiplex. The slice
+// ms is not retained past the call; the messages are serialized, so the
+// caller keeps ownership of their buffers.
 func (e *TCPEndpoint) SendBatch(to string, ms []Message) error {
 	for i := range ms {
 		if ms[i].From == "" {
@@ -258,6 +239,9 @@ func (e *TCPEndpoint) acceptLoop() {
 }
 
 // readLoop decodes frames from one inbound connection into the inbox.
+// Every frame must be a batch frame; anything else — a bad length, a
+// single-message frame, an undecodable batch — is a protocol violation
+// and drops the connection.
 func (e *TCPEndpoint) readLoop(conn net.Conn) {
 	defer e.wg.Done()
 	defer func() {
@@ -271,8 +255,8 @@ func (e *TCPEndpoint) readLoop(conn net.Conn) {
 	// a body larger than the buffer is still read straight into rbuf.
 	br := bufio.NewReaderSize(conn, 16<<10)
 	var hdr [4]byte
-	var rbuf []byte            // reusable frame read buffer (strings/fields are copied out by the decoder)
-	var scratch, one []Message // reusable decode targets
+	var rbuf []byte       // reusable frame read buffer (strings/fields are copied out by the decoder)
+	var scratch []Message // reusable decode target
 	for {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			return
@@ -289,23 +273,11 @@ func (e *TCPEndpoint) readLoop(conn net.Conn) {
 			return
 		}
 		e.bytesRecv.Add(uint64(size + 4))
-		var ms []Message
-		if IsBatchFrame(frame) {
-			batch, err := UnmarshalBatchInto(frame, scratch)
-			if err != nil {
-				return
-			}
-			ms, scratch = batch, batch
-		} else {
-			if one == nil {
-				one = make([]Message, 1)
-			}
-			one[0] = Message{}
-			if err := one[0].UnmarshalBinary(frame); err != nil {
-				return
-			}
-			ms = one[:1]
+		ms, err := UnmarshalBatchInto(frame, scratch)
+		if err != nil {
+			return
 		}
+		scratch = ms
 		if e.closed.Load() {
 			return
 		}

@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"math"
+	"net"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -164,7 +165,7 @@ func TestFabricDelivery(t *testing.T) {
 	a, b := f.NewEndpoint(), f.NewEndpoint()
 	defer a.Close()
 	defer b.Close()
-	if err := a.Send(b.Addr(), Message{Kind: KindPush, Seq: 1}); err != nil {
+	if err := a.SendBatch(b.Addr(), []Message{{Kind: KindPush, Seq: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -181,7 +182,7 @@ func TestFabricUnknownDestination(t *testing.T) {
 	f := NewFabric()
 	a := f.NewEndpoint()
 	defer a.Close()
-	if err := a.Send("mem-999", Message{Kind: KindPush}); !errors.Is(err, ErrPeerUnreachable) {
+	if err := a.SendBatch("mem-999", []Message{{Kind: KindPush}}); !errors.Is(err, ErrPeerUnreachable) {
 		t.Fatalf("err = %v, want ErrPeerUnreachable", err)
 	}
 }
@@ -192,7 +193,7 @@ func TestFabricDropProbability(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	for i := 0; i < 50; i++ {
-		if err := a.Send(b.Addr(), Message{Kind: KindPush}); err != nil {
+		if err := a.SendBatch(b.Addr(), []Message{{Kind: KindPush}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -209,7 +210,7 @@ func TestFabricFilterPartition(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	f.SetFilter(func(from, to string) bool { return false })
-	if err := a.Send(b.Addr(), Message{Kind: KindPush}); err != nil {
+	if err := a.SendBatch(b.Addr(), []Message{{Kind: KindPush}}); err != nil {
 		t.Fatal(err) // filtered drops are silent, like the network
 	}
 	select {
@@ -218,7 +219,7 @@ func TestFabricFilterPartition(t *testing.T) {
 	case <-time.After(50 * time.Millisecond):
 	}
 	f.SetFilter(nil) // heal
-	if err := a.Send(b.Addr(), Message{Kind: KindPush, Seq: 9}); err != nil {
+	if err := a.SendBatch(b.Addr(), []Message{{Kind: KindPush, Seq: 9}}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -237,7 +238,7 @@ func TestFabricLatency(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	start := time.Now()
-	if err := a.Send(b.Addr(), Message{Kind: KindPush}); err != nil {
+	if err := a.SendBatch(b.Addr(), []Message{{Kind: KindPush}}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -262,13 +263,13 @@ func TestFabricCloseIsIdempotentAndDetaches(t *testing.T) {
 	if _, open := <-b.Inbox(); open {
 		t.Fatal("inbox not closed")
 	}
-	if err := a.Send(b.Addr(), Message{Kind: KindPush}); !errors.Is(err, ErrPeerUnreachable) {
+	if err := a.SendBatch(b.Addr(), []Message{{Kind: KindPush}}); !errors.Is(err, ErrPeerUnreachable) {
 		t.Fatalf("send to closed endpoint: %v", err)
 	}
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Send("anywhere", Message{}); !errors.Is(err, ErrClosed) {
+	if err := a.SendBatch("anywhere", []Message{{}}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("send from closed endpoint: %v", err)
 	}
 }
@@ -290,7 +291,7 @@ func TestFabricInboxOverflowDrops(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	for i := 0; i < 10; i++ {
-		if err := a.Send(b.Addr(), Message{Kind: KindPush, Seq: uint64(i)}); err != nil {
+		if err := a.SendBatch(b.Addr(), []Message{{Kind: KindPush, Seq: uint64(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -323,7 +324,7 @@ func TestTCPRoundTrip(t *testing.T) {
 
 	in := sampleMessage()
 	in.From = "" // a plain endpoint stamps its own address
-	if err := a.Send(b.Addr(), in); err != nil {
+	if err := a.SendBatch(b.Addr(), []Message{in}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -344,7 +345,7 @@ func TestTCPRoundTrip(t *testing.T) {
 	// A caller-set From (a multiplexed node's sub-address) is preserved,
 	// and a sub-addressed destination rides the same base connection.
 	sub := Message{Kind: KindPush, Seq: 8, From: a.Addr() + "#3"}
-	if err := a.Send(b.Addr()+"#5", sub); err != nil {
+	if err := a.SendBatch(b.Addr()+"#5", []Message{sub}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -369,13 +370,13 @@ func TestTCPBidirectional(t *testing.T) {
 	}
 	defer b.Close()
 
-	if err := a.Send(b.Addr(), Message{Kind: KindPush, Seq: 1}); err != nil {
+	if err := a.SendBatch(b.Addr(), []Message{{Kind: KindPush, Seq: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case m := <-b.Inbox():
 		// Reply to the advertised listen address, as the protocol does.
-		if err := b.Send(m.From, Message{Kind: KindReply, Seq: m.Seq}); err != nil {
+		if err := b.SendBatch(m.From, []Message{{Kind: KindReply, Seq: m.Seq}}); err != nil {
 			t.Fatal(err)
 		}
 	case <-time.After(2 * time.Second):
@@ -406,7 +407,7 @@ func TestTCPSendToDeadPeer(t *testing.T) {
 	if err := tmp.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Send(dead, Message{Kind: KindPush}); !errors.Is(err, ErrPeerUnreachable) {
+	if err := a.SendBatch(dead, []Message{{Kind: KindPush}}); !errors.Is(err, ErrPeerUnreachable) {
 		t.Fatalf("err = %v, want ErrPeerUnreachable", err)
 	}
 }
@@ -425,7 +426,7 @@ func TestTCPCloseIdempotent(t *testing.T) {
 	if _, open := <-a.Inbox(); open {
 		t.Fatal("inbox not closed")
 	}
-	if err := a.Send("127.0.0.1:1", Message{}); !errors.Is(err, ErrClosed) {
+	if err := a.SendBatch("127.0.0.1:1", []Message{{}}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("send after close: %v", err)
 	}
 }
@@ -453,7 +454,7 @@ func TestFabricConcurrentSenders(t *testing.T) {
 			defer func() { done <- struct{}{} }()
 			defer src.Close()
 			for i := 0; i < perSender; i++ {
-				if err := src.Send(dst.Addr(), Message{Kind: KindPush, Seq: uint64(i)}); err != nil {
+				if err := src.SendBatch(dst.Addr(), []Message{{Kind: KindPush, Seq: uint64(i)}}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -493,7 +494,7 @@ func TestTCPLargeMessage(t *testing.T) {
 	for i := range fields {
 		fields[i] = float64(i) * 0.5
 	}
-	if err := a.Send(b.Addr(), Message{Kind: KindPush, Seq: 1, Fields: fields}); err != nil {
+	if err := a.SendBatch(b.Addr(), []Message{{Kind: KindPush, Seq: 1, Fields: fields}}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -503,5 +504,61 @@ func TestTCPLargeMessage(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("large message not delivered")
+	}
+}
+
+// TestTCPReaderRejectsSingleMessageFrame: every endpoint sends batch
+// frames, so a well-formed single-message frame is a protocol
+// violation. A batch frame on the same connection is delivered first;
+// the single-message frame after it closes the connection and delivers
+// nothing.
+func TestTCPReaderRejectsSingleMessageFrame(t *testing.T) {
+	e, err := NewTCPEndpoint("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	m := sampleMessage()
+	batch, err := AppendBatch(nil, []Message{m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := m.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", e.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(framed(batch)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case got := <-e.Inbox():
+		if got.Seq != m.Seq || got.From != m.From {
+			t.Fatalf("batch frame delivered %+v, want %+v", got, m)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("batch frame not delivered")
+	}
+	if _, err := conn.Write(framed(single)); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	_, err = conn.Read(make([]byte, 1))
+	if ne, ok := err.(net.Error); err == nil || ok && ne.Timeout() {
+		t.Fatalf("connection still open after a single-message frame (read: %v)", err)
+	}
+	select {
+	case got := <-e.Inbox():
+		t.Fatalf("single-message frame delivered %+v", got)
+	default:
+	}
+	if want := uint64(len(batch) + len(single) + 8); e.BytesReceived() != want {
+		t.Fatalf("reader took %d bytes, want both frames' %d", e.BytesReceived(), want)
 	}
 }

@@ -186,8 +186,6 @@ func (tel Telemetry) AppendJSON(buf []byte) []byte {
 	buf = strconv.AppendInt(buf, int64(tel.AdversaryNodes), 10)
 	buf = append(buf, `,"robust_rejected":`...)
 	buf = strconv.AppendUint(buf, tel.RobustRejected, 10)
-	buf = append(buf, `,"steals":`...)
-	buf = strconv.AppendUint(buf, tel.Steals, 10)
 	buf = append(buf, `,"exchanges_initiated":`...)
 	buf = strconv.AppendUint(buf, tel.Stats.Initiated, 10)
 	buf = append(buf, `,"exchanges_completed":`...)

@@ -67,7 +67,6 @@ type sysConfig struct {
 	timeout   time.Duration
 	wait      engine.WaitPolicy
 	workers   int
-	batch     time.Duration
 	seed      uint64
 	epochLen  time.Duration
 	pushOnly  bool
@@ -92,22 +91,6 @@ type sysConfig struct {
 	// reg is threaded through to the engine layers; assembled by Open,
 	// not an option.
 	reg *metrics.Registry
-}
-
-// replyTimeout resolves the reply deadline: the explicit option when
-// given, else zero (the engine's Δt/2 default) — plus, whenever a
-// batch window is configured, an allowance of four windows: a batched
-// push-pull round trip spends up to one window on the push and one on
-// the reply, and without the allowance window batching converts
-// latency into spurious timeouts.
-func (c sysConfig) replyTimeout() time.Duration {
-	if c.timeout > 0 {
-		return c.timeout
-	}
-	if c.batch > 0 {
-		return c.cycle/2 + 4*c.batch
-	}
-	return 0
 }
 
 // Option configures Open.
@@ -162,8 +145,7 @@ func WithCycleLength(d time.Duration) Option {
 	}
 }
 
-// WithReplyTimeout bounds the pull-reply wait (default Δt/2, plus a
-// batching allowance when WithBatchWindow is set).
+// WithReplyTimeout bounds the pull-reply wait (default Δt/2).
 func WithReplyTimeout(d time.Duration) Option {
 	return func(c *sysConfig) error {
 		c.timeout = d
@@ -193,15 +175,6 @@ func WithMode(m RuntimeMode) Option {
 func WithWorkers(n int) Option {
 	return func(c *sysConfig) error {
 		c.workers = n
-		return nil
-	}
-}
-
-// WithBatchWindow bounds message coalescing delay (0 flushes once per
-// scheduler round).
-func WithBatchWindow(d time.Duration) Option {
-	return func(c *sysConfig) error {
-		c.batch = d
 		return nil
 	}
 }
@@ -692,13 +665,12 @@ func openRuntime(cfg sysConfig, clock *epoch.Clock) (*engine.Runtime, error) {
 		Schema:       cfg.schema,
 		Value:        cfg.value,
 		CycleLength:  cfg.cycle,
-		ReplyTimeout: cfg.replyTimeout(),
+		ReplyTimeout: cfg.timeout,
 		Wait:         cfg.wait,
 		PushOnly:     cfg.pushOnly,
 		InitState:    cfg.initState,
 		Clock:        clock,
 		Workers:      cfg.workers,
-		BatchWindow:  cfg.batch,
 		Seed:         cfg.seed,
 		Metrics:      cfg.reg,
 		TraceSample:  cfg.trace,
@@ -753,13 +725,12 @@ func openTCPRuntime(cfg sysConfig, clock *epoch.Clock) (*engine.Runtime, error) 
 		Schema:       cfg.schema,
 		Value:        cfg.value,
 		CycleLength:  cfg.cycle,
-		ReplyTimeout: cfg.replyTimeout(),
+		ReplyTimeout: cfg.timeout,
 		Wait:         cfg.wait,
 		Endpoints:    endpoints,
 		PushOnly:     cfg.pushOnly,
 		InitState:    cfg.initState,
 		Clock:        clock,
-		BatchWindow:  cfg.batch,
 		Seed:         cfg.seed,
 		Metrics:      cfg.reg,
 		TraceSample:  cfg.trace,

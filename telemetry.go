@@ -65,10 +65,8 @@ type Telemetry struct {
 	// Replies/Initiated ∈ [0,1] (NaN before the first exchange).
 	Stats      NodeStats
 	Completion float64
-	// Steals counts scheduler rounds run by a non-owner worker;
 	// ShardInitiated is each shard's initiated-exchange counter, the
 	// per-worker balance view.
-	Steals         uint64
 	ShardInitiated []uint64
 	// ServeStreams is the service layer's live SSE stream count and
 	// ServeDropped its cumulative latest-wins drops summed over
@@ -272,7 +270,6 @@ func (s *System) buildTelemetry(seq int, at time.Time, nodes int,
 	} else {
 		tel.Completion = math.NaN()
 	}
-	tel.Steals = s.rt.Steals()
 	tel.ShardInitiated = s.rt.ShardInitiated()
 	if fn := s.serveStats.Load(); fn != nil {
 		tel.ServeStreams, tel.ServeDropped = (*fn)()
