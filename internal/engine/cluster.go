@@ -9,7 +9,6 @@ import (
 	"repro/internal/membership"
 	"repro/internal/metrics"
 	"repro/internal/stats"
-	"repro/internal/transport"
 )
 
 // RuntimeMode once selected how a cluster's nodes were scheduled.
@@ -38,8 +37,8 @@ func (m RuntimeMode) String() string {
 	}
 }
 
-// ClusterConfig assembles a local in-memory cluster of nodes sharing one
-// fabric — the quickest way to run the live protocol at laptop scale
+// ClusterConfig assembles a local in-memory cluster of nodes — the
+// quickest way to run the live protocol at laptop scale
 // (examples, integration tests, the quickstart). The fields mean what
 // the RuntimeConfig fields of the same names do.
 type ClusterConfig struct {
@@ -55,9 +54,6 @@ type ClusterConfig struct {
 	ReplyTimeout time.Duration
 	// Wait is the waiting-time policy (default ConstantWait).
 	Wait WaitPolicy
-	// Fabric carries the messages; nil builds a default lossless,
-	// zero-latency fabric.
-	Fabric *transport.Fabric
 	// PushOnly enables the push-only ablation on every node.
 	PushOnly bool
 	// InitState, when non-nil, overrides state initialization for node i
@@ -69,10 +65,6 @@ type ClusterConfig struct {
 	// Samplers, when non-nil, builds node i's membership sampler; nil
 	// runs the complete overlay (see RuntimeConfig.Samplers).
 	Samplers func(i int, self string, local []string) (membership.Sampler, error)
-	// GossipFanout is how many membership addresses to piggyback per
-	// message when a sampler observes traffic (default 3; negative
-	// disables).
-	GossipFanout int
 	// Mode is ignored.
 	//
 	// Deprecated: every cluster runs the sharded Runtime.
@@ -87,8 +79,8 @@ type ClusterConfig struct {
 	TraceSample int
 }
 
-// Cluster is a Runtime over an in-memory fabric, plus the variance
-// polls the examples and tests converge on.
+// Cluster is a Runtime plus the variance polls the examples and tests
+// converge on. NewCluster builds it in memory.
 type Cluster struct {
 	*Runtime
 }
@@ -108,12 +100,10 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		CycleLength:  cfg.CycleLength,
 		ReplyTimeout: cfg.ReplyTimeout,
 		Wait:         cfg.Wait,
-		Fabric:       cfg.Fabric,
 		PushOnly:     cfg.PushOnly,
 		InitState:    cfg.InitState,
 		Clock:        cfg.Clock,
 		Samplers:     cfg.Samplers,
-		GossipFanout: cfg.GossipFanout,
 		Workers:      cfg.Workers,
 		Seed:         cfg.Seed,
 		Metrics:      cfg.Metrics,

@@ -482,16 +482,16 @@ func TestLateReplyAbsorptionHeapRuntime(t *testing.T) {
 	// already committed its half of the merge, so the reaper
 	// (handleDeadline) records the seq and handleReply must still apply
 	// the transfer when the reply finally lands, putting both nodes
-	// exactly on the mean.
+	// exactly on the mean. The one worker's endpoint is on the fabric,
+	// so every message crosses it.
 	fabric := transport.NewFabric(transport.WithLatency(20*time.Millisecond, 0), transport.WithSeed(12))
-	c, err := NewCluster(ClusterConfig{
+	c, err := NewRuntime(RuntimeConfig{
 		Size:         2,
 		Schema:       core.AverageSchema(),
 		Value:        func(i int) float64 { return float64(10 + 10*i) },
 		CycleLength:  100 * time.Millisecond,
 		ReplyTimeout: 10 * time.Millisecond,
-		Fabric:       fabric,
-		Workers:      1,
+		Endpoints:    fabricEndpoints(fabric, 1),
 		Seed:         13,
 		Samplers: func(i int, self string, local []string) (membership.Sampler, error) {
 			if i == 1 {
@@ -539,7 +539,6 @@ func TestClusterGossipMembershipBothModes(t *testing.T) {
 			ReplyTimeout: 200 * time.Millisecond,
 			Workers:      2,
 			Seed:         21,
-			GossipFanout: 3,
 			Samplers: func(i int, self string, local []string) (membership.Sampler, error) {
 				return membership.NewGossipSampler(self, 8, []string{local[(i+1)%len(local)]})
 			},

@@ -9,22 +9,21 @@ import (
 	"repro/internal/core"
 	"repro/internal/epoch"
 	"repro/internal/stats"
-	"repro/internal/transport"
 )
 
 // equivCase is one scenario of the cross-runtime equivalence matrix:
 // every runtime variant (one shard, several parallel shards) executes it
-// over a deterministic in-memory fabric with fixed seeds, and must
+// in memory with fixed seeds, and must
 // converge to the analytic aggregate within tolerance. The variants
 // schedule work very differently (one serialized shard versus parallel
-// shards exchanging through mailboxes and batch frames), so the
+// shards fusing across shards or exchanging through mailboxes), so the
 // equivalence is on the protocol's fixed point — the aggregate every
 // node agrees on — not on trajectories.
 type equivCase struct {
 	name    string
 	size    int
 	field   string
-	dropP   float64 // fabric-level message loss
+	dropP   float64 // the loss stage's drop probability (SetLoss)
 	count   bool    // size estimation: leader indicator, field "size"
 	churn   bool    // one churn epoch: values change, clock restarts
 	want    float64
@@ -100,13 +99,6 @@ func runEquivCase(t *testing.T, tc equivCase, workers int, seed uint64) []float6
 			}
 		}
 	}
-	if tc.dropP > 0 {
-		cfg.Fabric = transport.NewFabric(
-			transport.WithDropProbability(tc.dropP),
-			transport.WithSeed(seed),
-			transport.WithInboxSize(1<<12),
-		)
-	}
 	if tc.churn {
 		clock, err := epoch.NewClock(time.Now(), 120*time.Millisecond)
 		if err != nil {
@@ -116,6 +108,9 @@ func runEquivCase(t *testing.T, tc equivCase, workers int, seed uint64) []float6
 	}
 	c, err := NewCluster(cfg)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetLoss(tc.dropP); err != nil {
 		t.Fatal(err)
 	}
 	c.Start(context.Background())

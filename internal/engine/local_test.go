@@ -285,20 +285,24 @@ func TestTCPRuntimeLocalFailAndRevive(t *testing.T) {
 // completes inside one lock hold, so every injection lands between two
 // whole exchanges: when the writers are done the estimates must carry
 // exactly the mass of the final values (convergence is not asked for —
-// gossip views mix slowly — conservation is).
+// gossip views mix slowly — conservation is). The writers keep injecting
+// past their quota, under a deadline, until an exchange has completed
+// beside them: the quota alone can run out before the first one does.
 func TestTCPRuntimeLocalInjectValueConservesMass(t *testing.T) {
 	const n, writers, writes = 64, 4, 400
 	rt, ep := newTCPRuntime(t, n, nil, func(c *RuntimeConfig) {
 		c.CycleLength = time.Millisecond
 	})
 	rt.Start(context.Background())
+	replies0 := rt.Stats().Replies
+	deadline := time.Now().Add(10 * time.Second)
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			rng := xrand.New(uint64(100 + w))
-			for i := 0; i < writes; i++ {
+			for i := 0; i < writes || rt.Stats().Replies == replies0 && time.Now().Before(deadline); i++ {
 				// Writers own disjoint node sets, so each node's final
 				// value is its writer's last write.
 				rt.InjectValue(w+writers*rng.Intn(n/writers), 0, float64(rng.Intn(1000)))

@@ -24,6 +24,19 @@ func memIndex(addr string) int {
 	return i
 }
 
+// newFabricCluster builds a cluster whose workers each own one endpoint
+// of fabric, so every message crosses it and the fabric's partition
+// filter and latency apply to all traffic.
+func newFabricCluster(t *testing.T, fabric *transport.Fabric, workers int, cfg RuntimeConfig) *Cluster {
+	t.Helper()
+	cfg.Endpoints = fabricEndpoints(fabric, workers)
+	rt, err := NewRuntime(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Cluster{rt}
+}
+
 func TestPartitionHeal(t *testing.T) {
 	// Split a cluster into two halves — its two shards, one fabric
 	// endpoint each — let each converge to its own average, then heal and
@@ -31,20 +44,17 @@ func TestPartitionHeal(t *testing.T) {
 	// failure-injection scenario the anti-entropy design exists to
 	// survive.
 	const size = 16
-	c, err := NewCluster(ClusterConfig{
+	fabric := transport.NewFabric()
+	c := newFabricCluster(t, fabric, 2, RuntimeConfig{
 		Size:         size,
 		Schema:       core.AverageSchema(),
 		Value:        func(i int) float64 { return float64(i) }, // global mean 7.5
 		CycleLength:  2 * time.Millisecond,
 		ReplyTimeout: 15 * time.Millisecond, // cross-cut sends must fail fast
-		Workers:      2,
 		Seed:         77,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	half := func(addr string) int { return memIndex(addr) % 2 } // split even/odd endpoints
-	c.Fabric().SetFilter(func(from, to string) bool {
+	fabric.SetFilter(func(from, to string) bool {
 		return half(from) == half(to)
 	})
 	c.Start(context.Background())
@@ -83,7 +93,7 @@ func TestPartitionHeal(t *testing.T) {
 
 	// Heal and verify global convergence to the average of the two
 	// halves' consensuses (mass was conserved inside each half).
-	c.Fabric().SetFilter(nil)
+	fabric.SetFilter(nil)
 	deadline = time.Now().Add(8 * time.Second)
 	for {
 		v, err := c.Variance("avg")
@@ -107,7 +117,8 @@ func TestPartitionHeal(t *testing.T) {
 func TestTotalPartitionThenHeal(t *testing.T) {
 	// Cut ALL traffic: estimates freeze, timeouts accumulate, and no
 	// goroutine leaks or panics occur; healing resumes convergence.
-	c, err := NewCluster(ClusterConfig{
+	fabric := transport.NewFabric()
+	c := newFabricCluster(t, fabric, 2, RuntimeConfig{
 		Size:         8,
 		Schema:       core.AverageSchema(),
 		Value:        func(i int) float64 { return float64(i) },
@@ -115,10 +126,7 @@ func TestTotalPartitionThenHeal(t *testing.T) {
 		ReplyTimeout: 10 * time.Millisecond,
 		Seed:         78,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Fabric().SetFilter(func(string, string) bool { return false })
+	fabric.SetFilter(func(string, string) bool { return false })
 	c.Start(context.Background())
 	defer c.Stop()
 
@@ -138,7 +146,7 @@ func TestTotalPartitionThenHeal(t *testing.T) {
 		t.Fatal("no timeouts recorded during blackout")
 	}
 
-	c.Fabric().SetFilter(nil)
+	fabric.SetFilter(nil)
 	if v, ok, _ := c.WaitConverged("avg", 1e-6, 8*time.Second); !ok {
 		t.Fatalf("did not converge after heal (variance %g)", v)
 	}
@@ -151,18 +159,14 @@ func TestFabricLatencyClusterStillConverges(t *testing.T) {
 		transport.WithLatency(time.Millisecond, 2*time.Millisecond),
 		transport.WithSeed(79),
 	)
-	c, err := NewCluster(ClusterConfig{
+	c := newFabricCluster(t, fabric, 2, RuntimeConfig{
 		Size:         10,
 		Schema:       core.AverageSchema(),
 		Value:        func(i int) float64 { return float64(i) },
 		CycleLength:  10 * time.Millisecond,
 		ReplyTimeout: 100 * time.Millisecond,
-		Fabric:       fabric,
 		Seed:         79,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	c.Start(context.Background())
 	defer c.Stop()
 	if v, ok, _ := c.WaitConverged("avg", 1e-5, 10*time.Second); !ok {

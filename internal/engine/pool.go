@@ -16,9 +16,11 @@ import "sync"
 //     may mutate the buffer (Schema.MergeExchange turns an inbound push
 //     buffer into the outbound reply buffer in place) and must either
 //     forward it in another message or return it with put.
-//   - A buffer handed to a lossy link (fabric drop, inbox overflow,
-//     dead TCP peer) is simply abandoned to the garbage collector; the
-//     pool tolerates leaks by construction.
+//   - A letter the loss stage drops (see rshard.send) returns its
+//     buffer with put, since the shard still owns it. A buffer handed to
+//     a lossy link (fabric drop, inbox overflow, dead TCP peer) is
+//     simply abandoned to the garbage collector; the pool tolerates
+//     leaks by construction.
 //
 // Buffers are fixed-length (the schema's field count). put drops
 // buffers of any other length, so frames from a foreign schema can

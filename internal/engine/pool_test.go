@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/transport"
 )
 
 // TestFieldsPoolLengthGuards: only buffers of the pool's schema length
@@ -57,9 +56,9 @@ func TestPoolBuffersNotObservedAfterPut(t *testing.T) {
 		t.Log("pooldebug build: poison-on-put diagnostics active")
 	}
 	// 30% loss produces reply timeouts (the reap path) alongside served
-	// pushes, busy-nacks and merged replies; Workers=1 concentrates all
-	// of it on one shard as the satellite prescribes.
-	fabric := transport.NewFabric(transport.WithDropProbability(0.3), transport.WithSeed(123))
+	// pushes, busy-nacks and merged replies, and recycles every dropped
+	// letter's buffer through the loss stage; Workers=1 concentrates all
+	// of it on one shard.
 	schema := core.SummarySchema()
 	c, err := NewCluster(ClusterConfig{
 		Size:         96,
@@ -67,11 +66,13 @@ func TestPoolBuffersNotObservedAfterPut(t *testing.T) {
 		Value:        func(i int) float64 { return float64(i % 7) },
 		CycleLength:  200 * time.Microsecond, // saturating: constant churn of buffers
 		ReplyTimeout: 2 * time.Millisecond,
-		Fabric:       fabric,
 		Workers:      1,
 		Seed:         99,
 	})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetLoss(0.3); err != nil {
 		t.Fatal(err)
 	}
 	c.Start(context.Background())
@@ -114,6 +115,15 @@ func TestPoolBuffersNotObservedAfterPut(t *testing.T) {
 
 	if st.Timeouts == 0 || st.Served == 0 || st.Replies == 0 {
 		t.Fatalf("hammer did not cover exchange/reply/reap: %+v", st)
+	}
+	// The buffer ledger balances at rest: the one shard got back every
+	// buffer it drew, each dropped letter's through the loss stage.
+	s := rt.shards[0]
+	s.mu.Lock()
+	draws, puts, drops := s.free.gets+s.free.misses, s.free.puts, s.ctr.lossDropped.Load()
+	s.mu.Unlock()
+	if drops == 0 || draws != puts {
+		t.Fatalf("%d buffers drawn, %d recycled (%d letters dropped): the loss stage leaked buffers", draws, puts, drops)
 	}
 	// Poison sweep: a use-after-put read would have merged NaN into some
 	// node's state (every aggregate propagates NaN).

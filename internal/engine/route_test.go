@@ -44,10 +44,22 @@ func scrapeSum(tb testing.TB, reg *metrics.Registry, family string) float64 {
 	return sum
 }
 
-// newFabricRuntime builds a two-worker runtime of n nodes over fabric
-// (nil: the runtime-owned lossless fabric) with 0/1 values, a metrics
-// registry and the implicit complete overlay; mut adjusts the config.
-func newFabricRuntime(tb testing.TB, n int, fabric *transport.Fabric, mut func(*RuntimeConfig)) (*Runtime, *metrics.Registry) {
+// fabricEndpoints attaches n endpoints to f: the Endpoints of a runtime
+// whose every message crosses the fabric, so its latency, loss and
+// partition models apply.
+func fabricEndpoints(f *transport.Fabric, n int) []transport.Endpoint {
+	eps := make([]transport.Endpoint, n)
+	for i := range eps {
+		eps[i] = f.NewEndpoint()
+	}
+	return eps
+}
+
+// newRouteRuntime builds a two-worker runtime of n nodes — in memory, or
+// over two endpoints of fabric when it is non-nil — with 0/1 values, a
+// metrics registry and the implicit complete overlay; mut adjusts the
+// config.
+func newRouteRuntime(tb testing.TB, n int, fabric *transport.Fabric, mut func(*RuntimeConfig)) (*Runtime, *metrics.Registry) {
 	tb.Helper()
 	reg := metrics.New()
 	cfg := RuntimeConfig{
@@ -56,10 +68,12 @@ func newFabricRuntime(tb testing.TB, n int, fabric *transport.Fabric, mut func(*
 		Value:        func(i int) float64 { return float64(i % 2) },
 		CycleLength:  2 * time.Millisecond,
 		ReplyTimeout: 100 * time.Millisecond,
-		Fabric:       fabric,
 		Workers:      2,
 		Seed:         17,
 		Metrics:      reg,
+	}
+	if fabric != nil {
+		cfg.Endpoints = fabricEndpoints(fabric, 2)
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -131,32 +145,42 @@ func TestRouteCompletePeerMatchesDirectory(t *testing.T) {
 	}
 }
 
-// TestRouteLosslessFabricStaysInProcess: on a lossless fabric every
-// message between hosted nodes stays in the process — same-shard ones
-// in-round, sibling-shard ones through the mailboxes — so both shards
-// deliver in-process, the batcher flushes no frame, and mass is
-// conserved.
+// TestRouteLosslessFabricStaysInProcess: an in-memory runtime has no
+// endpoint and no batcher — it registers no batcher series — and every
+// message between its nodes stays in the process: same-shard ones fused
+// or in-round, sibling-shard ones fused or through the mailboxes. Both
+// shards deliver in-process, and mass is conserved.
 func TestRouteLosslessFabricStaysInProcess(t *testing.T) {
-	rt, reg := newFabricRuntime(t, 256, nil, nil)
+	rt, reg := newRouteRuntime(t, 256, nil, nil)
 	rt.Start(context.Background())
 	awaitReplies(t, rt, 2000)
 	for _, s := range rt.shards {
 		if s.pub.localDelivered.Load() == 0 {
 			t.Errorf("shard %d delivered nothing in-process", s.id)
 		}
+		if s.inbox != nil || s.out != nil {
+			t.Errorf("shard %d of an in-memory runtime has an endpoint or a batcher", s.id)
+		}
 	}
 	if v := scrapeSum(t, reg, "repro_engine_local_delivered_total"); v == 0 {
-		t.Error("repro_engine_local_delivered_total = 0 on a lossless fabric")
+		t.Error("repro_engine_local_delivered_total = 0 in memory")
 	}
-	if v := scrapeSum(t, reg, "repro_transport_batch_frames_total"); v != 0 {
-		t.Errorf("repro_transport_batch_frames_total = %g, want 0: hosted traffic crossed the fabric", v)
+	for _, family := range []string{
+		"repro_transport_batch_frames_total",
+		"repro_transport_batch_messages_total",
+		"repro_transport_send_failures_total",
+	} {
+		if strings.Contains(string(reg.AppendPrometheus(nil)), family) {
+			t.Errorf("%s exposed by an in-memory runtime, which has no batcher", family)
+		}
 	}
 	awaitMean(t, rt, 0.5, 1e-9)
 }
 
-// TestRouteImpairedFabricTakesWire: a fabric with loss, latency or a
-// partition filter in force carries every message, so its models apply
-// to all of them — no in-process delivery at all, and frames flow.
+// TestRouteImpairedFabricTakesWire: a runtime built over explicit
+// fabric endpoints — with loss, latency or a partition filter in force
+// — sends every message across the fabric, so its models apply to all
+// of them: no in-process delivery at all, and frames flow.
 func TestRouteImpairedFabricTakesWire(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -175,7 +199,7 @@ func TestRouteImpairedFabricTakesWire(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rt, reg := newFabricRuntime(t, 256, tc.fabric(), nil)
+			rt, reg := newRouteRuntime(t, 256, tc.fabric(), nil)
 			rt.Start(context.Background())
 			awaitReplies(t, rt, 500)
 			if v := scrapeSum(t, reg, "repro_engine_local_delivered_total"); v != 0 {
@@ -188,68 +212,148 @@ func TestRouteImpairedFabricTakesWire(t *testing.T) {
 	}
 }
 
-// TestRouteSetDropProbabilityMidRun: switching a loss model on mid-run
-// moves hosted traffic back onto the fabric at once, and switching it
-// off moves it back in-process. The loss probability is positive but
-// far too small to drop anything in this run, so mass must be
-// conserved across both switches.
-func TestRouteSetDropProbabilityMidRun(t *testing.T) {
-	fabric := transport.NewFabric(transport.WithSeed(1))
-	rt, _ := newFabricRuntime(t, 256, fabric, nil)
-	frames := func() uint64 {
-		var t uint64
-		for _, s := range rt.shards {
-			t += s.out.FramesSent()
-		}
-		return t
+// fusedExchanges counts the exchanges the runtime's shards fused: each
+// initiation that drew no Fields buffer (only a lettered push draws one
+// on a run without adversaries). Read under each shard's round lock, so
+// the two counters agree.
+func fusedExchanges(rt *Runtime) uint64 {
+	var t uint64
+	for _, s := range rt.shards {
+		s.mu.Lock()
+		t += s.ctr.initiated.Load() - s.free.gets - s.free.misses
+		s.mu.Unlock()
 	}
+	return t
+}
+
+// lossDropped sums the shards' loss-stage drop counters.
+func lossDropped(rt *Runtime) uint64 {
+	var t uint64
+	for _, s := range rt.shards {
+		t += s.ctr.lossDropped.Load()
+	}
+	return t
+}
+
+// TestRouteSetLossMidRun: switching the loss stage on mid-run stops
+// every fused exchange at once — both messages of each exchange must
+// pass the stage, so they go by letter — and switching it off lets
+// them fuse again. The loss probability is positive but far too small
+// to drop anything in this run, so mass must be conserved across both
+// switches.
+func TestRouteSetLossMidRun(t *testing.T) {
+	rt, _ := newRouteRuntime(t, 256, nil, nil)
 	await := func(what string, cond func() bool) {
 		t.Helper()
 		deadline := time.Now().Add(10 * time.Second)
 		for !cond() {
 			if time.Now().After(deadline) {
-				t.Fatalf("%s: local=%d frames=%d stats %+v", what, localDelivered(rt), frames(), rt.Stats())
+				t.Fatalf("%s: local=%d fused=%d stats %+v", what, localDelivered(rt), fusedExchanges(rt), rt.Stats())
 			}
 			time.Sleep(2 * time.Millisecond)
 		}
 	}
 	rt.Start(context.Background())
-	await("lossless fabric never delivered in-process", func() bool { return localDelivered(rt) > 1000 })
-	if frames() != 0 {
-		t.Fatalf("%d frames on a lossless fabric", frames())
+	await("lossless run never fused", func() bool { return fusedExchanges(rt) > 1000 })
+
+	if err := rt.SetLoss(1e-12); err != nil {
+		t.Fatal(err)
+	}
+	// SetLoss has set every shard under its round lock: no exchange can
+	// fuse from here on, while letters keep flowing.
+	f0, l0 := fusedExchanges(rt), localDelivered(rt)
+	await("letters stopped while the loss stage was on", func() bool { return localDelivered(rt) > l0+1000 })
+	if f := fusedExchanges(rt); f != f0 {
+		t.Errorf("%d exchanges fused while the loss stage was on", f-f0)
 	}
 
-	fabric.SetDropProbability(1e-12)
-	f0 := frames()
-	await("a loss model in force sent no frame", func() bool { return frames() > f0+100 })
-	// Letters posted before the switch may still land; after that the
-	// in-process count must stand still while frames keep flowing.
-	time.Sleep(20 * time.Millisecond)
-	l0, f1 := localDelivered(rt), frames()
-	await("frames stopped on the impaired fabric", func() bool { return frames() > f1+100 })
-	if l := localDelivered(rt); l != l0 {
-		t.Errorf("%d in-process deliveries while a loss model was in force", l-l0)
+	if err := rt.SetLoss(0); err != nil {
+		t.Fatal(err)
 	}
-
-	fabric.SetDropProbability(0)
-	await("healed fabric never went back in-process", func() bool { return localDelivered(rt) > l0+1000 })
-	if d := fabric.LossDropped(); d != 0 {
-		t.Fatalf("the loss model dropped %d messages; the mass audit below needs none", d)
+	await("exchanges never fused again after SetLoss(0)", func() bool { return fusedExchanges(rt) > f0+1000 })
+	if d := lossDropped(rt); d != 0 {
+		t.Fatalf("the loss stage dropped %d messages; the mass audit below needs none", d)
 	}
 	awaitMean(t, rt, 0.5, 1e-9)
 }
 
+// TestLossStageDropsLetters: at p = 0.2 the loss stage drops each
+// in-process message independently with probability p — the dropped
+// share of the letters that reached it lies within 5σ (binomial) of p —
+// counts every drop in the in-memory loss series, turns dropped pushes
+// and replies into reply timeouts, and lets no exchange fuse, so both
+// messages of every exchange meet it.
+func TestLossStageDropsLetters(t *testing.T) {
+	const p = 0.2
+	rt, reg := newRouteRuntime(t, 256, nil, nil)
+	if err := rt.SetLoss(p); err != nil {
+		t.Fatal(err)
+	}
+	rt.Start(context.Background())
+	deadline := time.Now().Add(10 * time.Second)
+	for lossDropped(rt) < 2000 || rt.Stats().Timeouts == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("dropped %d, stats %+v", lossDropped(rt), rt.Stats())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	rt.Stop()
+
+	// At rest every letter that passed the stage was delivered, waits in
+	// a mailbox, or overflowed one.
+	var passed uint64
+	for _, s := range rt.shards {
+		s.mu.Lock()
+		passed += s.localDelivered + uint64(s.mail.depth.Load()) + s.mail.dropped.Load()
+		s.mu.Unlock()
+	}
+	dropped := lossDropped(rt)
+	n := float64(passed + dropped)
+	share, sigma := float64(dropped)/n, math.Sqrt(p*(1-p)/n)
+	t.Logf("dropped %d of %d letters (%.4f, σ %.4f)", dropped, passed+dropped, share, sigma)
+	if math.Abs(share-p) > 5*sigma {
+		t.Errorf("dropped share %.4f of %d letters, want %g ± 5σ (σ = %.4f)", share, passed+dropped, p, sigma)
+	}
+	if v := scrapeSum(t, reg, "repro_transport_fabric_loss_dropped_total"); v != float64(dropped) {
+		t.Errorf("repro_transport_fabric_loss_dropped_total = %g, want the stage's %d drops", v, dropped)
+	}
+	if f := fusedExchanges(rt); f != 0 {
+		t.Errorf("%d exchanges fused with the loss stage on", f)
+	}
+}
+
+// TestLossStageNeedsInMemoryRuntime: only an in-memory runtime has the
+// loss stage; behind explicit endpoints SetLoss is an error, and so is a
+// probability outside [0, 1] anywhere.
+func TestLossStageNeedsInMemoryRuntime(t *testing.T) {
+	wired, _ := newRouteRuntime(t, 16, transport.NewFabric(), nil)
+	if err := wired.SetLoss(0.1); err == nil {
+		t.Error("SetLoss accepted on a runtime built over explicit endpoints")
+	}
+	mem, _ := newRouteRuntime(t, 16, nil, nil)
+	for _, p := range []float64{-0.1, 1.5, math.NaN()} {
+		if err := mem.SetLoss(p); err == nil {
+			t.Errorf("SetLoss(%g) accepted", p)
+		}
+	}
+	for _, p := range []float64{0, 0.5, 1} {
+		if err := mem.SetLoss(p); err != nil {
+			t.Errorf("SetLoss(%g): %v", p, err)
+		}
+	}
+}
+
 // TestMailboxCapDropsWhenReceiverStalls: a shard that stops draining its
 // mailbox (its round lock is held here, as a descheduled or wedged
-// worker would) makes the mailbox stop at the receiving endpoint's
-// inbox capacity; the overflow is dropped and counted in the fabric's
-// inbox-drop series, the depth gauge reports the queued letters, and
-// once the shard runs again it drains the mailbox and keeps exchanging.
+// worker would) makes the mailbox stop at its cap; the overflow is
+// dropped and counted in the in-memory inbox-drop series, the depth
+// gauge reports the queued letters, and once the shard runs again it
+// drains the mailbox and keeps exchanging.
 func TestMailboxCapDropsWhenReceiverStalls(t *testing.T) {
 	const capacity = 64
-	fabric := transport.NewFabric(transport.WithSeed(1), transport.WithInboxSize(capacity))
-	rt, reg := newFabricRuntime(t, 1024, fabric, nil)
+	rt, reg := newRouteRuntime(t, 1024, nil, nil)
 	stalled := rt.shards[1]
+	stalled.mail.limit = capacity // before Start: no sender posts yet
 	rt.Start(context.Background())
 	awaitReplies(t, rt, 100)
 
@@ -284,6 +388,37 @@ func TestMailboxCapDropsWhenReceiverStalls(t *testing.T) {
 			t.Fatalf("released shard never drained its mailbox: depth %d", stalled.mail.depth.Load())
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestRouteUnhostedPeerInMemoryFails: an in-memory runtime has no wire,
+// so a sampled address that names none of its nodes is unreachable: the
+// send is charged as failed, at once, and the sampler forgets the peer.
+func TestRouteUnhostedPeerInMemoryFails(t *testing.T) {
+	const ghost = "mem-7#70"
+	samplers := make([]*membership.GossipSampler, 4)
+	rt, _ := newRouteRuntime(t, 4, nil, func(c *RuntimeConfig) {
+		c.Samplers = func(i int, self string, local []string) (membership.Sampler, error) {
+			g, err := membership.NewGossipSampler(self, 4, []string{ghost})
+			samplers[i] = g
+			return g, err
+		}
+	})
+	rt.Start(context.Background())
+	deadline := time.Now().Add(10 * time.Second)
+	for rt.Stats().SendErrors < 4 {
+		if time.Now().After(deadline) {
+			t.Fatalf("sends to an unhosted peer were not charged as failed: %+v", rt.Stats())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	rt.Stop()
+	for i, g := range samplers {
+		for _, a := range g.ViewAddrs() {
+			if a == ghost {
+				t.Errorf("node %d still holds the unreachable %s in its view", i, ghost)
+			}
+		}
 	}
 }
 

@@ -51,12 +51,10 @@ type RuntimeConfig struct {
 	ReplyTimeout time.Duration
 	// Wait is the waiting-time policy (default ConstantWait).
 	Wait WaitPolicy
-	// Fabric carries the messages when Endpoints is nil; nil builds a
-	// lossless fabric with deep per-worker inboxes.
-	Fabric *transport.Fabric
 	// Endpoints, when non-nil, supplies one pre-built endpoint per
-	// worker (e.g. TCP listeners for a deployable multi-node process)
-	// and overrides Fabric. len(Endpoints) fixes the worker count.
+	// worker (e.g. TCP listeners for a deployable multi-node process);
+	// len(Endpoints) fixes the worker count. Nil runs in memory, with no
+	// endpoint at all (see Runtime).
 	Endpoints []transport.Endpoint
 	// PushOnly enables the push-only ablation on every node.
 	PushOnly bool
@@ -72,9 +70,6 @@ type RuntimeConfig struct {
 	// its partner as one uniform index other than its own — the same
 	// draw membership.Directory makes, with no per-node sampler at all.
 	Samplers func(i int, self string, local []string) (membership.Sampler, error)
-	// GossipFanout is how many membership addresses to piggyback per
-	// message (default 3; negative disables; moot for the directory).
-	GossipFanout int
 	// Workers is the worker/shard count (default GOMAXPROCS, clamped so
 	// every shard owns at least two nodes).
 	Workers int
@@ -120,12 +115,6 @@ func (c RuntimeConfig) withDefaults() (RuntimeConfig, error) {
 	if c.Value == nil {
 		c.Value = func(int) float64 { return 0 }
 	}
-	if c.GossipFanout == 0 {
-		c.GossipFanout = 3
-	}
-	if c.GossipFanout < 0 {
-		c.GossipFanout = 0
-	}
 	if len(c.Endpoints) > 0 {
 		// Explicit endpoints fix the worker count; the caller already
 		// paid for the listeners, so only require one node per shard.
@@ -157,26 +146,28 @@ func (c RuntimeConfig) withDefaults() (RuntimeConfig, error) {
 // nodes. Each worker owns a contiguous shard of nodes and drives their
 // exchange wakes and reply deadlines from a per-shard calendar and ring
 // (sched.go). Inside the process a node is an integer index: a message
-// between two hosted nodes is handled in-round when both live in one
-// shard and posted to the sibling shard's mailbox otherwise. Only
-// traffic that leaves the process (or crosses an impaired fabric) is
-// addressed with "endpoint#index" sub-addresses and coalesced through a
+// between two hosted nodes is fused or handled in-round when both live
+// in one shard and posted to the sibling shard's mailbox otherwise.
+// Only traffic that leaves the process is addressed with
+// "endpoint#index" sub-addresses and coalesced through a
 // transport.Batcher onto one endpoint per worker (see DESIGN.md,
-// "Concurrency model & shard ownership"). Construct with NewRuntime,
+// "Concurrency model & shard ownership"). The routing shape is fixed
+// at construction: an in-memory runtime (no Endpoints) has no endpoint
+// or batcher and keeps every message in the process; behind TCP
+// endpoints only remote traffic takes the wire; behind any other
+// explicit endpoints every message does. Construct with NewRuntime,
 // then Start; Stop tears down the workers and endpoints.
 type Runtime struct {
 	cfg    RuntimeConfig
 	schema *core.Schema
-	fabric *transport.Fabric // nil when explicit endpoints were supplied
-	pool   *fieldsPool       // shared tier of the Fields buffer recycler
+	pool   *fieldsPool // shared tier of the Fields buffer recycler
 	shards []*rshard
 	addrs  []string // node i's sub-address, spelled out only at the transport
 	nodes  []*Node  // handles, one per hosted node
 
-	// sockets is set when every worker endpoint is a TCP listener: the
-	// network is real, so traffic between hosted nodes always stays in
-	// the process (see inProcess).
-	sockets bool
+	// letters is set when messages between hosted nodes stay in the
+	// process, fused or as letters: in memory and behind TCP endpoints.
+	letters bool
 
 	epochStart time.Time // reference point for the runtime clock
 	stop       chan struct{}
@@ -304,9 +295,9 @@ type letter struct {
 // gate condition asked for the letters — so it carries those pushes and
 // their answers. notify (one slot) is signalled only when the slice
 // goes from empty to non-empty, so a busy receiver is woken at most
-// once per drain, not once per message. The slice is capped at the
-// receiving endpoint's inbox capacity; overflow is dropped and counted,
-// exactly the UDP semantics of a full fabric inbox.
+// once per drain, not once per message. The slice is capped (limit,
+// mailboxCap at construction); overflow is dropped and counted, the UDP
+// semantics of a full socket buffer.
 type mailbox struct {
 	mu      sync.Mutex
 	msgs    []letter
@@ -315,6 +306,10 @@ type mailbox struct {
 	dropped atomic.Uint64
 	notify  chan struct{}
 }
+
+// mailboxCap is the letters a shard's mailbox holds before it drops: far
+// more than a paced round posts, and a bound on what a stalled shard piles up.
+const mailboxCap = 1 << 14
 
 // post appends ls (up to the cap) and wakes the owner if the mailbox
 // was empty. It does not retain ls.
@@ -373,13 +368,15 @@ type shardCounters struct {
 	busyDropped    atomic.Uint64
 	peerBusy       atomic.Uint64
 	robustRejected atomic.Uint64
-	_              [32]byte // pad 12×8 B of counters to two full cache lines
+	lossDropped    atomic.Uint64 // letters the loss stage dropped (see send)
+	_              [24]byte      // pad 13×8 B of counters to two full cache lines
 }
 
 // rshard is one worker's slice of the runtime: a contiguous node range,
 // a schedule (a wake calendar and a deadline ring), a mailbox for
-// in-process messages from sibling shards, and an endpoint with its
-// batcher for everything that travels the transport.
+// in-process messages from sibling shards, and — behind explicit
+// endpoints — an endpoint with its batcher for everything that travels
+// the transport.
 //
 // Everything under mu is owned by whichever goroutine holds the round
 // lock — normally the shard's own worker, occasionally a sibling fusing
@@ -393,8 +390,8 @@ type rshard struct {
 	rt     *Runtime
 	id     int
 	lo, hi int
-	ep     transport.Endpoint
-	out    *transport.Batcher
+	inbox  <-chan transport.Message // the endpoint's; nil (never ready) in memory
+	out    *transport.Batcher       // nil in memory
 
 	mu sync.Mutex
 	// nodes and cold are the parallel per-node arrays, indexed by local
@@ -454,6 +451,10 @@ type rshard struct {
 	robustOn  bool
 	advGossip []string
 	advAges   []uint32
+
+	// loss is the probability with which send drops each in-process
+	// letter (Runtime.SetLoss), guarded by mu; 0 keeps the stage off.
+	loss float64
 
 	ctr shardCounters
 
@@ -525,25 +526,10 @@ func NewRuntime(cfg RuntimeConfig) (*Runtime, error) {
 		pool:   newFieldsPool(cfg.Schema.Len()),
 		stop:   make(chan struct{}),
 	}
-	endpoints := cfg.Endpoints
-	if endpoints == nil {
-		rt.fabric = cfg.Fabric
-		if rt.fabric == nil {
-			rt.fabric = transport.NewFabric(
-				transport.WithSeed(cfg.Seed),
-				transport.WithInboxSize(1<<14),
-			)
-		}
-		endpoints = make([]transport.Endpoint, cfg.Workers)
-		for w := range endpoints {
-			endpoints[w] = rt.fabric.NewEndpoint()
-		}
-	} else {
-		rt.sockets = true
-		for _, ep := range endpoints {
-			if _, socket := ep.(*transport.TCPEndpoint); !socket {
-				rt.sockets = false
-			}
+	rt.letters = true
+	for _, ep := range cfg.Endpoints {
+		if _, socket := ep.(*transport.TCPEndpoint); !socket {
+			rt.letters = false
 		}
 	}
 
@@ -571,7 +557,6 @@ func NewRuntime(cfg RuntimeConfig) (*Runtime, error) {
 			id:        w,
 			lo:        lo,
 			hi:        hi,
-			ep:        endpoints[w],
 			nodes:     make([]rnode, hi-lo),
 			cold:      make([]rcold, hi-lo),
 			backing:   make([]float64, (hi-lo)*fieldN),
@@ -584,15 +569,21 @@ func NewRuntime(cfg RuntimeConfig) (*Runtime, error) {
 			outbox:    make([][]letter, cfg.Workers),
 			done:      make(chan struct{}),
 		}
-		s.mail.limit = cap(endpoints[w].Inbox())
+		s.mail.limit = mailboxCap
 		s.mail.notify = make(chan struct{}, 1)
 		if cfg.TraceSample > 0 {
 			s.trace.recs = make([]TraceRecord, traceRingSize)
 			s.traceEvery = uint64(cfg.TraceSample)
 		}
-		s.out = transport.NewBatcher(endpoints[w], transport.WithSendErrorHandler(s.noteFailures))
+		base := "mem-" + strconv.Itoa(w)
+		if cfg.Endpoints != nil {
+			ep := cfg.Endpoints[w]
+			s.inbox = ep.Inbox()
+			s.out = transport.NewBatcher(ep, transport.WithSendErrorHandler(s.noteFailures))
+			base = ep.Addr()
+		}
 		for i := lo; i < hi; i++ {
-			rt.addrs[i] = transport.SubAddr(endpoints[w].Addr(), i)
+			rt.addrs[i] = transport.SubAddr(base, i)
 		}
 		rt.shards[w] = s
 		lo = hi
@@ -674,7 +665,7 @@ func (rt *Runtime) registerMetrics(reg *metrics.Registry) {
 		reg.GaugeFunc("repro_pool_local_free", "Buffers resident in the shard free list.",
 			func() float64 { return float64(s.pub.poolFree.Load()) }, lbl)
 		reg.GaugeFunc("repro_engine_inbox_depth", "Messages queued for the shard: endpoint inbox plus in-process mailbox.",
-			func() float64 { return float64(len(s.ep.Inbox())) + float64(s.mail.depth.Load()) }, lbl)
+			func() float64 { return float64(len(s.inbox)) + float64(s.mail.depth.Load()) }, lbl)
 		reg.GaugeFunc("repro_engine_shard_lag_seconds",
 			"How far the shard's earliest pending event lies behind the runtime clock (0 when ahead or idle).",
 			func() float64 {
@@ -687,12 +678,21 @@ func (rt *Runtime) registerMetrics(reg *metrics.Registry) {
 		s.latency = reg.Histogram("repro_engine_exchange_latency_seconds",
 			"Initiate-to-resolution latency of trace-sampled exchanges (empty until trace sampling is enabled).",
 			nil, lbl)
-		reg.CounterFunc("repro_transport_batch_frames_total", "Batch frames flushed to the endpoint.",
-			s.out.FramesSent, lbl)
-		reg.CounterFunc("repro_transport_batch_messages_total", "Messages carried inside batch frames.",
-			s.out.MessagesSent, lbl)
-		reg.CounterFunc("repro_transport_send_failures_total", "Messages whose batch delivery failed.",
-			s.out.SendFailures, lbl)
+		if s.out != nil {
+			reg.CounterFunc("repro_transport_batch_frames_total", "Batch frames flushed to the endpoint.",
+				s.out.FramesSent, lbl)
+			reg.CounterFunc("repro_transport_batch_messages_total", "Messages carried inside batch frames.",
+				s.out.MessagesSent, lbl)
+			reg.CounterFunc("repro_transport_send_failures_total", "Messages whose batch delivery failed.",
+				s.out.SendFailures, lbl)
+			if tcp, ok := rt.cfg.Endpoints[s.id].(*transport.TCPEndpoint); ok {
+				reg.CounterFunc("repro_transport_tcp_dials_total", "Outbound TCP connections established.", tcp.Dials, lbl)
+				reg.CounterFunc("repro_transport_tcp_bytes_sent_total", "Bytes written to TCP peers.", tcp.BytesSent, lbl)
+				reg.CounterFunc("repro_transport_tcp_bytes_received_total", "Bytes read from TCP peers.", tcp.BytesReceived, lbl)
+				reg.CounterFunc("repro_transport_tcp_inbox_dropped_total", "Inbound messages dropped on a full inbox or mailbox.",
+					func() uint64 { return tcp.InboxDropped() + s.mail.dropped.Load() }, lbl)
+			}
+		}
 		var gossips []*membership.GossipSampler
 		for i := range s.cold {
 			if g, ok := s.cold[i].sampler.(*membership.GossipSampler); ok {
@@ -740,20 +740,20 @@ func (rt *Runtime) registerMetrics(reg *metrics.Registry) {
 					return t
 				}, lbl)
 		}
-		if tcp, ok := s.ep.(*transport.TCPEndpoint); ok {
-			reg.CounterFunc("repro_transport_tcp_dials_total", "Outbound TCP connections established.", tcp.Dials, lbl)
-			reg.CounterFunc("repro_transport_tcp_bytes_sent_total", "Bytes written to TCP peers.", tcp.BytesSent, lbl)
-			reg.CounterFunc("repro_transport_tcp_bytes_received_total", "Bytes read from TCP peers.", tcp.BytesReceived, lbl)
-			reg.CounterFunc("repro_transport_tcp_inbox_dropped_total", "Inbound messages dropped on a full inbox or mailbox.",
-				func() uint64 { return tcp.InboxDropped() + s.mail.dropped.Load() }, lbl)
-		}
 	}
-	if rt.fabric != nil {
+	if rt.cfg.Endpoints == nil {
+		// The in-memory series keep their fabric-era names (ROADMAP item 25).
 		reg.CounterFunc("repro_transport_fabric_loss_dropped_total",
-			"Messages dropped by the fabric loss model or a partition filter.", rt.fabric.LossDropped)
+			"In-process messages dropped by the loss stage (SetLoss).", func() uint64 {
+				var t uint64
+				for _, s := range rt.shards {
+					t += s.ctr.lossDropped.Load()
+				}
+				return t
+			})
 		reg.CounterFunc("repro_transport_fabric_inbox_dropped_total",
-			"Messages dropped on a full in-memory inbox or mailbox.", func() uint64 {
-				t := rt.fabric.InboxDropped()
+			"Messages dropped on a full in-memory mailbox.", func() uint64 {
+				var t uint64
 				for _, s := range rt.shards {
 					t += s.mail.dropped.Load()
 				}
@@ -782,9 +782,25 @@ func (rt *Runtime) Nodes() []*Node { return rt.nodes }
 // Addr returns node i's sub-address.
 func (rt *Runtime) Addr(i int) string { return rt.addrs[i] }
 
-// Fabric returns the runtime-owned in-memory fabric (nil when explicit
-// endpoints were supplied).
-func (rt *Runtime) Fabric() *transport.Fabric { return rt.fabric }
+// SetLoss makes every shard drop each in-process message independently
+// with probability p, from then on — experiment E6's loss model as a
+// stage of send (0 turns it off). Each shard stores p under its round
+// lock, like SetRobust. Only an in-memory runtime has the stage: behind
+// explicit endpoints the network, real or modelled, is the loss.
+func (rt *Runtime) SetLoss(p float64) error {
+	if p < 0 || p > 1 || math.IsNaN(p) {
+		return fmt.Errorf("engine: loss probability %v outside [0,1]", p)
+	}
+	if rt.cfg.Endpoints != nil {
+		return fmt.Errorf("engine: SetLoss needs an in-memory runtime; this one runs on explicit endpoints")
+	}
+	for _, s := range rt.shards {
+		s.mu.Lock()
+		s.loss = p
+		s.mu.Unlock()
+	}
+	return nil
+}
 
 // now returns seconds since Start on the runtime clock.
 func (rt *Runtime) now() float64 {
@@ -834,7 +850,9 @@ func (rt *Runtime) Stop() {
 			}
 		}
 		for _, s := range rt.shards {
-			_ = s.out.Close()
+			if s.out != nil {
+				_ = s.out.Close()
+			}
 		}
 	})
 }
@@ -1257,7 +1275,7 @@ func (s *rshard) run() {
 	defer close(s.done)
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
-	inbox := s.ep.Inbox()
+	inbox := s.inbox
 	floor := s.rt.cfg.CycleLength / sleepFloorDivisor
 	for {
 		s.mu.Lock()
@@ -1268,7 +1286,9 @@ func (s *rshard) run() {
 			return
 		}
 		// Everything generated this round leaves as batch frames now.
-		s.out.Flush()
+		if s.out != nil {
+			s.out.Flush()
+		}
 		if sleep <= 0 {
 			// Behind schedule: keep processing without sleeping, but
 			// yield so inbound deliveries and other workers progress.
@@ -1545,9 +1565,9 @@ func (s *rshard) restart(li int) {
 // lock TryLock gets — and fuse accepts it, or send the push and arm the
 // reply deadline. Caller holds s.mu and has checked that no exchange
 // is in flight. The push's Fields buffer is drawn from the shard's free
-// list; ownership passes with the send (and on every in-process path,
-// or a lossless fabric, the same buffer eventually returns via the pull
-// reply).
+// list; ownership passes with the send (and on every in-process path
+// the loss stage does not cut, the same buffer eventually returns via
+// the pull reply).
 func (s *rshard) initiate(li int, now float64, peer int32) {
 	n := &s.nodes[li]
 	idx := s.lo + li
@@ -1643,7 +1663,7 @@ func (s *rshard) fuse(li int, t *rshard, pi int) bool {
 	// The initiator's own line and the shard's settings first: a
 	// gossiping shard declines before touching the partner's lock or line.
 	n := &s.nodes[li]
-	if s.rt.cfg.PushOnly || s.robustOn || n.observes || n.adv != 0 || s.traceSampled(s.seq+1) {
+	if s.rt.cfg.PushOnly || s.robustOn || s.loss > 0 || n.observes || n.adv != 0 || s.traceSampled(s.seq+1) {
 		return false
 	}
 	if t != s {
@@ -1652,9 +1672,9 @@ func (s *rshard) fuse(li int, t *rshard, pi int) bool {
 		}
 		defer t.mu.Unlock()
 	}
-	// SetRobust switches shards one at a time: t's gate may differ.
+	// SetRobust and SetLoss switch shards one at a time: t's may differ.
 	p := &t.nodes[pi]
-	if t.robustOn || p.failed || p.observes || p.adv != 0 || n.tracker.Current() != p.tracker.Current() {
+	if t.robustOn || t.loss > 0 || p.failed || p.observes || p.adv != 0 || n.tracker.Current() != p.tracker.Current() {
 		return false
 	}
 	s.seq++
@@ -1705,17 +1725,6 @@ const (
 	viaMail               // a sibling shard's mailbox
 )
 
-// inProcess reports whether messages between hosted nodes may bypass
-// the transport right now: always behind real sockets, and on the
-// in-memory fabric while no filter, loss or latency is in force — an
-// impaired fabric must see every message so its models apply.
-func (rt *Runtime) inProcess() bool {
-	if rt.fabric != nil {
-		return !rt.fabric.Impaired()
-	}
-	return rt.sockets
-}
-
 // hostedIndex returns the index of the hosted node whose sub-address is
 // addr, or -1 when addr names no node of this runtime (a remote peer, a
 // bare endpoint address).
@@ -1730,7 +1739,7 @@ func (rt *Runtime) hostedIndex(addr string) int32 {
 // routeTo picks the path for a message to node to (-1: not hosted).
 func (s *rshard) routeTo(to int32) route {
 	switch {
-	case to < 0 || !s.rt.inProcess():
+	case to < 0 || !s.rt.letters:
 		return viaWire
 	case int(to) >= s.lo && int(to) < s.hi:
 		return viaLocal
@@ -1739,23 +1748,27 @@ func (s *rshard) routeTo(to int32) route {
 	}
 }
 
+// gossipFanout is how many membership addresses a gossiping node
+// piggybacks on each message.
+const gossipFanout = 3
+
 // digest draws local node li's piggybacked membership digest for one
 // outgoing message (nil when the node's sampler does not gossip). A
 // message that leaves the round — through the batcher or a sibling's
 // mailbox — must own its digest slices: the batcher retains it until
-// flush, and the fabric and the mailbox deliver by reference (DESIGN.md
-// "Membership"). A local message is consumed — Observe runs first in
+// flush, and the mailbox and a fabric endpoint deliver by reference
+// (DESIGN.md "Membership"). A local message is consumed — Observe runs first in
 // handleMessage and retains nothing — before the shard builds its next
 // one, so its digest lives in shard-owned scratch and costs nothing.
 func (s *rshard) digest(li int, local bool) ([]string, []uint32) {
-	if s.rt.cfg.GossipFanout <= 0 || !s.nodes[li].observes {
+	if !s.nodes[li].observes {
 		return nil, nil
 	}
 	sampler := s.cold[li].sampler
 	if !local {
-		return sampler.AppendDigest(nil, nil, &s.rng, s.rt.cfg.GossipFanout)
+		return sampler.AppendDigest(nil, nil, &s.rng, gossipFanout)
 	}
-	s.digAddrs, s.digAges = sampler.AppendDigest(s.digAddrs[:0], s.digAges[:0], &s.rng, s.rt.cfg.GossipFanout)
+	s.digAddrs, s.digAges = sampler.AppendDigest(s.digAddrs[:0], s.digAges[:0], &s.rng, gossipFanout)
 	return s.digAddrs, s.digAges
 }
 
@@ -1766,11 +1779,19 @@ func (s *rshard) digest(li int, local bool) ([]string, []uint32) {
 // by index; with neither, the batcher reports the send as failed, as
 // for any unreachable peer. A local message is queued for drainLocal and a sibling
 // shard's is staged for its mailbox — no strings, codec, channel or
-// batcher on either path. Everything else takes the batcher to the
-// endpoint with its addresses spelled out, a synchronous failure
-// charged to the sender. Caller holds s.mu.
+// batcher on either path — unless the loss stage drops it first: with
+// probability s.loss, drawn from the shard's stream, the letter is
+// counted and its Fields buffer recycled. Everything else takes the
+// batcher to the endpoint with its addresses spelled out, a synchronous
+// failure charged to the sender; an in-memory runtime has no batcher,
+// so there a peer it does not host is a failed send. Caller holds s.mu.
 func (s *rshard) send(li int, to int32, addr string, r route, m transport.Message) {
 	from := s.lo + li
+	if r != viaWire && s.loss > 0 && s.rng.Bool(s.loss) {
+		s.ctr.lossDropped.Add(1)
+		s.free.put(m.Fields)
+		return
+	}
 	switch r {
 	case viaLocal:
 		s.local = append(s.local, letter{m: m, from: int32(from), to: to})
@@ -1778,6 +1799,15 @@ func (s *rshard) send(li int, to int32, addr string, r route, m transport.Messag
 	case viaMail:
 		w := s.rt.shardOf(int(to)).id
 		s.outbox[w] = append(s.outbox[w], letter{m: m, from: int32(from), to: to})
+		return
+	}
+	if s.out == nil {
+		s.cold[li].sendErrors++
+		s.ctr.sendErrors.Add(1)
+		if s.nodes[li].observes && addr != "" {
+			s.cold[li].sampler.Forget(addr)
+		}
+		s.free.put(m.Fields)
 		return
 	}
 	if addr == "" && to >= 0 {
@@ -1835,10 +1865,10 @@ func (s *rshard) drainLocal() int {
 // this process's listen address (aggnode -peers host:port); the shard's
 // first node serves it, and the reply's From carries that node's full
 // sub-address, which bootstraps the remote sampler onto proper
-// sub-addresses. A sender hosted by this runtime (traffic that crossed
-// the fabric while it was impaired) is resolved to its index, so the
-// answer can take the in-process path once the fabric is healthy again.
-// Caller holds s.mu.
+// sub-addresses. The sender is never resolved to a hosted index: a
+// runtime whose hosted traffic stays in the process gets none of it
+// from the wire, and one whose traffic takes the wire answers by
+// address. Caller holds s.mu.
 func (s *rshard) handleWire(m transport.Message) {
 	to := int32(s.lo)
 	if idx, ok := nodeIndex(m.To); ok {
@@ -1847,11 +1877,7 @@ func (s *rshard) handleWire(m transport.Message) {
 			to = int32(idx)
 		}
 	}
-	from := int32(-1)
-	if s.rt.inProcess() {
-		from = s.rt.hostedIndex(m.From)
-	}
-	s.handleMessage(&m, from, to)
+	s.handleMessage(&m, -1, to)
 }
 
 // handleMessage hands one inbound message to hosted node to. from is the

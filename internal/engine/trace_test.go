@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/transport"
 )
 
 // TestTraceRingSamplesExchanges runs a traced runtime and checks that
@@ -123,13 +124,30 @@ func TestRuntimeMetricsRegistration(t *testing.T) {
 		"repro_engine_shard_lag_seconds",
 		"repro_pool_gets_total",
 		"repro_pool_local_free",
-		"repro_transport_batch_frames_total",
 		"repro_transport_fabric_loss_dropped_total",
+		"repro_transport_fabric_inbox_dropped_total",
 		"repro_engine_exchange_latency_seconds_count",
 	} {
 		if !strings.Contains(text, fam) {
 			t.Errorf("scrape missing %s", fam)
 		}
+	}
+	// The batcher series belong to a runtime with endpoints; an
+	// in-memory one has no batcher.
+	wired := metrics.New()
+	wrt, err := NewRuntime(RuntimeConfig{
+		Size:        8,
+		Schema:      core.AverageSchema(),
+		CycleLength: 2 * time.Millisecond,
+		Endpoints:   fabricEndpoints(transport.NewFabric(), 2),
+		Metrics:     wired,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wrt.Stop()
+	if !strings.Contains(string(wired.AppendPrometheus(nil)), "repro_transport_batch_frames_total") {
+		t.Error("scrape of a runtime over endpoints missing repro_transport_batch_frames_total")
 	}
 	if !strings.Contains(text, `repro_engine_exchanges_initiated_total{shard="1"}`) {
 		t.Error("per-shard labels missing from scrape")

@@ -3,7 +3,6 @@ package transport
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/xrand"
@@ -53,17 +52,6 @@ type Fabric struct {
 	dropProb  float64
 	inboxSize int
 	nextAddr  int
-
-	// Drop counters, read lock-free by the metrics layer. Both count
-	// rare paths (loss model, partition filter, saturated inbox), so an
-	// atomic add per drop costs nothing on the healthy path.
-	lossDropped  atomic.Uint64
-	inboxDropped atomic.Uint64
-
-	// impaired mirrors "a filter, loss or latency is in force" for
-	// lock-free readers (see Impaired); written under mu whenever one of
-	// those models changes.
-	impaired atomic.Bool
 }
 
 // NewFabric returns an empty in-memory network.
@@ -76,23 +64,8 @@ func NewFabric(opts ...FabricOption) *Fabric {
 	for _, opt := range opts {
 		opt(f)
 	}
-	f.updateImpaired()
 	return f
 }
-
-// updateImpaired refreshes the impaired mirror. The caller holds f.mu
-// (or owns f exclusively, during construction).
-func (f *Fabric) updateImpaired() {
-	f.impaired.Store(f.filter != nil || f.dropProb > 0 || f.latBase > 0 || f.latJitter > 0)
-}
-
-// Impaired reports, without locking, whether a partition filter, a loss
-// probability or a latency is in force. While it is false the fabric
-// delivers every message to an attached endpoint at once and intact, so
-// a runtime that owns both ends may hand its messages over in-process
-// instead; once it turns true every send must go through the fabric's
-// models again.
-func (f *Fabric) Impaired() bool { return f.impaired.Load() }
 
 // SetFilter installs a reachability predicate evaluated on every send;
 // a false return drops the message. Pass nil to clear. Partition tests
@@ -101,24 +74,6 @@ func (f *Fabric) SetFilter(filter func(from, to string) bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.filter = filter
-	f.updateImpaired()
-}
-
-// SetDropProbability changes the loss model on a live fabric — the
-// scenario-injection hook behind the serve layer's POST /v1/scenario.
-// Safe to call while traffic flows; takes effect on the next delivery.
-func (f *Fabric) SetDropProbability(p float64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.dropProb = p
-	f.updateImpaired()
-}
-
-// DropProbability returns the loss probability currently in force.
-func (f *Fabric) DropProbability() float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.dropProb
 }
 
 // NewEndpoint attaches a new endpoint with a fabric-assigned address.
@@ -134,18 +89,6 @@ func (f *Fabric) NewEndpoint() Endpoint {
 	}
 	f.endpoints[addr] = ep
 	return ep
-}
-
-// Endpoints returns the addresses currently attached, in no particular
-// order — handy for bootstrapping samplers in tests and examples.
-func (f *Fabric) Endpoints() []string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]string, 0, len(f.endpoints))
-	for addr := range f.endpoints {
-		out = append(out, addr)
-	}
-	return out
 }
 
 // deliverBatch routes several messages to one destination, applying the
@@ -166,7 +109,6 @@ func (f *Fabric) deliverBatch(from, to string, ms []Message) error {
 	f.mu.Lock()
 	if f.filter != nil && !f.filter(from, to) {
 		f.mu.Unlock()
-		f.lossDropped.Add(uint64(len(ms)))
 		return nil
 	}
 	dst, ok := f.lookup(to)
@@ -184,7 +126,6 @@ func (f *Fabric) deliverBatch(from, to string, ms []Message) error {
 				survivors = append(survivors, m)
 			}
 		}
-		f.lossDropped.Add(uint64(len(ms) - len(survivors)))
 	}
 	var delay time.Duration
 	if f.latBase > 0 || f.latJitter > 0 {
@@ -224,14 +165,6 @@ func (f *Fabric) lookup(to string) (*memEndpoint, bool) {
 	}
 	return nil, false
 }
-
-// LossDropped returns how many messages the loss model or a partition
-// filter swallowed.
-func (f *Fabric) LossDropped() uint64 { return f.lossDropped.Load() }
-
-// InboxDropped returns how many messages were dropped on a full
-// endpoint inbox (UDP semantics under saturation).
-func (f *Fabric) InboxDropped() uint64 { return f.inboxDropped.Load() }
 
 // detach removes an endpoint from the routing table.
 func (f *Fabric) detach(addr string) {
@@ -296,7 +229,6 @@ func (e *memEndpoint) enqueueAll(ms []Message) {
 		select {
 		case e.inbox <- m:
 		default: // inbox overflow: drop, like a saturated socket buffer
-			e.fabric.inboxDropped.Add(1)
 		}
 	}
 }

@@ -274,17 +274,6 @@ func TestFabricCloseIsIdempotentAndDetaches(t *testing.T) {
 	}
 }
 
-func TestFabricEndpointsListing(t *testing.T) {
-	f := NewFabric()
-	a, b := f.NewEndpoint(), f.NewEndpoint()
-	defer a.Close()
-	defer b.Close()
-	addrs := f.Endpoints()
-	if len(addrs) != 2 {
-		t.Fatalf("endpoints = %v", addrs)
-	}
-}
-
 func TestFabricInboxOverflowDrops(t *testing.T) {
 	f := NewFabric(WithInboxSize(2))
 	a, b := f.NewEndpoint(), f.NewEndpoint()

@@ -58,7 +58,8 @@ type (
 	// Node is a handle on one live protocol participant hosted by a
 	// System, Cluster or Runtime.
 	Node = engine.Node
-	// Cluster is a locally running set of nodes over an in-memory fabric.
+	// Cluster is a locally running set of nodes in memory: every message
+	// between them stays in the process.
 	Cluster = engine.Cluster
 	// ClusterConfig assembles a Cluster (most callers want Open).
 	ClusterConfig = engine.ClusterConfig
@@ -80,8 +81,8 @@ type (
 	TraceRecord = engine.TraceRecord
 	// TraceOutcome is how a traced exchange resolved.
 	TraceOutcome = engine.TraceOutcome
-	// Endpoint is a node's transport attachment (see NewTCPEndpoint, or
-	// build an in-memory fabric via NewCluster).
+	// Endpoint is a node's transport attachment (see NewTCPEndpoint); a
+	// Runtime built without endpoints runs in memory and needs none.
 	Endpoint = transport.Endpoint
 	// Sampler supplies random gossip partners (see NewStaticSampler and
 	// NewGossipSampler).
@@ -168,8 +169,8 @@ func DecodeGeometricMean(schema *Schema, st State) (float64, error) {
 //
 // Deprecated: new code should use Open, which assembles and starts the
 // system and adds the Watch/Reduce observation surface; NewCluster
-// remains for callers that need the raw Cluster API (fabric injection,
-// manual Start).
+// remains for callers that need the raw Cluster API (SetLoss before
+// Start, manual Start).
 func NewCluster(cfg ClusterConfig) (*Cluster, error) { return engine.NewCluster(cfg) }
 
 // NewTCPEndpoint listens on the given address ("127.0.0.1:0" for an

@@ -258,8 +258,9 @@ func (s *Server) handleValues(w http.ResponseWriter, r *http.Request) {
 // scenarioRequest is the POST /v1/scenario body; every axis is
 // optional and any subset may be combined in one call.
 type scenarioRequest struct {
-	// Loss, when present, sets the in-memory fabric's per-message loss
-	// probability (in-memory shapes only).
+	// Loss, when present, sets the probability with which each message
+	// between two nodes is dropped (System.SetLoss; in-memory shapes
+	// only, 0 turns it off).
 	Loss *float64 `json:"loss"`
 	// Fail and Revive name node indices to crash / bring back.
 	Fail   []int `json:"fail"`

@@ -164,7 +164,7 @@ func TestQueryAndValuesRoundTrip(t *testing.T) {
 }
 
 // TestScenarioEndpoint: POST /v1/scenario fails and revives nodes and
-// adjusts fabric loss, with the live population reflected in queries.
+// adjusts the message loss, with the live population reflected in queries.
 func TestScenarioEndpoint(t *testing.T) {
 	sys, base := openServed(t)
 
@@ -204,6 +204,58 @@ func TestScenarioEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if !strings.Contains(string(out), `"failed_now":0`) {
 		t.Fatalf("revive response: %s", out)
+	}
+}
+
+// scrapeCounter reads one unlabelled series from the served /metrics
+// exposition (-1 when it is not exposed).
+func scrapeCounter(t *testing.T, base, series string) float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			var f float64
+			if _, err := fmt.Sscan(v, &f); err != nil {
+				t.Fatalf("unparseable sample %q: %v", line, err)
+			}
+			return f
+		}
+	}
+	return -1
+}
+
+// TestScenarioLossDropsMessages: a served {"loss":0.05} reaches the
+// runtime's loss stage, whose drops raise
+// repro_transport_fabric_loss_dropped_total.
+func TestScenarioLossDropsMessages(t *testing.T) {
+	_, base := openServed(t)
+	const series = "repro_transport_fabric_loss_dropped_total"
+	if v := scrapeCounter(t, base, series); v != 0 {
+		t.Fatalf("%s = %g before any loss was set, want 0", series, v)
+	}
+	resp, err := http.Post(base+"/v1/scenario", "application/json", strings.NewReader(`{"loss":0.05}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /v1/scenario: %d %s", resp.StatusCode, out)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for scrapeCounter(t, base, series) <= 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never rose after loss 0.05", series)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

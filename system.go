@@ -421,6 +421,9 @@ type System struct {
 	momBuckets int
 
 	rt *engine.Runtime
+	// tcp is set on the TCP shapes, where remote peers hold part of the
+	// population; unset, the runtime is in memory and hosts all of it.
+	tcp bool
 
 	// watchMu guards the per-field fan-out hubs; reduceCount counts
 	// snapshot reductions (observability for the fan-out sharing tests).
@@ -605,6 +608,7 @@ func Open(opts ...Option) (*System, error) {
 		metrics:    reg,
 		openedAt:   time.Now(),
 		done:       make(chan struct{}),
+		tcp:        cfg.tcp,
 	}
 	open := openRuntime
 	if cfg.tcp {
@@ -656,9 +660,10 @@ func Open(opts ...Option) (*System, error) {
 	return sys, nil
 }
 
-// openRuntime assembles the in-memory shape: the runtime over its own
-// fabric, on the complete overlay or, with WithGossipMembership, on
-// gossip views bootstrapped from the ring successor.
+// openRuntime assembles the in-memory shape: a runtime with no
+// endpoint, every message in process, on the complete overlay or, with
+// WithGossipMembership, on gossip views bootstrapped from the ring
+// successor.
 func openRuntime(cfg sysConfig, clock *epoch.Clock) (*engine.Runtime, error) {
 	rcfg := engine.RuntimeConfig{
 		Size:         cfg.size,
@@ -1019,21 +1024,13 @@ func (s *System) SetRobust(cfg RobustConfig) error {
 // robust trim gate has rejected across all hosted nodes.
 func (s *System) RobustRejected() uint64 { return s.rt.RobustRejected() }
 
-// SetLoss changes the in-memory fabric's message-loss probability on a
-// live system (each message dropped independently with probability p —
-// experiment E6's loss model, injectable at runtime). Errors on the TCP
-// shapes, where the network is real and not simulated.
-func (s *System) SetLoss(p float64) error {
-	if p < 0 || p > 1 || math.IsNaN(p) {
-		return fmt.Errorf("repro: SetLoss probability %v outside [0,1]", p)
-	}
-	f := s.rt.Fabric()
-	if f == nil {
-		return fmt.Errorf("repro: SetLoss requires an in-memory fabric (TCP shapes carry real traffic)")
-	}
-	f.SetDropProbability(p)
-	return nil
-}
+// SetLoss sets the message-loss probability of an in-memory system,
+// live: from then on each message between two nodes is dropped
+// independently with probability p (experiment E6's loss model,
+// injectable at runtime; 0 turns it off), and every drop is counted in
+// repro_transport_fabric_loss_dropped_total. Errors on the TCP shapes,
+// where the network is real and not simulated.
+func (s *System) SetLoss(p float64) error { return s.rt.SetLoss(p) }
 
 // Metrics returns the system's metric registry so module-local layers
 // (the serve package) can register their own series into the same

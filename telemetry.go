@@ -123,7 +123,7 @@ func (s *System) trackedField() string { return s.schema.FieldNames()[0] }
 // peers hold part of the population and the local fold is not the
 // network mean.
 func (s *System) trueMean() (mean float64, ok bool) {
-	if s.rt.Fabric() == nil {
+	if s.tcp {
 		return math.NaN(), false
 	}
 	var n int

@@ -427,6 +427,24 @@ func TestMetricsNamesGolden(t *testing.T) {
 	}
 }
 
+// TestMetricsTCPShapeExposesBatcher: the canonical in-memory shape of
+// TestMetricsNamesGolden has no batcher, so the golden does not list
+// its series; a TCP system, whose remote traffic leaves through one,
+// must still expose all three.
+func TestMetricsTCPShapeExposesBatcher(t *testing.T) {
+	sys := tcpSystem(t, 4, WithCycleLength(time.Hour)) // parked: names, not values
+	names := "\n" + strings.Join(sys.metrics.Names(), "\n") + "\n"
+	for _, family := range []string{
+		"repro_transport_batch_frames_total",
+		"repro_transport_batch_messages_total",
+		"repro_transport_send_failures_total",
+	} {
+		if !strings.Contains(names, "\n"+family+"\n") {
+			t.Errorf("TCP system does not expose %s", family)
+		}
+	}
+}
+
 // ExampleWithOps opens a system with the operational HTTP endpoint and
 // scrapes its own Prometheus exposition — the WithOps quickstart.
 func ExampleWithOps() {
